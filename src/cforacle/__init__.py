@@ -37,6 +37,7 @@ from .errors import (
     EnumerationCapError,
     ExtractionError,
     InfeasibleSystemError,
+    InternalCheckError,
     MeasurementInconsistencyError,
     UnboundedProgramError,
     UndefinedConditionalError,

@@ -19,13 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .core import FunctionDistribution
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based deterministic generator for a 64-bit seed."""
+    """Counter-based deterministic generator for a seed in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

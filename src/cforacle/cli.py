@@ -200,7 +200,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except CfOracleError as exc:

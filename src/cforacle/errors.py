@@ -51,6 +51,15 @@ class InfeasibleSystemError(CfOracleError):
         self.certificate = certificate
 
 
+class InternalCheckError(CfOracleError):
+    """An exact self-check of a computed result failed.
+
+    Raised where a solver verifies its own output (a Farkas certificate, a
+    vertex on the optimal face, an inverted matrix); it signals a bug in
+    this package, not bad input.
+    """
+
+
 class UnboundedProgramError(CfOracleError):
     """The linear program is unbounded in the requested direction."""
 

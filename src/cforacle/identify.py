@@ -230,12 +230,13 @@ def lp_bounds_with_witnesses(
         raise ValidationError("target dimension does not match the system")
     a, b = system.matrix()
     c = list(target.coefficients)
-    lo, _ = lp.simplex_minimize(c, a, b)
-    hi, _ = lp.simplex_maximize(c, a, b)
-    lo_vertex = lp.lexmin_optimal_vertex(c, a, b, lo)
-    hi_vertex = lp.lexmin_optimal_vertex([-v for v in c], a, b, -hi)
+    lo_vertex = lp.lexmin_optimal_vertex(c, a, b)
+    hi_vertex = lp.lexmin_optimal_vertex([-v for v in c], a, b)
     return (
-        Bounds(lo, hi),
+        Bounds(
+            sum(ci * xi for ci, xi in zip(c, lo_vertex)),
+            sum(ci * xi for ci, xi in zip(c, hi_vertex)),
+        ),
         _vector_to_distribution(lo_vertex, system.n_x, system.n_y),
         _vector_to_distribution(hi_vertex, system.n_x, system.n_y),
     )

@@ -3,8 +3,11 @@
 Two independent solution routes, kept deliberately separate so they can
 cross-check each other:
 
-* a two-phase primal simplex with Bland's anti-cycling rule, running
-  entirely on :class:`fractions.Fraction` (no floating point anywhere), and
+* a primal simplex with Bland's anti-cycling rule, running entirely on
+  :class:`fractions.Fraction` (no floating point anywhere).  Phase 1
+  finds a feasible basis once; each objective is then optimized from the
+  current basis of that one tableau.  The lexicographic witness search
+  walks the optimal face in place, adding no rows and never restarting.
 * brute-force vertex enumeration of the feasible polytope, practical for
   up to ~16 variables.
 
@@ -18,7 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InfeasibleSystemError, UnboundedProgramError, ValidationError
+from .errors import (
+    InfeasibleSystemError,
+    InternalCheckError,
+    UnboundedProgramError,
+    ValidationError,
+)
 from .rational import Matrix, Vector, rref, solve_unique
 
 _ZERO = Fraction(0)
@@ -36,18 +44,24 @@ def _pivot(tableau: Matrix, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: Matrix, basis: list[int], n_cols: int) -> None:
+def _iterate(
+    tableau: Matrix,
+    basis: list[int],
+    n_cols: int,
+    allowed: list[bool] | None = None,
+) -> None:
     """Run Bland-rule simplex iterations until the cost row is optimal.
 
     The last tableau row is the reduced-cost row; the last column is the
-    right-hand side.  Raises on an unbounded descent direction.
+    right-hand side.  Only columns marked in ``allowed`` (all by default)
+    may enter the basis.  Raises on an unbounded descent direction.
     """
     m = len(tableau) - 1
     while True:
         cost = tableau[m]
         enter = None
         for j in range(n_cols):
-            if cost[j] < 0:
+            if cost[j] < 0 and (allowed is None or allowed[j]):
                 enter = j
                 break
         if enter is None:
@@ -85,6 +99,70 @@ def _cost_row(
     return row
 
 
+def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
+    """Phase 1: a feasible tableau of ``{A x = b, x >= 0}`` and its basis,
+    on the original columns, redundant rows dropped, cost row of ``c`` last.
+    Raises :class:`InfeasibleSystemError` with a Farkas certificate."""
+    m = len(a)
+    if m == 0:
+        raise ValidationError("cannot solve an empty system")
+    n = len(a[0])
+    if len(b) != m or len(c) != n:
+        raise ValidationError("dimension mismatch between c, A, b")
+    # Artificials form the starting basis; rows with b_i < 0 are negated.
+    signs = [-1 if v < 0 else 1 for v in b]
+    width = n + m
+    tableau: Matrix = [
+        [sign * v for v in a[i]]
+        + [_ONE if k == i else _ZERO for k in range(m)]
+        + [sign * b[i]]
+        for i, sign in enumerate(signs)
+    ]
+    basis = [n + i for i in range(m)]
+    c1 = [_ZERO] * n + [_ONE] * m
+    tableau.append(_cost_row(c1, tableau, basis, width))
+    _iterate(tableau, basis, width)
+
+    value1 = -tableau[m][-1]
+    if value1 > 0:
+        certificate = [
+            signs[k] * sum(c1[basis[i]] * tableau[i][n + k] for i in range(m))
+            for k in range(m)
+        ]
+        if _dot(certificate, b) <= 0 or any(
+            sum(certificate[k] * a[k][j] for k in range(m)) > 0 for j in range(n)
+        ):
+            raise InternalCheckError("phase 1 produced an invalid certificate")
+        raise InfeasibleSystemError(
+            f"constraint system is infeasible (phase-1 residual {value1})",
+            residual=value1,
+            certificate=certificate,
+        )
+
+    # Drive artificial variables out of the basis; drop redundant rows.
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if enter is None:
+                continue
+            _pivot(tableau, basis, i, enter)
+        keep.append(i)
+    tableau2: Matrix = [tableau[i][:n] + tableau[i][-1:] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    tableau2.append(_cost_row(c, tableau2, basis2, n))
+    return tableau2, basis2
+
+
+def _dot(u: Vector, v: Vector) -> Fraction:
+    return sum(p * q for p, q in zip(u, v))
+
+
+def _basic_solution(tableau: Matrix, basis: list[int], n: int) -> Vector:
+    values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
+    return [values.get(j, _ZERO) for j in range(n)]
+
+
 def simplex_minimize(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[Fraction, Vector]:
@@ -94,83 +172,11 @@ def simplex_minimize(
     Raises :class:`InfeasibleSystemError` (with a Farkas certificate) when
     the system has no nonnegative solution.
     """
-    m = len(a)
-    if m == 0:
-        raise ValidationError("cannot solve an empty system")
-    n = len(a[0])
-    if len(b) != m or len(c) != n:
-        raise ValidationError("dimension mismatch between c, A, b")
-
-    signs = [1] * m
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            signs[i] = -1
-            rows.append([-v for v in a[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(a[i]))
-            rhs.append(b[i])
-
-    # Phase 1: artificial variables form the starting basis.
-    width = n + m
-    tableau: Matrix = []
-    for i in range(m):
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tableau.append(rows[i] + art + [rhs[i]])
-    basis = [n + i for i in range(m)]
-    c1 = [_ZERO] * n + [_ONE] * m
-    tableau.append(_cost_row(c1, tableau, basis, width))
-    _iterate(tableau, basis, width)
-
-    value1 = -tableau[m][-1]
-    if value1 > 0:
-        y = [
-            sum(
-                c1[basis[i]] * tableau[i][n + k]
-                for i in range(m)
-            )
-            for k in range(m)
-        ]
-        certificate = [signs[k] * y[k] for k in range(m)]
-        dot_b = sum(certificate[k] * b[k] for k in range(m))
-        col_ok = all(
-            sum(certificate[k] * a[k][j] for k in range(m)) <= 0
-            for j in range(n)
-        )
-        assert dot_b > 0 and col_ok, "internal error: invalid Farkas certificate"
-        raise InfeasibleSystemError(
-            f"constraint system is infeasible (phase-1 residual {value1})",
-            residual=value1,
-            certificate=certificate,
-        )
-
-    # Drive artificial variables out of the basis; drop redundant rows.
-    drop_rows: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if enter is None:
-                drop_rows.append(i)
-            else:
-                _pivot(tableau, basis, i, enter)
-
-    keep = [i for i in range(m) if i not in drop_rows]
-    tableau2: Matrix = [
-        [tableau[i][j] for j in range(n)] + [tableau[i][-1]] for i in keep
-    ]
-    basis2 = [basis[i] for i in keep]
-    c2 = list(c)
-    tableau2.append(_cost_row(c2, tableau2, basis2, n))
-    _iterate(tableau2, basis2, n)
-
-    x = [_ZERO] * n
-    for i, bvar in enumerate(basis2):
-        x[bvar] = tableau2[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+    tableau, basis = _phase1(c, a, b)
+    n = len(c)
+    _iterate(tableau, basis, n)
+    x = _basic_solution(tableau, basis, n)
+    return _dot(c, x), x
 
 
 def simplex_maximize(
@@ -183,52 +189,49 @@ def simplex_maximize(
 def objective_range(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of ``c . x`` over the feasible polytope."""
-    lo, _ = simplex_minimize(c, a, b)
-    hi, _ = simplex_maximize(c, a, b)
-    return lo, hi
+    """Exact (min, max) of ``c . x`` over the feasible polytope.
+
+    Phase 1 runs once; both directions re-optimize copies of its tableau
+    (the reduced-cost row of ``-c`` is the negated row of ``c``).
+    """
+    tableau, basis = _phase1(c, a, b)
+    n = len(c)
+    up = [list(row) for row in tableau[:-1]] + [[-v for v in tableau[-1]]]
+    _iterate(up, list(basis), n)
+    _iterate(tableau, basis, n)
+    return -tableau[-1][-1], up[-1][-1]
 
 
-def _affine_unique_point(a: Matrix, b: Vector) -> Vector | None:
-    """The single solution of ``A x = b`` if the affine set is a point."""
-    n = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if n in pivots or len(pivots) < n:
-        return None
-    x = [_ZERO] * n
-    for row, col in zip(reduced, pivots):
-        x[col] = row[-1]
-    return x
-
-
-def lexmin_optimal_vertex(
-    c: Vector, a: Matrix, b: Vector, optimum: Fraction
-) -> Vector:
+def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
     """Lexicographically smallest point of the optimal face of ``min c.x``.
 
-    The optimal face is pinned by appending the row ``c.x = optimum``;
-    coordinates are then minimized one at a time in index order.  The
-    result is always a vertex of the feasible polytope.  Whenever the
-    accumulated equalities already determine a single point, the remaining
-    coordinate programs are skipped.
+    After optimizing ``c``, a column with a positive reduced cost is zero
+    on the optimal face (complementary slackness), so it may no longer
+    enter.  Coordinates are then minimized in index order from the current
+    basis, shutting out each column whose reduced cost turns positive,
+    until every eligible column is basic.  The result is a vertex.
     """
-    n = len(a[0])
-    rows = [list(row) for row in a] + [list(c)]
-    rhs = list(b) + [optimum]
+    tableau, basis = _phase1(c, a, b)
+    n = len(c)
+    _iterate(tableau, basis, n)
+    optimum = -tableau[-1][-1]
+    eligible = [d == 0 for d in tableau[-1][:n]]
     for j in range(n):
-        point = _affine_unique_point(rows, rhs)
-        if point is not None:
-            assert all(v >= 0 for v in point)
-            return point
-        unit = [_ZERO] * n
-        unit[j] = _ONE
-        vj, _ = simplex_minimize(unit, rows, rhs)
-        rows.append(unit)
-        rhs.append(vj)
-    point = _affine_unique_point(rows, rhs)
-    assert point is not None and all(v >= 0 for v in point)
-    return point
+        if sum(eligible) == len(basis):
+            break
+        if eligible[j]:
+            unit = [_ONE if k == j else _ZERO for k in range(n)]
+            tableau[-1] = _cost_row(unit, tableau, basis, n)
+            _iterate(tableau, basis, n, eligible)
+            eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
+    x = _basic_solution(tableau, basis, n)
+    if (
+        any(v < 0 for v in x)
+        or any(_dot(row, x) != rhs for row, rhs in zip(a, b))
+        or _dot(c, x) != optimum
+    ):
+        raise InternalCheckError("face walk ended off the optimal face")
+    return x
 
 
 def enumerate_vertices(
@@ -278,8 +281,5 @@ def vertex_objective_range(
 
     Independent cross-check for :func:`objective_range` on small systems.
     """
-    values = [
-        sum(ci * xi for ci, xi in zip(c, v))
-        for v in enumerate_vertices(a, b, max_vars=max_vars)
-    ]
+    values = [_dot(c, v) for v in enumerate_vertices(a, b, max_vars=max_vars)]
     return min(values), max(values)

@@ -80,6 +80,9 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
         raise ValidationError(
             "model JSON needs integer fields 'n_x' and 'n_y'"
         ) from exc
+    for field in ("pF", "joint"):
+        if field in data and not isinstance(data[field], dict):
+            raise ValidationError(f"model field {field!r} must be a JSON object")
     if "pF" in data:
         weights = {
             table_from_digits(key, n_x, n_y): parse_rational(value)

@@ -21,6 +21,7 @@ from .core import FunctionDistribution, FunctionTable
 from .errors import (
     DomainError,
     ExtractionError,
+    InternalCheckError,
     MeasurementInconsistencyError,
     ValidationError,
 )
@@ -369,7 +370,8 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
     """
     rhs = [Fraction(c00), Fraction(c01), Fraction(bell), Fraction(1)]
     solution = solve_unique(_SOLVE_MATRIX, rhs)
-    assert solution is not None  # the matrix is invertible
+    if solution is None:
+        raise InternalCheckError("the binary identification matrix is singular")
     tol = Fraction(1, 10**9)
     low = min(solution)
     high = max(solution)

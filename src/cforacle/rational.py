@@ -47,10 +47,6 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return rows[:r], pivots
 
 
-def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[0])
-
-
 def solve_unique(a: Matrix, b: Vector) -> Vector | None:
     """Solve ``a x = b`` when the solution exists and is unique.
 

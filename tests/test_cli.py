@@ -243,6 +243,37 @@ class TestErrorHandling:
         payload = json.loads(out)
         assert payload["lo"] == payload["hi"] == "1/2"
 
+    @staticmethod
+    def one_line_usage_error(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_pF_that_is_not_an_object(self, capsys, tmp_path):
+        model = tmp_path / "list.json"
+        model.write_text('{"n_x": 2, "n_y": 2, "pF": [1, 2]}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "'pF'" in err
+
+    def test_negative_seed(self, capsys):
+        err = self.one_line_usage_error(
+            capsys, "simulate", "--model", "uniform2.json", "--queries", "4",
+            "--seed", "-1",
+        )
+        assert "seed" in err
+
+    def test_model_path_is_a_directory(self, capsys, tmp_path):
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(tmp_path), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "directory" in err
+
 
 def test_console_script_entry_point():
     result = subprocess.run(

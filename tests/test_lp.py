@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from cforacle import InfeasibleSystemError, UnboundedProgramError
+from cforacle import (
+    ConstraintLevel,
+    CounterfactualQuery,
+    InfeasibleSystemError,
+    InternalCheckError,
+    LinearTarget,
+    UnboundedProgramError,
+    build_constraints,
+    lp,
+    restricted_tail_model,
+)
 from cforacle.lp import (
     enumerate_vertices,
     lexmin_optimal_vertex,
@@ -13,6 +23,12 @@ from cforacle.lp import (
     simplex_maximize,
     simplex_minimize,
     vertex_objective_range,
+)
+from cforacle.rational import solve_unique
+from cforacle.reproduce import (
+    affine_ternary_model,
+    mix_identity_flip,
+    uniform_ternary_model,
 )
 
 F = Fraction
@@ -100,7 +116,7 @@ def test_lexmin_breaks_ties():
     c = [F(-1), F(-1), F(0)]
     value, _ = simplex_minimize(c, a, b)
     assert value == -1
-    assert lexmin_optimal_vertex(c, a, b, value) == [F(0), F(1), F(0)]
+    assert lexmin_optimal_vertex(c, a, b) == [F(0), F(1), F(0)]
 
 
 def test_lexmin_returns_feasible_vertex():
@@ -108,7 +124,7 @@ def test_lexmin_returns_feasible_vertex():
     b = [F(1), F(1, 3)]
     c = [F(0), F(1), F(0), F(2)]
     value, _ = simplex_minimize(c, a, b)
-    x = lexmin_optimal_vertex(c, a, b, value)
+    x = lexmin_optimal_vertex(c, a, b)
     assert sum(ci * xi for ci, xi in zip(c, x)) == value
     assert sum(x) == 1 and x[0] + x[2] == F(1, 3)
     assert all(v >= 0 for v in x)
@@ -129,3 +145,94 @@ def test_simplex_agrees_with_vertex_enumeration_on_random_systems():
         b = [sum(row[j] * point[j] for j in range(n)) for row in a]
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
         assert objective_range(c, a, b) == vertex_objective_range(c, a, b)
+
+
+def lexmin_by_enumeration(c, a, b):
+    """Lexicographically smallest optimal vertex, from all vertices."""
+    vertices = enumerate_vertices(a, b)
+    best = min(sum(ci * vi for ci, vi in zip(c, v)) for v in vertices)
+    return list(
+        min(v for v in vertices if sum(ci * vi for ci, vi in zip(c, v)) == best)
+    )
+
+
+def lexmin_by_restarts(c, a, b):
+    """Reference lexicographic minimum, one fresh LP per coordinate.
+
+    Pins ``c.x`` at its optimum, then minimizes each coordinate in turn
+    with a new two-phase solve, appending its optimum as an equality row,
+    until the equalities determine a single point.
+    """
+    optimum, _ = simplex_minimize(c, a, b)
+    n = len(c)
+    rows = [list(row) for row in a] + [list(c)]
+    rhs = list(b) + [optimum]
+    for j in range(n):
+        point = solve_unique(rows, rhs)
+        if point is not None:
+            return point
+        unit = [F(int(k == j)) for k in range(n)]
+        vj, _ = simplex_minimize(unit, rows, rhs)
+        rows.append(unit)
+        rhs.append(vj)
+    return solve_unique(rows, rhs)
+
+
+def test_lexmin_matches_vertex_enumeration_on_random_systems():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        m = rng.randint(1, 3)
+        a = [[F(rng.randint(0, 2)) for _ in range(n)] for _ in range(m)]
+        a.append([F(1)] * n)
+        # sparse witness points make degenerate vertices common
+        point = [F(rng.choice((0, 0, 1, 2, 3))) for _ in range(n)]
+        if sum(point) == 0:
+            continue
+        point = [p / sum(point) for p in point]
+        if rng.random() < 0.5:  # a redundant row: sum of two others
+            a.append([u + v for u, v in zip(a[0], a[-1])])
+        if rng.random() < 0.5:  # a row with negative right-hand side
+            a.append([-v for v in a[0]])
+        b = [sum(row[j] * point[j] for j in range(n)) for row in a]
+        c = [F(rng.randint(-2, 2)) for _ in range(n)]
+        for direction in (c, [-v for v in c]):
+            assert lexmin_optimal_vertex(direction, a, b) == lexmin_by_enumeration(
+                direction, a, b
+            )
+            checked += 1
+    assert checked > 200
+
+
+def _witness_systems():
+    diagonal = "0:0,1:1,2:2"
+    cases = {
+        "binary one-way": (mix_identity_flip(), "one-way", "0:0,1:0"),
+        "model_ab 3x3 two-way": (uniform_ternary_model(), "two-way", diagonal),
+        "affine 3x3 one-way": (affine_ternary_model(), "one-way", diagonal),
+        "tail-5 one-way": (
+            restricted_tail_model(5, (0, 1)), "one-way", "0:1,1:1,2:1,3:0,4:1",
+        ),
+    }
+    for name, (model, level, target) in cases.items():
+        system = build_constraints(model, ConstraintLevel.parse(level))
+        query = CounterfactualQuery.from_string(target)
+        c = list(LinearTarget.from_query(query, model.n_x, model.n_y).coefficients)
+        a, b = system.matrix()
+        yield pytest.param(c, a, b, id=name)
+
+
+@pytest.mark.parametrize("c, a, b", list(_witness_systems()))
+def test_lexmin_matches_restart_algorithm_on_witness_systems(c, a, b):
+    for direction in (c, [-v for v in c]):
+        assert lexmin_optimal_vertex(direction, a, b) == lexmin_by_restarts(
+            direction, a, b
+        )
+
+
+def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
+    monkeypatch.setattr(lp, "_basic_solution", lambda *_: [F(0), F(0), F(1)])
+    a = frac_rows([[1, 1, 1]])
+    with pytest.raises(InternalCheckError):
+        lexmin_optimal_vertex([F(-1), F(-1), F(0)], a, [F(1)])
