@@ -11,14 +11,13 @@ is below 2**-64.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .core import FunctionDistribution
+from .core import FunctionDistribution, outputs_matrix
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
@@ -33,28 +32,30 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ClassicalQueryRecord:
-    """One oracle round trip.  The oracle copies its input, so
-    x_out always equals x_in; the only payload is y_out = f(x_in)."""
+    """One oracle round trip, as :func:`query` returns it.  x_out always
+    equals x_in; the only payload is y_out = f(x_in)."""
 
     x_in: int
     x_out: int
     y_out: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleLog:
-    """An ordered record of oracle queries, reproducible from the seed."""
+    """Oracle queries in order, reproducible from the seed: query i sent
+    ``x_in[i]`` and read ``y_out[i]``.  The CSV's ``x_out`` repeats ``x_in``."""
 
-    records: list[ClassicalQueryRecord] = field(default_factory=list)
+    x_in: np.ndarray
+    y_out: np.ndarray
     seed: int = 0
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x_in", "x_out", "y_out", "query_index"])
-        for i, record in enumerate(self.records):
-            writer.writerow([record.x_in, record.x_out, record.y_out, i])
-        return buffer.getvalue()
+        lines = ["x_in,x_out,y_out,query_index\n"]
+        lines += [
+            f"{x},{x},{y},{i}\n"
+            for i, (x, y) in enumerate(zip(self.x_in.tolist(), self.y_out.tolist()))
+        ]
+        return "".join(lines)
 
 
 class TableSampler:
@@ -66,11 +67,10 @@ class TableSampler:
     """
 
     def __init__(self, pF: FunctionDistribution):
-        self.pF = pF
-        self.tables = list(pF.support())
+        support = pF.support()
         cumulative = Fraction(0)
         thresholds = []
-        for table in self.tables:
+        for table in support:
             cumulative += pF.weights[table]
             thresholds.append(
                 (cumulative.numerator << 64) // cumulative.denominator
@@ -78,17 +78,15 @@ class TableSampler:
         # the final threshold is 2**64 and can never be reached by a draw,
         # so it is dropped; searchsorted then lands in [0, len(support))
         self._cuts = np.array(thresholds[:-1], dtype=np.uint64)
-        # outputs[k, x] = f_k(x), for vectorized output lookup
-        self.outputs = np.array(
-            [t.outputs for t in self.tables], dtype=np.int64
-        )
+        self.outputs = outputs_matrix(support)
 
     def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         draws = rng.integers(0, _SCALE, size=size, dtype=np.uint64)
         return np.searchsorted(self._cuts, draws, side="right")
 
-    def draw(self, rng: np.random.Generator):
-        return self.tables[int(self.draw_indices(rng, 1)[0])]
+    def draw_outputs(self, rng: np.random.Generator, x_in: np.ndarray) -> np.ndarray:
+        """f(x_in[i]) with a fresh table drawn for every query i."""
+        return self.outputs[self.draw_indices(rng, len(x_in)), x_in]
 
 
 def query(
@@ -97,25 +95,24 @@ def query(
     """One oracle query at input x with a fresh table draw."""
     if not 0 <= x < pF.n_x:
         raise DomainError(f"input {x} outside range [0, {pF.n_x})")
-    table = TableSampler(pF).draw(rng)
-    return ClassicalQueryRecord(x, x, table.outputs[x])
+    y_out = TableSampler(pF).draw_outputs(rng, np.array([x]))
+    return ClassicalQueryRecord(x, x, int(y_out[0]))
 
 
 def simulate_log(
-    pF: FunctionDistribution, inputs: list[int], seed: int
+    pF: FunctionDistribution, inputs: Sequence[int], seed: int
 ) -> SampleLog:
     """Run the oracle over a fixed input sequence; fully seed-determined."""
     sampler = TableSampler(pF)
     rng = make_rng(seed)
-    for x in inputs:
-        if not 0 <= x < pF.n_x:
-            raise DomainError(f"input {x} outside range [0, {pF.n_x})")
-    indices = sampler.draw_indices(rng, len(inputs))
-    records = [
-        ClassicalQueryRecord(x, x, int(sampler.outputs[k, x]))
-        for x, k in zip(inputs, indices)
-    ]
-    return SampleLog(records, seed)
+    x_in = np.asarray(inputs)
+    if x_in.ndim != 1 or (x_in.size and x_in.dtype.kind not in "iu"):
+        raise DomainError("inputs must be a flat sequence of integers")
+    x_in = x_in.astype(np.int64, copy=False)
+    bad = x_in[(x_in < 0) | (x_in >= pF.n_x)]
+    if bad.size:
+        raise DomainError(f"input {bad[0]} outside range [0, {pF.n_x})")
+    return SampleLog(x_in, sampler.draw_outputs(rng, x_in), seed)
 
 
 @dataclass
@@ -140,8 +137,7 @@ def estimate_conditionals(
     rng = make_rng(seed)
     counts = np.zeros((pF.n_x, pF.n_y), dtype=np.int64)
     for x in range(pF.n_x):
-        indices = sampler.draw_indices(rng, queries_per_x)
-        ys = sampler.outputs[indices, x]
+        ys = sampler.draw_outputs(rng, np.full(queries_per_x, x))
         counts[x] = np.bincount(ys, minlength=pF.n_y)
     p_hat = counts / float(queries_per_x)
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / queries_per_x)

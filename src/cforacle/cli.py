@@ -21,6 +21,8 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
+
 from .classical import simulate_log
 from .core import ConfoundedModel, CounterfactualQuery, FunctionDistribution
 from .errors import CfOracleError
@@ -29,6 +31,16 @@ from .modelio import distribution_to_json_dict, load_model
 from .quantum import Amplitudes, build_rho_xy, tomography_sweep
 from .reproduce import SCENARIOS, run_scenario
 from .toy import verify_binary_equivalence
+
+#: Upper bound on ``simulate --queries``, checked before anything is
+#: allocated: the log and its CSV grow linearly with the query count.
+MAX_QUERIES = 10**7
+
+#: JSON keys of the ``bounds`` and ``identify`` results, in output order.
+_RESULT_KEYS = {
+    "bounds": ("lo", "hi", "identifiable", "witness_lo", "witness_hi"),
+    "identify": ("identifiable", "lo", "hi", "width", "witness_lo", "witness_hi"),
+}
 
 
 def _resolve_model_path(token: str) -> Path:
@@ -55,10 +67,6 @@ def _load_distribution(token: str) -> FunctionDistribution:
     return model
 
 
-def _witness_dict(witness: FunctionDistribution) -> dict:
-    return distribution_to_json_dict(witness)
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -69,50 +77,31 @@ def cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
-def _identification(args):
+def cmd_identification(args) -> int:
+    """``bounds`` and ``identify``: one result, each command's own keys."""
     model = _load_distribution(args.model)
     level = ConstraintLevel.parse(args.level)
     query = CounterfactualQuery.from_string(args.target)
     system = build_constraints(model, level)
     target = LinearTarget.from_query(query, model.n_x, model.n_y)
-    return is_identifiable(target, system)
-
-
-def cmd_bounds(args) -> int:
-    result = _identification(args)
-    _emit_json(
-        {
-            "lo": str(result.bounds.lo),
-            "hi": str(result.bounds.hi),
-            "identifiable": result.identifiable,
-            "witness_lo": _witness_dict(result.witness_lo),
-            "witness_hi": _witness_dict(result.witness_hi),
-        }
-    )
-    return 0
-
-
-def cmd_identify(args) -> int:
-    result = _identification(args)
-    _emit_json(
-        {
-            "identifiable": result.identifiable,
-            "lo": str(result.bounds.lo),
-            "hi": str(result.bounds.hi),
-            "width": str(result.bounds.width),
-            "witness_lo": _witness_dict(result.witness_lo),
-            "witness_hi": _witness_dict(result.witness_hi),
-        }
-    )
+    result = is_identifiable(target, system)
+    fields = {
+        "identifiable": result.identifiable,
+        "lo": str(result.bounds.lo),
+        "hi": str(result.bounds.hi),
+        "width": str(result.bounds.width),
+        "witness_lo": distribution_to_json_dict(result.witness_lo),
+        "witness_hi": distribution_to_json_dict(result.witness_hi),
+    }
+    _emit_json({key: fields[key] for key in _RESULT_KEYS[args.command]})
     return 0
 
 
 def cmd_simulate(args) -> int:
+    if not 1 <= args.queries <= MAX_QUERIES:
+        raise CfOracleError(f"--queries must lie in [1, {MAX_QUERIES}]")
     model = _load_distribution(args.model)
-    if args.queries < 1:
-        raise CfOracleError("--queries must be at least 1")
-    inputs = [i % model.n_x for i in range(args.queries)]
-    log = simulate_log(model, inputs, args.seed)
+    log = simulate_log(model, np.arange(args.queries) % model.n_x, args.seed)
     sys.stdout.write(log.to_csv())
     return 0
 
@@ -150,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--output", choices=["json"], default="json")
     p_rep.set_defaults(func=cmd_reproduce)
 
-    for name, func, help_text in (
-        ("bounds", cmd_bounds, "partial-identification interval for a target"),
-        ("identify", cmd_identify, "decide identifiability with witnesses"),
+    for name, help_text in (
+        ("bounds", "partial-identification interval for a target"),
+        ("identify", "decide identifiability with witnesses"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON path or bundled name")
@@ -163,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--target", required=True, help="joint counterfactual, e.g. '0:1,1:1'"
         )
         p.add_argument("--output", choices=["json"], default="json")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_identification)
 
     p_sim = sub.add_parser("simulate", help="log classical oracle queries as CSV")
     p_sim.add_argument("--model", required=True)

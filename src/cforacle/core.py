@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ContractViolationError,
     DomainError,
@@ -26,6 +28,8 @@ from .errors import (
 #: Hard ceiling on full function-table enumerations.  Operations that need
 #: the complete table list fail loudly past this rather than sampling.
 DEFAULT_ENUMERATION_CAP = 10**6
+
+_BITS = (Fraction(0), Fraction(1))
 
 
 def _as_fraction(value) -> Fraction:
@@ -128,6 +132,23 @@ def enumerate_functions(
     ]
 
 
+def outputs_matrix(tables: Sequence[FunctionTable]) -> np.ndarray:
+    """Row k is ``tables[k].outputs``, so ``outputs[k, x]`` is f_k(x): the
+    layout of constraint rows, sampler lookups and oracle states alike."""
+    return np.array([t.outputs for t in tables], dtype=np.int64)
+
+
+def event_indicator(
+    outputs: np.ndarray, pairs: Iterable[tuple[int, int]]
+) -> tuple[Fraction, ...]:
+    """Entry k is 1 if f_k(x) = y for every (x, y) in ``pairs`` and 0
+    otherwise, over the rows of an :func:`outputs_matrix`."""
+    hit = np.ones(len(outputs), dtype=bool)
+    for x, y in pairs:
+        hit &= outputs[:, x] == y
+    return tuple(_BITS[h] for h in hit.tolist())
+
+
 def _normalize_weights(
     n_x: int, n_y: int, weights: Mapping
 ) -> dict[FunctionTable, Fraction]:
@@ -177,6 +198,15 @@ class FunctionDistribution:
     @classmethod
     def point_mass(cls, table: FunctionTable) -> "FunctionDistribution":
         return cls(table.n_x, table.n_y, {table: Fraction(1)})
+
+    @classmethod
+    def from_vector(
+        cls, n_x: int, n_y: int, vector: Sequence
+    ) -> "FunctionDistribution":
+        """Weight ``vector[k]`` on the table of canonical index k."""
+        return cls(n_x, n_y, {
+            FunctionTable.from_index(n_x, n_y, k): w for k, w in enumerate(vector) if w
+        })
 
     @classmethod
     def uniform(
@@ -280,11 +310,8 @@ def joint_counterfactual(
 ) -> Fraction:
     """Probability that f maps every queried x_i to its y_i simultaneously."""
     query.validate_for(pF.n_x, pF.n_y)
-    total = Fraction(0)
-    for table, w in pF.weights.items():
-        if all(table.outputs[x] == y for x, y in query.pairs):
-            total += w
-    return total
+    hits = event_indicator(outputs_matrix(pF.support()), query.pairs)
+    return sum((w for w, hit in zip(pF.weights.values(), hits) if hit), Fraction(0))
 
 
 def conditional_counterfactual(
@@ -327,12 +354,11 @@ def abduct_act_predict(
         raise DomainError(f"evidence {evidence} out of range")
     if not 0 <= x_cf < pF.n_x:
         raise DomainError(f"input {x_cf} outside range [0, {pF.n_x})")
-    posterior: dict[FunctionTable, Fraction] = {}
-    norm = Fraction(0)
-    for table, w in pF.weights.items():
-        if table.outputs[evidence.x_obs] == evidence.y_obs:
-            posterior[table] = w
-            norm += w
+    hits = event_indicator(
+        outputs_matrix(pF.support()), ((evidence.x_obs, evidence.y_obs),)
+    )
+    posterior = {t: w for (t, w), hit in zip(pF.weights.items(), hits) if hit}
+    norm = sum(posterior.values(), Fraction(0))
     if norm == 0:
         raise UndefinedConditionalError(
             f"evidence (X={evidence.x_obs}, Y={evidence.y_obs}) has probability zero"

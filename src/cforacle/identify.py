@@ -25,7 +25,9 @@ from .core import (
     FunctionTable,
     conditional,
     enumerate_functions,
+    event_indicator,
     joint_counterfactual,
+    outputs_matrix,
 )
 from .errors import EnumerationCapError, ValidationError
 from .rational import nullspace
@@ -119,11 +121,8 @@ class LinearTarget:
     ) -> "LinearTarget":
         """Indicator coefficients of a joint counterfactual event."""
         query.validate_for(n_x, n_y)
-        coeffs = [
-            _ONE if all(t.outputs[x] == y for x, y in query.pairs) else _ZERO
-            for t in enumerate_functions(n_x, n_y, cap=cap)
-        ]
-        return cls(tuple(coeffs))
+        outputs = outputs_matrix(enumerate_functions(n_x, n_y, cap=cap))
+        return cls(event_indicator(outputs, query.pairs))
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
         return sum(
@@ -152,15 +151,6 @@ class Bounds:
         return self.hi - self.lo
 
 
-def _marginal_row(
-    tables: list[FunctionTable], fixed: tuple[tuple[int, int], ...]
-) -> tuple[Fraction, ...]:
-    return tuple(
-        _ONE if all(t.outputs[x] == y for x, y in fixed) else _ZERO
-        for t in tables
-    )
-
-
 def build_constraints(
     pF_true: FunctionDistribution,
     level: ConstraintLevel | str,
@@ -172,40 +162,36 @@ def build_constraints(
     p(f(x)=y, f(x')=y') for x != x', so the two-way system contains the
     one-way system as a subset of rows.  Right-hand sides are evaluated
     exactly on ``pF_true``, and the normalization row is appended last.
+    Raises :class:`EnumerationCapError`, before enumerating any table, when
+    rows times tables would exceed ``cap``.
     """
     if isinstance(level, str):
         level = ConstraintLevel.parse(level)
     n_x, n_y = pF_true.n_x, pF_true.n_y
-    tables = enumerate_functions(n_x, n_y, cap=cap)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for x in range(n_x):
-        cond = conditional(pF_true, x)
-        for y in range(n_y):
-            rows.append((_marginal_row(tables, ((x, y),)), cond[y]))
-    if level is ConstraintLevel.TWO_WAY:
-        for x, x_prime in combinations(range(n_x), 2):
-            for y in range(n_y):
-                for y_prime in range(n_y):
-                    query = CounterfactualQuery(((x, y), (x_prime, y_prime)))
-                    rows.append(
-                        (
-                            _marginal_row(tables, query.pairs),
-                            joint_counterfactual(pF_true, query),
-                        )
-                    )
-    rows.append(((_ONE,) * len(tables), _ONE))
+    two_way = level is ConstraintLevel.TWO_WAY
+    n_rows = n_x * n_y + (math.comb(n_x, 2) * n_y**2 if two_way else 0) + 1
+    if n_rows * n_y**n_x > cap:
+        raise EnumerationCapError(
+            f"{n_rows} rows over {n_y}^{n_x} tables exceeds the enumeration cap {cap}"
+        )
+    events = [((x, y),) for x in range(n_x) for y in range(n_y)]
+    if two_way:
+        events += [
+            ((x, y), (x_prime, y_prime))
+            for x, x_prime in combinations(range(n_x), 2)
+            for y in range(n_y)
+            for y_prime in range(n_y)
+        ]
+    outputs = outputs_matrix(enumerate_functions(n_x, n_y, cap=cap))
+    rows = [
+        (
+            event_indicator(outputs, pairs),
+            joint_counterfactual(pF_true, CounterfactualQuery(pairs)),
+        )
+        for pairs in events
+    ]
+    rows.append(((_ONE,) * len(outputs), _ONE))
     return ConstraintSystem(n_x, n_y, tuple(rows))
-
-
-def _vector_to_distribution(
-    vector: list[Fraction], n_x: int, n_y: int
-) -> FunctionDistribution:
-    weights = {
-        FunctionTable.from_index(n_x, n_y, i): v
-        for i, v in enumerate(vector)
-        if v != 0
-    }
-    return FunctionDistribution(n_x, n_y, weights)
 
 
 def lp_bounds(target: LinearTarget, system: ConstraintSystem) -> Bounds:
@@ -230,15 +216,14 @@ def lp_bounds_with_witnesses(
         raise ValidationError("target dimension does not match the system")
     a, b = system.matrix()
     c = list(target.coefficients)
-    lo_vertex = lp.lexmin_optimal_vertex(c, a, b)
-    hi_vertex = lp.lexmin_optimal_vertex([-v for v in c], a, b)
+    lo_vertex, hi_vertex = lp.lexmin_optimal_range(c, a, b)
     return (
         Bounds(
             sum(ci * xi for ci, xi in zip(c, lo_vertex)),
             sum(ci * xi for ci, xi in zip(c, hi_vertex)),
         ),
-        _vector_to_distribution(lo_vertex, system.n_x, system.n_y),
-        _vector_to_distribution(hi_vertex, system.n_x, system.n_y),
+        FunctionDistribution.from_vector(system.n_x, system.n_y, lo_vertex),
+        FunctionDistribution.from_vector(system.n_x, system.n_y, hi_vertex),
     )
 
 
@@ -382,10 +367,6 @@ def reproduce_appendix_e_general(
     under one-way constraints (perfect correlation is feasible) but at 1/4
     once all two-way marginals are pinned.
     """
-    if 2**n > cap:
-        raise EnumerationCapError(
-            f"2^{n} = {2**n} tables exceeds the enumeration cap {cap}"
-        )
     report = ReproductionReport(f"appendix_e_general[n={n}, tail={list(fixed_tail)}]")
     model = restricted_tail_model(n, fixed_tail)
     pairs = [(0, 1), (1, 1), (2, 1)] + [

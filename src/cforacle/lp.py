@@ -7,7 +7,8 @@ cross-check each other:
   :class:`fractions.Fraction` (no floating point anywhere).  Phase 1
   finds a feasible basis once; each objective is then optimized from the
   current basis of that one tableau.  The lexicographic witness search
-  walks the optimal face in place, adding no rows and never restarting.
+  walks the optimal face in place, adding no rows and never restarting;
+  the witnesses for both directions share one phase 1.
 * brute-force vertex enumeration of the feasible polytope, practical for
   up to ~16 variables.
 
@@ -186,17 +187,21 @@ def simplex_maximize(
     return -value, x
 
 
+def _negated_copy(tableau: Matrix) -> Matrix:
+    """A copy of a tableau with the reduced-cost row of ``-c`` for ``c``."""
+    return [list(row) for row in tableau[:-1]] + [[-v for v in tableau[-1]]]
+
+
 def objective_range(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of ``c . x`` over the feasible polytope.
 
-    Phase 1 runs once; both directions re-optimize copies of its tableau
-    (the reduced-cost row of ``-c`` is the negated row of ``c``).
+    Phase 1 runs once; both directions re-optimize copies of its tableau.
     """
     tableau, basis = _phase1(c, a, b)
     n = len(c)
-    up = [list(row) for row in tableau[:-1]] + [[-v for v in tableau[-1]]]
+    up = _negated_copy(tableau)
     _iterate(up, list(basis), n)
     _iterate(tableau, basis, n)
     return -tableau[-1][-1], up[-1][-1]
@@ -211,7 +216,21 @@ def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
     basis, shutting out each column whose reduced cost turns positive,
     until every eligible column is basic.  The result is a vertex.
     """
+    return _face_walk(*_phase1(c, a, b), c, a, b)
+
+
+def lexmin_optimal_range(c: Vector, a: Matrix, b: Vector) -> tuple[Vector, Vector]:
+    """:func:`lexmin_optimal_vertex` for ``c`` and for ``-c`` (the min and
+    the max witness), from one shared phase 1."""
     tableau, basis = _phase1(c, a, b)
+    x_max = _face_walk(_negated_copy(tableau), list(basis), [-v for v in c], a, b)
+    return _face_walk(tableau, basis, c, a, b), x_max
+
+
+def _face_walk(
+    tableau: Matrix, basis: list[int], c: Vector, a: Matrix, b: Vector
+) -> Vector:
+    """The search of :func:`lexmin_optimal_vertex`, from a phase-1 tableau."""
     n = len(c)
     _iterate(tableau, basis, n)
     optimum = -tableau[-1][-1]

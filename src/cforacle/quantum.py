@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FunctionDistribution, FunctionTable
+from .core import FunctionDistribution, FunctionTable, outputs_matrix
 from .errors import (
     DomainError,
     ExtractionError,
@@ -138,17 +138,22 @@ class MeasurementEffect:
         return int(self.operator.shape[0])
 
 
+def _oracle_states(outputs: np.ndarray, n_y: int, alpha: Amplitudes) -> np.ndarray:
+    """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of the
+    table in row k of an :func:`~cforacle.core.outputs_matrix`."""
+    k, n_x = outputs.shape
+    psi = np.zeros((k, n_x * n_y), dtype=complex)
+    psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
+    return psi
+
+
 def apply_oracle(f: FunctionTable, alpha: Amplitudes) -> np.ndarray:
     """The post-oracle pure state sum_x alpha_x |x>|f(x)> as a flat vector."""
     if alpha.n_x != f.n_x:
         raise ValidationError(
             f"amplitude vector has {alpha.n_x} entries, table expects {f.n_x}"
         )
-    dim = f.n_x * f.n_y
-    psi = np.zeros(dim, dtype=complex)
-    for x in range(f.n_x):
-        psi[x * f.n_y + f.outputs[x]] = alpha.alpha[x]
-    return psi
+    return _oracle_states(outputs_matrix([f]), f.n_y, alpha)[0]
 
 
 def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
@@ -161,17 +166,8 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
         raise ValidationError(
             f"amplitude vector has {alpha.n_x} entries, model expects {pF.n_x}"
         )
-    support = pF.support()
-    n_x, n_y = pF.n_x, pF.n_y
-    dim = n_x * n_y
-    k = len(support)
-    # one row per support table: psi_k as in apply_oracle
-    psi = np.zeros((k, dim), dtype=complex)
-    rows = np.repeat(np.arange(k), n_x)
-    outputs = np.array([t.outputs for t in support], dtype=np.int64)
-    cols = (np.arange(n_x)[None, :] * n_y + outputs).reshape(-1)
-    psi[rows, cols] = np.tile(alpha.alpha, k)
-    weights = np.array([float(pF.weights[t]) for t in support])
+    psi = _oracle_states(outputs_matrix(pF.support()), pF.n_y, alpha)
+    weights = np.array([float(w) for w in pF.weights.values()])
     rho = (psi.T * weights) @ psi.conj()
     rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry
     return DensityMatrix(rho)
@@ -384,12 +380,7 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
         )
     clamped = [min(max(v, Fraction(0)), Fraction(1)) for v in solution]
     total = sum(clamped)
-    weights = {
-        FunctionTable.from_index(2, 2, i): v / total
-        for i, v in enumerate(clamped)
-        if v > 0
-    }
-    return FunctionDistribution(2, 2, weights)
+    return FunctionDistribution.from_vector(2, 2, [v / total for v in clamped])
 
 
 def tomography_sweep(

@@ -34,6 +34,7 @@ from .identify import (
     restricted_tail_model,
     solution_family_direction,
 )
+from .modelio import table_to_digits
 from .quantum import (
     Amplitudes,
     binary_forward_measurements,
@@ -84,13 +85,9 @@ def affine_ternary_model() -> FunctionDistribution:
 
 def model_satisfies(system: ConstraintSystem, pF: FunctionDistribution) -> bool:
     """Exact feasibility check of a distribution against a system."""
-    for coeffs, rhs in system.rows:
-        value = sum(
-            (coeffs[t.index] * w for t, w in pF.weights.items()), _ZERO
-        )
-        if value != rhs:
-            return False
-    return True
+    return all(
+        LinearTarget(coeffs).value_on(pF) == rhs for coeffs, rhs in system.rows
+    )
 
 
 def scenario_binary() -> ReproductionReport:
@@ -311,8 +308,7 @@ def scenario_toy() -> ReproductionReport:
     equivalence = verify_binary_equivalence()
     for comparison in equivalence.comparisons:
         weights = ", ".join(
-            f"{''.join(str(v) for v in t.outputs)}={w}"
-            for t, w in comparison.pF.weights.items()
+            f"{table_to_digits(t)}={w}" for t, w in comparison.pF.weights.items()
         )
         report.check(
             f"{comparison.scenario} on pF({weights})",

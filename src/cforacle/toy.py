@@ -19,6 +19,7 @@ from itertools import product
 
 from .core import FunctionDistribution, FunctionTable
 from .errors import DomainError, UnsupportedTableError, ValidationError
+from .modelio import table_to_digits
 from .quantum import BINARY_SCENARIOS, scenario_probability_exact
 
 #: Ontic state layout: (z1, x1, z2, x2).  Register 1 carries the input
@@ -235,10 +236,7 @@ class ToyEquivalenceReport:
         return [
             {
                 "scenario": c.scenario,
-                "pF": {
-                    "".join(str(v) for v in t.outputs): str(w)
-                    for t, w in c.pF.weights.items()
-                },
+                "pF": {table_to_digits(t): str(w) for t, w in c.pF.weights.items()},
                 "quantum": str(c.quantum),
                 "toy": str(c.toy),
                 "equal": c.equal,
@@ -260,12 +258,9 @@ def equivalence_grid(num_mixtures: int = 10, seed: int = GRID_SEED):
         total = sum(raw)
         if total == 0:
             continue
-        weights = {
-            FunctionTable.from_index(2, 2, i): Fraction(k, total)
-            for i, k in enumerate(raw)
-            if k > 0
-        }
-        grid.append(FunctionDistribution(2, 2, weights))
+        grid.append(
+            FunctionDistribution.from_vector(2, 2, [Fraction(k, total) for k in raw])
+        )
     return grid
 
 

@@ -1,7 +1,10 @@
 """Classical oracle sampling: determinism, statistics, log format."""
 
+import csv
 import dataclasses
+import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +14,19 @@ from cforacle import (
     ClassicalQueryRecord,
     DomainError,
     FunctionDistribution,
+    FunctionTable,
     conditional,
     estimate_conditionals,
     make_rng,
     query,
     simulate_log,
 )
-from cforacle.reproduce import affine_ternary_model, uniform_ternary_model
+from cforacle.classical import TableSampler
+from cforacle.reproduce import (
+    affine_ternary_model,
+    mix_identity_flip,
+    uniform_ternary_model,
+)
 from conftest import CONST1, FLIP, IDENTITY, binary_distribution
 
 F = Fraction
@@ -45,8 +54,11 @@ def test_copy_invariant_and_log_shape():
     pf = FunctionDistribution.uniform(2, 2)
     inputs = [i % 2 for i in range(500)]
     log = simulate_log(pf, inputs, seed=42)
-    assert len(log.records) == 500
-    assert all(r.x_out == r.x_in for r in log.records)
+    assert np.array_equal(log.x_in, inputs)
+    assert log.y_out.shape == (500,)
+    assert np.all((log.y_out >= 0) & (log.y_out < 2))
+    rows = [line.split(",") for line in log.to_csv().splitlines()[1:]]
+    assert all(x_in == x_out for x_in, x_out, _, _ in rows)
 
 
 def test_log_determinism():
@@ -54,9 +66,9 @@ def test_log_determinism():
     inputs = [i % 2 for i in range(200)]
     first = simulate_log(pf, inputs, seed=7)
     second = simulate_log(pf, inputs, seed=7)
-    assert first.records == second.records
+    assert np.array_equal(first.y_out, second.y_out)
     other = simulate_log(pf, inputs, seed=8)
-    assert first.records != other.records
+    assert not np.array_equal(first.y_out, other.y_out)
 
 
 def test_csv_format():
@@ -73,13 +85,16 @@ def test_out_of_range_input():
     pf = FunctionDistribution.uniform(2, 2)
     with pytest.raises(DomainError):
         query(pf, 5, make_rng(0))
+    for inputs in ([0, 5], [-1], [0.5], [2**70], [True], [[0, 1]], ["1"]):
+        with pytest.raises(DomainError):
+            simulate_log(pf, inputs, seed=0)
 
 
 def test_binomial_concentration_on_balanced_mixture():
     # 1e5 draws at x=0 from the identity/flip mixture: p(Y=0) = 1/2
     pf = binary_distribution(0, F(1, 2), F(1, 2), 0)
     log = simulate_log(pf, [0] * 100_000, seed=2024)
-    freq = sum(1 for r in log.records if r.y_out == 0) / 100_000
+    freq = np.count_nonzero(log.y_out == 0) / 100_000
     sigma = math.sqrt(0.25 / 100_000)
     assert abs(freq - 0.5) <= 3 * sigma
 
@@ -129,7 +144,7 @@ def test_sub_resolution_atom_is_never_drawn():
         2, 2, {IDENTITY: tiny, FLIP: 1 - tiny}
     )
     log = simulate_log(pf, [0] * 1000, seed=1)
-    assert all(r.y_out == 1 for r in log.records)
+    assert np.all(log.y_out == 1)
 
 
 def test_counts_sum_to_queries():
@@ -137,3 +152,47 @@ def test_counts_sum_to_queries():
     est = estimate_conditionals(pf, 500, seed=8)
     assert est.counts.shape == (3, 3)
     assert np.all(est.counts.sum(axis=1) == 500)
+
+
+def csv_by_records(pf, inputs, seed):
+    """Reference log writer: one record per query, rows written by
+    ``csv.writer``, each output read off the drawn table itself."""
+    support = pf.support()
+    indices = TableSampler(pf).draw_indices(make_rng(seed), len(inputs))
+    records = [
+        ClassicalQueryRecord(x, x, support[k].outputs[x])
+        for x, k in zip(inputs, indices)
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["x_in", "x_out", "y_out", "query_index"])
+    for i, record in enumerate(records):
+        writer.writerow([record.x_in, record.x_out, record.y_out, i])
+    return buffer.getvalue()
+
+
+TINY = F(1, 2**70)
+LOG_MODELS = {
+    "uniform 2x2": FunctionDistribution.uniform(2, 2),
+    "identity/flip": mix_identity_flip(),
+    "uniform 3x3": uniform_ternary_model(),
+    "affine 3x3": affine_ternary_model(),
+    "3->2": FunctionDistribution.uniform_over(
+        [FunctionTable(3, 2, (0, 1, 1)), FunctionTable(3, 2, (1, 0, 0))]
+    ),
+    "2**-70 atom": FunctionDistribution(2, 2, {IDENTITY: TINY, FLIP: 1 - TINY}),
+}
+
+
+@pytest.mark.parametrize("pf", LOG_MODELS.values(), ids=LOG_MODELS.keys())
+def test_columnar_csv_matches_the_record_writer(pf):
+    rng = random.Random(pf.n_x * 10 + pf.n_y)
+    schedules = (
+        [i % pf.n_x for i in range(300)],
+        [rng.randrange(pf.n_x) for _ in range(300)],
+        [],
+    )
+    for inputs in schedules:
+        for seed in (0, 7, 2**100):
+            expected = csv_by_records(pf, inputs, seed)
+            assert simulate_log(pf, inputs, seed).to_csv() == expected

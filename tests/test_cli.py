@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cforacle import cli
 from cforacle.cli import main
 
 
@@ -13,6 +14,67 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# stdout of `bounds` and `identify` for appE.json, two-way, target
+# 0:1,1:1,2:1, recorded before the two commands shared one renderer
+GOLDEN_APPE_TWO_WAY = {
+    "bounds": """\
+{
+  "lo": "0",
+  "hi": "1/4",
+  "identifiable": false,
+  "witness_lo": {
+    "n_x": 3,
+    "n_y": 2,
+    "pF": {
+      "000": "1/4",
+      "011": "1/4",
+      "101": "1/4",
+      "110": "1/4"
+    }
+  },
+  "witness_hi": {
+    "n_x": 3,
+    "n_y": 2,
+    "pF": {
+      "001": "1/4",
+      "010": "1/4",
+      "100": "1/4",
+      "111": "1/4"
+    }
+  }
+}
+""",
+    "identify": """\
+{
+  "identifiable": false,
+  "lo": "0",
+  "hi": "1/4",
+  "width": "1/4",
+  "witness_lo": {
+    "n_x": 3,
+    "n_y": 2,
+    "pF": {
+      "000": "1/4",
+      "011": "1/4",
+      "101": "1/4",
+      "110": "1/4"
+    }
+  },
+  "witness_hi": {
+    "n_x": 3,
+    "n_y": 2,
+    "pF": {
+      "001": "1/4",
+      "010": "1/4",
+      "100": "1/4",
+      "111": "1/4"
+    }
+  }
+}
+""",
+}
 
 
 class TestReproduce:
@@ -108,6 +170,16 @@ class TestBoundsAndIdentify:
 
         lo, hi = F(payload["lo"]), F(payload["hi"])
         assert lo <= F(1, 27) < F(1, 9) <= hi
+
+    @pytest.mark.parametrize("command", ["bounds", "identify"])
+    def test_golden_stdout(self, capsys, command):
+        # pins each command's bytes, key order included
+        code, out, _ = run_cli(
+            capsys, command, "--model", "appE.json", "--level", "two-way",
+            "--target", "0:1,1:1,2:1",
+        )
+        assert code == 0
+        assert out == GOLDEN_APPE_TWO_WAY[command]
 
     def test_malformed_target(self, capsys):
         code, _, err = run_cli(
@@ -259,6 +331,14 @@ class TestErrorHandling:
             "--target", "0:0",
         )
         assert "'pF'" in err
+
+    def test_query_count_above_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_distribution", None)  # never reached
+        err = self.one_line_usage_error(
+            capsys, "simulate", "--model", "uniform2.json", "--queries",
+            str(cli.MAX_QUERIES + 1),
+        )
+        assert "--queries" in err
 
     def test_negative_seed(self, capsys):
         err = self.one_line_usage_error(

@@ -10,6 +10,7 @@ from cforacle import (
     ConstraintLevel,
     ConstraintSystem,
     CounterfactualQuery,
+    EnumerationCapError,
     FunctionDistribution,
     FunctionTable,
     LinearTarget,
@@ -27,6 +28,7 @@ from cforacle import (
     solution_family_direction,
     vertex_bounds,
 )
+from cforacle import identify
 from cforacle.rational import is_scalar_multiple
 from cforacle.reproduce import (
     affine_ternary_model,
@@ -83,6 +85,18 @@ class TestBuildConstraints:
         pf = FunctionDistribution.point_mass(FunctionTable(1, 1, (0,)))
         system = build_constraints(pf, ConstraintLevel.ONE_WAY)
         assert all(rhs == 1 for _, rhs in system.rows)
+
+    def test_cap_bounds_rows_times_tables_before_enumerating(self, monkeypatch):
+        # binary n_x = 3, two-way: 6 + 3 * 4 + 1 = 19 rows over 8 tables
+        model = restricted_tail_model(3, ())
+        assert len(build_constraints(model, "two-way", cap=19 * 8).rows) == 19
+
+        def enumerate_nothing(*args, **kwargs):
+            raise RuntimeError("tables enumerated before the cap check")
+
+        monkeypatch.setattr(identify, "enumerate_functions", enumerate_nothing)
+        with pytest.raises(EnumerationCapError):
+            build_constraints(model, "two-way", cap=19 * 8 - 1)
 
     def test_level_parsing(self):
         assert ConstraintLevel.parse("one-way") is ConstraintLevel.ONE_WAY

@@ -18,6 +18,7 @@ from cforacle import (
 )
 from cforacle.lp import (
     enumerate_vertices,
+    lexmin_optimal_range,
     lexmin_optimal_vertex,
     objective_range,
     simplex_maximize,
@@ -197,11 +198,10 @@ def test_lexmin_matches_vertex_enumeration_on_random_systems():
             a.append([-v for v in a[0]])
         b = [sum(row[j] * point[j] for j in range(n)) for row in a]
         c = [F(rng.randint(-2, 2)) for _ in range(n)]
-        for direction in (c, [-v for v in c]):
-            assert lexmin_optimal_vertex(direction, a, b) == lexmin_by_enumeration(
-                direction, a, b
-            )
-            checked += 1
+        expected = [lexmin_by_enumeration(d, a, b) for d in (c, [-v for v in c])]
+        assert [lexmin_optimal_vertex(d, a, b) for d in (c, [-v for v in c])] == expected
+        assert list(lexmin_optimal_range(c, a, b)) == expected
+        checked += 2
     assert checked > 200
 
 
@@ -225,14 +225,14 @@ def _witness_systems():
 
 @pytest.mark.parametrize("c, a, b", list(_witness_systems()))
 def test_lexmin_matches_restart_algorithm_on_witness_systems(c, a, b):
-    for direction in (c, [-v for v in c]):
-        assert lexmin_optimal_vertex(direction, a, b) == lexmin_by_restarts(
-            direction, a, b
-        )
+    expected = [lexmin_by_restarts(d, a, b) for d in (c, [-v for v in c])]
+    assert [lexmin_optimal_vertex(d, a, b) for d in (c, [-v for v in c])] == expected
+    assert list(lexmin_optimal_range(c, a, b)) == expected
 
 
 def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
     monkeypatch.setattr(lp, "_basic_solution", lambda *_: [F(0), F(0), F(1)])
     a = frac_rows([[1, 1, 1]])
-    with pytest.raises(InternalCheckError):
-        lexmin_optimal_vertex([F(-1), F(-1), F(0)], a, [F(1)])
+    for search in (lexmin_optimal_vertex, lexmin_optimal_range):
+        with pytest.raises(InternalCheckError):
+            search([F(-1), F(-1), F(0)], a, [F(1)])
