@@ -22,6 +22,10 @@ from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
 
+#: Rows per string joined in :meth:`SampleLog.to_csv`; bounds its scratch
+#: memory to one chunk's row strings on top of the output itself.
+_CSV_CHUNK = 1 << 16
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based deterministic generator for a seed in [0, 2**128)."""
@@ -50,12 +54,16 @@ class SampleLog:
     seed: int = 0
 
     def to_csv(self) -> str:
-        lines = ["x_in,x_out,y_out,query_index\n"]
-        lines += [
-            f"{x},{x},{y},{i}\n"
-            for i, (x, y) in enumerate(zip(self.x_in.tolist(), self.y_out.tolist()))
-        ]
-        return "".join(lines)
+        chunks = ["x_in,x_out,y_out,query_index\n"]
+        for start in range(0, len(self.x_in), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            rows = zip(
+                range(start, stop),
+                self.x_in[start:stop].tolist(),
+                self.y_out[start:stop].tolist(),
+            )
+            chunks.append("".join(f"{x},{x},{y},{i}\n" for i, x, y in rows))
+        return "".join(chunks)
 
 
 class TableSampler:

@@ -265,7 +265,7 @@ def solution_family_direction(system: ConstraintSystem) -> list[list[Fraction]]:
     space of A; a one-dimensional null space means a one-parameter family.
     """
     a, _ = system.matrix()
-    return nullspace(a, system.dimension)
+    return nullspace(a)
 
 
 def permutation_mixture(n: int) -> FunctionDistribution:

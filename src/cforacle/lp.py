@@ -1,7 +1,7 @@
 """Exact linear programming over small probability polytopes.
 
-Two independent solution routes, kept deliberately separate so they can
-cross-check each other:
+Two solution routes that cross-check each other.  They share only the
+row operation :func:`cforacle.rational.pivot`; the algorithms stay apart:
 
 * a primal simplex with Bland's anti-cycling rule, running entirely on
   :class:`fractions.Fraction` (no floating point anywhere).  Phase 1
@@ -28,21 +28,10 @@ from .errors import (
     UnboundedProgramError,
     ValidationError,
 )
-from .rational import Matrix, Vector, rref, solve_unique
+from .rational import Matrix, Vector, pivot, rref, solve_unique
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _pivot(tableau: Matrix, basis: list[int], row: int, col: int) -> None:
-    inv = tableau[row][col]
-    tableau[row] = [v / inv for v in tableau[row]]
-    pivot_row = tableau[row]
-    for i, current in enumerate(tableau):
-        if i != row and current[col] != 0:
-            factor = current[col]
-            tableau[i] = [a - factor * b for a, b in zip(current, pivot_row)]
-    basis[row] = col
 
 
 def _iterate(
@@ -84,20 +73,17 @@ def _iterate(
             raise UnboundedProgramError(
                 f"objective is unbounded along variable {enter}"
             )
-        _pivot(tableau, basis, leave, enter)
+        pivot(tableau, leave, enter)
+        basis[leave] = enter
 
 
-def _cost_row(
-    c: Vector, tableau: Matrix, basis: list[int], n_cols: int
-) -> Vector:
-    """Reduced costs c_j - c_B . (B^-1 A_j); last slot is the negated value."""
-    row = list(c[:n_cols]) + [_ZERO]
+def _price(tableau: Matrix, basis: list[int]) -> None:
+    """Turn the last row, ``c`` followed by 0, into the reduced costs of
+    ``c`` by pivoting on each basic row whose column it does not yet clear.
+    Its last slot ends up as the negated objective value."""
     for i, bvar in enumerate(basis):
-        cb = c[bvar]
-        if cb != 0:
-            for j in range(n_cols + 1):
-                row[j] -= cb * tableau[i][j]
-    return row
+        if tableau[-1][bvar]:
+            pivot(tableau, i, bvar)
 
 
 def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
@@ -120,16 +106,15 @@ def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
         for i, sign in enumerate(signs)
     ]
     basis = [n + i for i in range(m)]
-    c1 = [_ZERO] * n + [_ONE] * m
-    tableau.append(_cost_row(c1, tableau, basis, width))
+    tableau.append([_ZERO] * n + [_ONE] * m + [_ZERO])
+    _price(tableau, basis)
     _iterate(tableau, basis, width)
 
     value1 = -tableau[m][-1]
     if value1 > 0:
-        certificate = [
-            signs[k] * sum(c1[basis[i]] * tableau[i][n + k] for i in range(m))
-            for k in range(m)
-        ]
+        # y_k = sign_k (c_B B^-1)_k, and the artificial column n+k of the
+        # cost row holds 1 - (c_B B^-1)_k.
+        certificate = [signs[k] * (_ONE - tableau[m][n + k]) for k in range(m)]
         if _dot(certificate, b) <= 0 or any(
             sum(certificate[k] * a[k][j] for k in range(m)) > 0 for j in range(n)
         ):
@@ -147,11 +132,13 @@ def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
             enter = next((j for j in range(n) if tableau[i][j] != 0), None)
             if enter is None:
                 continue
-            _pivot(tableau, basis, i, enter)
+            pivot(tableau, i, enter)
+            basis[i] = enter
         keep.append(i)
     tableau2: Matrix = [tableau[i][:n] + tableau[i][-1:] for i in keep]
+    tableau2.append(list(c) + [_ZERO])
     basis2 = [basis[i] for i in keep]
-    tableau2.append(_cost_row(c, tableau2, basis2, n))
+    _price(tableau2, basis2)
     return tableau2, basis2
 
 
@@ -178,13 +165,6 @@ def simplex_minimize(
     _iterate(tableau, basis, n)
     x = _basic_solution(tableau, basis, n)
     return _dot(c, x), x
-
-
-def simplex_maximize(
-    c: Vector, a: Matrix, b: Vector
-) -> tuple[Fraction, Vector]:
-    value, x = simplex_minimize([-v for v in c], a, b)
-    return -value, x
 
 
 def _negated_copy(tableau: Matrix) -> Matrix:
@@ -239,8 +219,8 @@ def _face_walk(
         if sum(eligible) == len(basis):
             break
         if eligible[j]:
-            unit = [_ONE if k == j else _ZERO for k in range(n)]
-            tableau[-1] = _cost_row(unit, tableau, basis, n)
+            tableau[-1] = [_ONE if k == j else _ZERO for k in range(n + 1)]
+            _price(tableau, basis)
             _iterate(tableau, basis, n, eligible)
             eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
     x = _basic_solution(tableau, basis, n)

@@ -76,7 +76,7 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
     try:
         n_x = int(data["n_x"])
         n_y = int(data["n_y"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             "model JSON needs integer fields 'n_x' and 'n_y'"
         ) from exc
@@ -94,20 +94,22 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
         for key, value in data["joint"].items():
             try:
                 r_x_str, digits = key.split("|")
+                r_x = int(r_x_str)
             except ValueError as exc:
                 raise ValidationError(
                     f"joint key {key!r} must look like '<r_x>|<outputs>'"
                 ) from exc
-            joint[(int(r_x_str), table_from_digits(digits, n_x, n_y))] = (
-                parse_rational(value)
-            )
+            joint[(r_x, table_from_digits(digits, n_x, n_y))] = parse_rational(value)
         return ConfoundedModel(n_x, n_y, joint)
     raise ValidationError("model JSON needs a 'pF' or 'joint' mapping")
 
 
 def load_model(path: str | Path) -> FunctionDistribution | ConfoundedModel:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"model file is not UTF-8 text: {exc}") from exc
     return parse_model(data)
 
 

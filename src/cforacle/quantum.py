@@ -17,9 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FunctionDistribution, FunctionTable, outputs_matrix
+from .core import (
+    DEFAULT_ENUMERATION_CAP,
+    FunctionDistribution,
+    FunctionTable,
+    enumerate_functions,
+    outputs_matrix,
+)
 from .errors import (
     DomainError,
+    EnumerationCapError,
     ExtractionError,
     InternalCheckError,
     MeasurementInconsistencyError,
@@ -160,11 +167,18 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     """Average the post-oracle pure states over the table distribution.
 
     Matrix element <x, y| rho |x', y'> equals
-    alpha_x * conj(alpha_x') * p(f(x)=y, f(x')=y').
+    alpha_x * conj(alpha_x') * p(f(x)=y, f(x')=y').  Raises
+    :class:`EnumerationCapError`, before allocating, when the matrix would
+    have more than ``DEFAULT_ENUMERATION_CAP`` entries.
     """
     if alpha.n_x != pF.n_x:
         raise ValidationError(
             f"amplitude vector has {alpha.n_x} entries, model expects {pF.n_x}"
+        )
+    dim = pF.n_x * pF.n_y
+    if dim * dim > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"a {dim} x {dim} density matrix exceeds {DEFAULT_ENUMERATION_CAP} entries"
         )
     psi = _oracle_states(outputs_matrix(pF.support()), pF.n_y, alpha)
     weights = np.array([float(w) for w in pF.weights.values()])
@@ -341,20 +355,6 @@ def binary_forward_measurements(
     return tuple(scenario_probability_exact(pF, s) for s in BINARY_SCENARIOS)
 
 
-# Coefficient matrix of the binary identification system, in canonical
-# table order [0,0], [0,1], [1,0], [1,1]:
-#   basis0 row:    p([0,0]) + p([0,1])
-#   basis1 row:    p([0,0]) + p([1,0])
-#   plus_bell row: p([0,1]) + (p([0,0]) + p([1,1])) / 4
-#   normalization: all ones
-_SOLVE_MATRIX = [
-    [Fraction(1), Fraction(1), Fraction(0), Fraction(0)],
-    [Fraction(1), Fraction(0), Fraction(1), Fraction(0)],
-    [Fraction(1, 4), Fraction(1), Fraction(0), Fraction(1, 4)],
-    [Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
-]
-
-
 def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
     """Recover the full binary table distribution from the three probe
     statistics (plus normalization).
@@ -364,8 +364,11 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
     more than 1e-9 the statistics are inconsistent and an error reports
     the violation.  Otherwise components are clamped and renormalized.
     """
+    tables = enumerate_functions(2, 2)
+    matrix = [[scenario_coefficient(t, s) for t in tables] for s in BINARY_SCENARIOS]
+    matrix.append([Fraction(1)] * len(tables))
     rhs = [Fraction(c00), Fraction(c01), Fraction(bell), Fraction(1)]
-    solution = solve_unique(_SOLVE_MATRIX, rhs)
+    solution = solve_unique(matrix, rhs)
     if solution is None:
         raise InternalCheckError("the binary identification matrix is singular")
     tol = Fraction(1, 10**9)

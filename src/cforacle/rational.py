@@ -1,7 +1,8 @@
 """Small exact linear-algebra toolkit over the rationals.
 
-Just enough Gaussian elimination to support the rational simplex solver,
-polytope vertex enumeration, and solution-family (null space) analysis.
+:func:`pivot` is the package's only row operation: :func:`rref` (and so
+:func:`solve_unique`, :func:`nullspace` and vertex enumeration) and every
+simplex pivot and pricing step in :mod:`cforacle.lp` go through it.
 Everything operates on lists of :class:`fractions.Fraction`.
 """
 
@@ -11,6 +12,28 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+
+
+def pivot(rows: Matrix, r: int, col: int) -> None:
+    """Gauss-Jordan step in place: scale row ``r`` so its ``col`` entry is
+    1, then clear column ``col`` from every other row.
+
+    Rows are updated in place, and only in the pivot row's nonzero
+    columns, so they must not share list objects with anything that has
+    to stay unchanged.
+    """
+    row = rows[r]
+    inv = row[col]
+    if inv != 1:
+        for j, v in enumerate(row):
+            if v:
+                row[j] = v / inv
+    nonzero = [(j, v) for j, v in enumerate(row) if v]
+    for i, other in enumerate(rows):
+        factor = other[col]
+        if factor and i != r:
+            for j, v in nonzero:
+                other[j] -= factor * v
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -34,12 +57,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot(rows, r, col)
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -67,16 +85,13 @@ def solve_unique(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
-    """Basis of the null space of ``matrix``.
+def nullspace(matrix: Matrix) -> list[Vector]:
+    """Basis of the null space of a matrix with at least one row.
 
     Free variables are set to 1 one at a time, in column order, which makes
     the returned basis deterministic.
     """
-    if not matrix:
-        n = n_cols or 0
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    n = n_cols if n_cols is not None else len(matrix[0])
+    n = len(matrix[0])
     reduced, pivots = rref(matrix)
     free_cols = [c for c in range(n) if c not in pivots]
     basis: list[Vector] = []

@@ -21,7 +21,7 @@ from cforacle import (
     query,
     simulate_log,
 )
-from cforacle.classical import TableSampler
+from cforacle.classical import _CSV_CHUNK, TableSampler
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
@@ -191,6 +191,7 @@ def test_columnar_csv_matches_the_record_writer(pf):
         [i % pf.n_x for i in range(300)],
         [rng.randrange(pf.n_x) for _ in range(300)],
         [],
+        [rng.randrange(pf.n_x) for _ in range(_CSV_CHUNK + 3)],
     )
     for inputs in schedules:
         for seed in (0, 7, 2**100):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cforacle import cli
+from cforacle import cli, quantum
 from cforacle.cli import main
 
 
@@ -346,6 +346,40 @@ class TestErrorHandling:
             "--seed", "-1",
         )
         assert "seed" in err
+
+    def test_cardinality_that_is_not_finite(self, capsys, tmp_path):
+        model = tmp_path / "inf.json"
+        model.write_text('{"n_x": 1e400, "n_y": 2, "pF": {"01": "1"}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "'n_x'" in err
+
+    def test_joint_key_with_a_non_integer_input(self, capsys, tmp_path):
+        model = tmp_path / "joint.json"
+        model.write_text('{"n_x": 2, "n_y": 2, "joint": {"x|01": "1"}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "'x|01'" in err
+
+    def test_model_file_that_is_not_utf8(self, capsys, tmp_path):
+        model = tmp_path / "latin1.json"
+        model.write_bytes(b'{"n_x": 2, "n_y": 2, "pF": {"01": "\xbd"}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "UTF-8" in err
+
+    def test_tomography_above_the_matrix_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantum, "_oracle_states", None)  # never reached
+        model = tmp_path / "wide.json"
+        model.write_text(json.dumps({"n_x": 1001, "n_y": 1, "pF": {"0" * 1001: "1"}}))
+        err = self.one_line_usage_error(capsys, "tomography", "--model", str(model))
+        assert "EnumerationCapError" in err
 
     def test_model_path_is_a_directory(self, capsys, tmp_path):
         err = self.one_line_usage_error(

@@ -14,6 +14,7 @@ from cforacle import (
     UnboundedProgramError,
     build_constraints,
     lp,
+    rational,
     restricted_tail_model,
 )
 from cforacle.lp import (
@@ -21,7 +22,6 @@ from cforacle.lp import (
     lexmin_optimal_range,
     lexmin_optimal_vertex,
     objective_range,
-    simplex_maximize,
     simplex_minimize,
     vertex_objective_range,
 )
@@ -43,7 +43,7 @@ def test_one_line_segment():
     a = frac_rows([[1, 1]])
     b = [F(1)]
     assert simplex_minimize([F(1), F(0)], a, b)[0] == 0
-    assert simplex_maximize([F(1), F(0)], a, b)[0] == 1
+    assert simplex_minimize([F(-1), F(0)], a, b)[0] == -1
     assert objective_range([F(1), F(0)], a, b) == (F(0), F(1))
 
 
@@ -51,22 +51,35 @@ def test_known_polytope():
     # p over 4 atoms with p0 + p1 = 1/2 fixed; maximize p0 + p3
     a = frac_rows([[1, 1, 0, 0], [1, 1, 1, 1]])
     b = [F(1, 2), F(1)]
-    value, x = simplex_maximize([F(1), F(0), F(0), F(1)], a, b)
-    assert value == 1
+    value, x = simplex_minimize([F(-1), F(0), F(0), F(-1)], a, b)
+    assert value == -1
     assert sum(x) == 1
 
 
+INFEASIBLE_SYSTEMS = [
+    ([[1, 1], [1, 1]], [1, 2]),
+    # negative right-hand sides, a redundant row (twice the first) and
+    # an infeasible row: x0 - x1 = -1, 2 x0 - 2 x1 = -2, x0 + x1 = -1
+    ([[1, -1, 0], [2, -2, 0], [1, 1, 0], [0, 1, 1]], [-1, -2, -1, 3]),
+    # x2 = 1/2 and x2 = -1/2, with an all-zero row
+    ([[1, 1, 1], [0, 0, 1], [0, 0, 1], [0, 0, 0]], [1, F(1, 2), F(-1, 2), 0]),
+]
+
+
 def test_infeasible_with_certificate():
-    a = frac_rows([[1, 1], [1, 1]])
-    b = [F(1), F(2)]
-    with pytest.raises(InfeasibleSystemError) as excinfo:
-        simplex_minimize([F(0), F(0)], a, b)
-    err = excinfo.value
-    assert err.residual > 0
-    y = err.certificate
-    assert sum(yi * bi for yi, bi in zip(y, b)) > 0
-    for j in range(2):
-        assert sum(y[i] * a[i][j] for i in range(2)) <= 0
+    for rows, b in INFEASIBLE_SYSTEMS:
+        a = frac_rows(rows)
+        b = [F(v) for v in b]
+        n = len(a[0])
+        with pytest.raises(InfeasibleSystemError) as excinfo:
+            simplex_minimize([F(0)] * n, a, b)
+        err = excinfo.value
+        assert err.residual > 0
+        y = err.certificate
+        assert len(y) == len(a)
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+        for j in range(n):
+            assert sum(y[i] * a[i][j] for i in range(len(a))) <= 0
 
 
 def test_infeasible_negative_rhs_direction():
@@ -81,13 +94,74 @@ def test_unbounded():
     a = frac_rows([[0, 1]])
     b = [F(1)]
     with pytest.raises(UnboundedProgramError):
-        simplex_maximize([F(1), F(0)], a, b)
+        simplex_minimize([F(-1), F(0)], a, b)
 
 
 def test_redundant_rows_are_harmless():
     a = frac_rows([[1, 1], [1, 1], [2, 2]])
     b = [F(1), F(1), F(2)]
     assert objective_range([F(1), F(0)], a, b) == (F(0), F(1))
+
+
+def rref_by_full_rows(matrix):
+    """Reference reduced row-echelon form: every row update rewrites the
+    whole row, zero entries included."""
+    rows = [list(row) for row in matrix]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [p - factor * q for p, q in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def test_rref_matches_the_full_row_reference_on_random_matrices():
+    rng = random.Random(90210)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        matrix = [
+            [F(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.6 else F(0)
+             for _ in range(n)]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.3:
+            matrix.append([F(0)] * n)  # a zero row
+        if rng.random() < 0.3:
+            zero_col = rng.randrange(n)
+            for row in matrix:
+                row[zero_col] = F(0)
+        if rng.random() < 0.3:
+            matrix.append(list(rng.choice(matrix)))  # a duplicate row
+        rng.shuffle(matrix)
+        before = [list(row) for row in matrix]
+        assert rational.rref(matrix) == rref_by_full_rows(matrix)
+        assert matrix == before
+
+
+def test_pivot_in_place():
+    rows = frac_rows([[2, 4, 0, 2], [1, 0, 3, 1], [0, 5, 1, 0]])
+    same_rows = [id(row) for row in rows]
+    rational.pivot(rows, 0, 0)
+    assert rows == [
+        [F(1), F(2), F(0), F(1)],
+        [F(0), F(-2), F(3), F(0)],
+        [F(0), F(5), F(1), F(0)],
+    ]
+    assert [id(row) for row in rows] == same_rows
 
 
 def test_vertex_enumeration_square():
