@@ -32,6 +32,25 @@ DEFAULT_ENUMERATION_CAP = 10**6
 _BITS = (Fraction(0), Fraction(1))
 
 
+# Fractions with a longer numerator or denominator are shown approximately
+# in messages: Python refuses to print integers beyond 4300 digits.
+_SHOWN_BITS = 3000
+
+
+def _describe_rational(value: Fraction) -> str:
+    """``str(value)``, or an approximation with the bit lengths when the
+    numerator or denominator is too long to print in a message."""
+    num_bits = value.numerator.bit_length()
+    den_bits = value.denominator.bit_length()
+    if max(num_bits, den_bits) <= _SHOWN_BITS:
+        return str(value)
+    if Fraction(1, 10**300) < abs(value) < 10**300:
+        size = f"about {float(value):.17g}"
+    else:
+        size = "of magnitude outside [1e-300, 1e300]"
+    return f"a rational {size} ({num_bits}-bit numerator, {den_bits}-bit denominator)"
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -167,14 +186,18 @@ def _normalize_weights(
             )
         w = _as_fraction(w)
         if w < 0:
-            raise ValidationError(f"weight of {table} is negative: {w}")
+            raise ValidationError(
+                f"weight of {table} is negative: {_describe_rational(w)}"
+            )
         if table in cleaned:
             raise ValidationError(f"duplicate weight entry for {table}")
         if w > 0:
             cleaned[table] = w
     total = sum(cleaned.values(), Fraction(0))
     if total != 1:
-        raise ValidationError(f"weights sum to {total}, expected exactly 1")
+        raise ValidationError(
+            f"weights sum to {_describe_rational(total)}, expected exactly 1"
+        )
     return dict(sorted(cleaned.items(), key=lambda kv: kv[0].index))
 
 
@@ -401,7 +424,9 @@ class ConfoundedModel:
                 cleaned[(r_x, table)] = w
         total = sum(cleaned.values(), Fraction(0))
         if total != 1:
-            raise ValidationError(f"joint weights sum to {total}, expected 1")
+            raise ValidationError(
+                f"joint weights sum to {_describe_rational(total)}, expected 1"
+            )
         ordered = dict(
             sorted(cleaned.items(), key=lambda kv: (kv[0][0], kv[0][1].index))
         )

@@ -74,7 +74,8 @@ class ConstraintSystem:
         normalized_rows = []
         ones = 0
         for coeffs, rhs in self.rows:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            if not all(isinstance(c, Fraction) for c in coeffs):
+                coeffs = tuple(Fraction(c) for c in coeffs)
             rhs = Fraction(rhs)
             if len(coeffs) != dim:
                 raise ValidationError(

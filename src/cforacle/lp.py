@@ -3,12 +3,18 @@
 Two solution routes that cross-check each other.  They share only the
 row operation :func:`cforacle.rational.pivot`; the algorithms stay apart:
 
-* a primal simplex with Bland's anti-cycling rule, running entirely on
-  :class:`fractions.Fraction` (no floating point anywhere).  Phase 1
-  finds a feasible basis once; each objective is then optimized from the
-  current basis of that one tableau.  The lexicographic witness search
-  walks the optimal face in place, adding no rows and never restarting;
-  the witnesses for both directions share one phase 1.
+* a primal simplex with Bland's anti-cycling rule, exact and with no
+  floating point anywhere.  Its tableau is fraction-free: each row is a
+  list of ``int`` over one positive ``int`` denominator, kept in lowest
+  terms, so every entry has the rational value a
+  :class:`fractions.Fraction` tableau would hold and every pivot choice
+  is the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by the
+  lcm of their denominators; :class:`~fractions.Fraction` values are
+  built only for what is returned (solutions, optima, certificates).
+  Phase 1 finds a feasible basis once; each objective is then optimized
+  from the current basis of that one tableau.  The lexicographic witness
+  search walks the optimal face in place, adding no rows and never
+  restarting; the witnesses for both directions share one phase 1.
 * brute-force vertex enumeration of the feasible polytope, practical for
   up to ~16 variables.
 
@@ -28,27 +34,40 @@ from .errors import (
     UnboundedProgramError,
     ValidationError,
 )
-from .rational import Matrix, Vector, pivot, rref, solve_unique
+from .rational import (
+    IntMatrix,
+    Matrix,
+    Vector,
+    int_row,
+    pivot,
+    reduce_row,
+    rref,
+    solve_unique,
+)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# A tableau is ``(rows, dens)`` in the integer form of
+# :func:`cforacle.rational.pivot`: row i stands for ``rows[i] / dens[i]``.
+# The last row is the reduced-cost row and the last column the
+# right-hand side.  Signs and zero tests read the integers directly.
 
 
 def _iterate(
-    tableau: Matrix,
+    rows: IntMatrix,
+    dens: list[int],
     basis: list[int],
     n_cols: int,
     allowed: list[bool] | None = None,
 ) -> None:
     """Run Bland-rule simplex iterations until the cost row is optimal.
 
-    The last tableau row is the reduced-cost row; the last column is the
-    right-hand side.  Only columns marked in ``allowed`` (all by default)
-    may enter the basis.  Raises on an unbounded descent direction.
+    Only columns marked in ``allowed`` (all by default) may enter the
+    basis.  Raises on an unbounded descent direction.
     """
-    m = len(tableau) - 1
+    m = len(rows) - 1
     while True:
-        cost = tableau[m]
+        cost = rows[m]
         enter = None
         for j in range(n_cols):
             if cost[j] < 0 and (allowed is None or allowed[j]):
@@ -56,37 +75,39 @@ def _iterate(
                 break
         if enter is None:
             return
+        # Ratio test on rhs_i / coeff_i, in which the row's denominator
+        # cancels; ratios are compared by cross-multiplication.
         leave = None
-        best_ratio = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                here = rows[i][-1] * rows[leave][enter]
+                best = rows[leave][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise UnboundedProgramError(
                 f"objective is unbounded along variable {enter}"
             )
-        pivot(tableau, leave, enter)
+        pivot(rows, dens, leave, enter)
         basis[leave] = enter
 
 
-def _price(tableau: Matrix, basis: list[int]) -> None:
+def _price(rows: IntMatrix, dens: list[int], basis: list[int]) -> None:
     """Turn the last row, ``c`` followed by 0, into the reduced costs of
     ``c`` by pivoting on each basic row whose column it does not yet clear.
     Its last slot ends up as the negated objective value."""
     for i, bvar in enumerate(basis):
-        if tableau[-1][bvar]:
-            pivot(tableau, i, bvar)
+        if rows[-1][bvar]:
+            pivot(rows, dens, i, bvar)
 
 
-def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
+def _phase1(
+    c: Vector, a: Matrix, b: Vector
+) -> tuple[IntMatrix, list[int], list[int]]:
     """Phase 1: a feasible tableau of ``{A x = b, x >= 0}`` and its basis,
     on the original columns, redundant rows dropped, cost row of ``c`` last.
     Raises :class:`InfeasibleSystemError` with a Farkas certificate."""
@@ -97,24 +118,33 @@ def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
     if len(b) != m or len(c) != n:
         raise ValidationError("dimension mismatch between c, A, b")
     # Artificials form the starting basis; rows with b_i < 0 are negated.
+    # Row i is [a_i | b_i] over the lcm of its denominators, so the
+    # artificial's unit entry is that lcm.
     signs = [-1 if v < 0 else 1 for v in b]
     width = n + m
-    tableau: Matrix = [
-        [sign * v for v in a[i]]
-        + [_ONE if k == i else _ZERO for k in range(m)]
-        + [sign * b[i]]
-        for i, sign in enumerate(signs)
-    ]
+    rows: IntMatrix = []
+    dens: list[int] = []
+    for i, sign in enumerate(signs):
+        ints, den = int_row([*a[i], b[i]])
+        if sign < 0:
+            ints = [-v for v in ints]
+        unit = [den if k == i else 0 for k in range(m)]
+        rows.append(ints[:n] + unit + ints[n:])
+        dens.append(den)
     basis = [n + i for i in range(m)]
-    tableau.append([_ZERO] * n + [_ONE] * m + [_ZERO])
-    _price(tableau, basis)
-    _iterate(tableau, basis, width)
+    rows.append([0] * n + [1] * m + [0])
+    dens.append(1)
+    _price(rows, dens, basis)
+    _iterate(rows, dens, basis, width)
 
-    value1 = -tableau[m][-1]
-    if value1 > 0:
+    cost, cost_den = rows[m], dens[m]
+    if cost[-1] < 0:
+        value1 = Fraction(-cost[-1], cost_den)
         # y_k = sign_k (c_B B^-1)_k, and the artificial column n+k of the
         # cost row holds 1 - (c_B B^-1)_k.
-        certificate = [signs[k] * (_ONE - tableau[m][n + k]) for k in range(m)]
+        certificate = [
+            signs[k] * Fraction(cost_den - cost[n + k], cost_den) for k in range(m)
+        ]
         if _dot(certificate, b) <= 0 or any(
             sum(certificate[k] * a[k][j] for k in range(m)) > 0 for j in range(n)
         ):
@@ -129,25 +159,32 @@ def _phase1(c: Vector, a: Matrix, b: Vector) -> tuple[Matrix, list[int]]:
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
+            enter = next((j for j in range(n) if rows[i][j] != 0), None)
             if enter is None:
                 continue
-            pivot(tableau, i, enter)
+            pivot(rows, dens, i, enter)
             basis[i] = enter
         keep.append(i)
-    tableau2: Matrix = [tableau[i][:n] + tableau[i][-1:] for i in keep]
-    tableau2.append(list(c) + [_ZERO])
+    rows2: IntMatrix = [rows[i][:n] + rows[i][-1:] for i in keep]
+    dens2 = [reduce_row(row, dens[i]) for row, i in zip(rows2, keep)]
+    cost_ints, cost_den = int_row([*c, 0])
+    rows2.append(cost_ints)
+    dens2.append(cost_den)
     basis2 = [basis[i] for i in keep]
-    _price(tableau2, basis2)
-    return tableau2, basis2
+    _price(rows2, dens2, basis2)
+    return rows2, dens2, basis2
 
 
 def _dot(u: Vector, v: Vector) -> Fraction:
     return sum(p * q for p, q in zip(u, v))
 
 
-def _basic_solution(tableau: Matrix, basis: list[int], n: int) -> Vector:
-    values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
+def _basic_solution(
+    rows: IntMatrix, dens: list[int], basis: list[int], n: int
+) -> Vector:
+    values = {
+        bvar: Fraction(row[-1], den) for bvar, row, den in zip(basis, rows, dens)
+    }
     return [values.get(j, _ZERO) for j in range(n)]
 
 
@@ -160,16 +197,24 @@ def simplex_minimize(
     Raises :class:`InfeasibleSystemError` (with a Farkas certificate) when
     the system has no nonnegative solution.
     """
-    tableau, basis = _phase1(c, a, b)
+    rows, dens, basis = _phase1(c, a, b)
     n = len(c)
-    _iterate(tableau, basis, n)
-    x = _basic_solution(tableau, basis, n)
+    _iterate(rows, dens, basis, n)
+    x = _basic_solution(rows, dens, basis, n)
     return _dot(c, x), x
 
 
-def _negated_copy(tableau: Matrix) -> Matrix:
+def _negated_copy(
+    rows: IntMatrix, dens: list[int]
+) -> tuple[IntMatrix, list[int]]:
     """A copy of a tableau with the reduced-cost row of ``-c`` for ``c``."""
-    return [list(row) for row in tableau[:-1]] + [[-v for v in tableau[-1]]]
+    copy = [list(row) for row in rows[:-1]] + [[-v for v in rows[-1]]]
+    return copy, list(dens)
+
+
+def _optimum(rows: IntMatrix, dens: list[int]) -> Fraction:
+    """The objective value of an optimal tableau, from its cost row."""
+    return Fraction(-rows[-1][-1], dens[-1])
 
 
 def objective_range(
@@ -179,12 +224,12 @@ def objective_range(
 
     Phase 1 runs once; both directions re-optimize copies of its tableau.
     """
-    tableau, basis = _phase1(c, a, b)
+    rows, dens, basis = _phase1(c, a, b)
     n = len(c)
-    up = _negated_copy(tableau)
-    _iterate(up, list(basis), n)
-    _iterate(tableau, basis, n)
-    return -tableau[-1][-1], up[-1][-1]
+    up, up_dens = _negated_copy(rows, dens)
+    _iterate(up, up_dens, list(basis), n)
+    _iterate(rows, dens, basis, n)
+    return _optimum(rows, dens), -_optimum(up, up_dens)
 
 
 def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
@@ -202,28 +247,35 @@ def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
 def lexmin_optimal_range(c: Vector, a: Matrix, b: Vector) -> tuple[Vector, Vector]:
     """:func:`lexmin_optimal_vertex` for ``c`` and for ``-c`` (the min and
     the max witness), from one shared phase 1."""
-    tableau, basis = _phase1(c, a, b)
-    x_max = _face_walk(_negated_copy(tableau), list(basis), [-v for v in c], a, b)
-    return _face_walk(tableau, basis, c, a, b), x_max
+    rows, dens, basis = _phase1(c, a, b)
+    up, up_dens = _negated_copy(rows, dens)
+    x_max = _face_walk(up, up_dens, list(basis), [-v for v in c], a, b)
+    return _face_walk(rows, dens, basis, c, a, b), x_max
 
 
 def _face_walk(
-    tableau: Matrix, basis: list[int], c: Vector, a: Matrix, b: Vector
+    rows: IntMatrix,
+    dens: list[int],
+    basis: list[int],
+    c: Vector,
+    a: Matrix,
+    b: Vector,
 ) -> Vector:
     """The search of :func:`lexmin_optimal_vertex`, from a phase-1 tableau."""
     n = len(c)
-    _iterate(tableau, basis, n)
-    optimum = -tableau[-1][-1]
-    eligible = [d == 0 for d in tableau[-1][:n]]
+    _iterate(rows, dens, basis, n)
+    optimum = _optimum(rows, dens)
+    eligible = [d == 0 for d in rows[-1][:n]]
     for j in range(n):
         if sum(eligible) == len(basis):
             break
         if eligible[j]:
-            tableau[-1] = [_ONE if k == j else _ZERO for k in range(n + 1)]
-            _price(tableau, basis)
-            _iterate(tableau, basis, n, eligible)
-            eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
-    x = _basic_solution(tableau, basis, n)
+            rows[-1] = [int(k == j) for k in range(n + 1)]
+            dens[-1] = 1
+            _price(rows, dens, basis)
+            _iterate(rows, dens, basis, n, eligible)
+            eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
+    x = _basic_solution(rows, dens, basis, n)
     if (
         any(v < 0 for v in x)
         or any(_dot(row, x) != rhs for row, rhs in zip(a, b))

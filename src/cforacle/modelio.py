@@ -20,9 +20,33 @@ from .core import ConfoundedModel, FunctionDistribution, FunctionTable
 from .errors import ValidationError
 
 
+# Bounds checked before ``Fraction`` parses a rational: its text length,
+# and the size of a decimal exponent (``Fraction("1e10000000")`` builds a
+# ten-million-digit integer).
+MAX_RATIONAL_CHARS = 1000
+MAX_RATIONAL_EXPONENT = 1000
+
+
 def parse_rational(text) -> Fraction:
+    text = str(text)
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValidationError(
+            f"rational of {len(text)} characters exceeds the limit of "
+            f"{MAX_RATIONAL_CHARS}"
+        )
+    _, has_exponent, exponent = text.lower().partition("e")
+    if has_exponent:
+        try:
+            too_large = abs(int(exponent)) > MAX_RATIONAL_EXPONENT
+        except ValueError:
+            too_large = False  # not a number: Fraction rejects the text below
+        if too_large:
+            raise ValidationError(
+                f"rational {text!r} has an exponent beyond "
+                f"+-{MAX_RATIONAL_EXPONENT}"
+            )
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse rational {text!r}") from exc
 
@@ -73,13 +97,11 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
     invariant in the raised error."""
     if not isinstance(data, dict):
         raise ValidationError("model JSON must be an object")
-    try:
-        n_x = int(data["n_x"])
-        n_y = int(data["n_y"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            "model JSON needs integer fields 'n_x' and 'n_y'"
-        ) from exc
+    n_x, n_y = data.get("n_x"), data.get("n_y")
+    # JSON integers only: floats are refused, and so are booleans, which
+    # Python counts as ints
+    if not all(type(v) is int for v in (n_x, n_y)):
+        raise ValidationError("model JSON needs integer fields 'n_x' and 'n_y'")
     for field in ("pF", "joint"):
         if field in data and not isinstance(data[field], dict):
             raise ValidationError(f"model field {field!r} must be a JSON object")
@@ -108,8 +130,12 @@ def load_model(path: str | Path) -> FunctionDistribution | ConfoundedModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
+        except json.JSONDecodeError:
+            raise  # reported with its line and column
         except UnicodeDecodeError as exc:
             raise ValidationError(f"model file is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # an integer beyond the int-to-str limit
+            raise ValidationError(f"cannot read model JSON: {exc}") from exc
     return parse_model(data)
 
 

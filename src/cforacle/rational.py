@@ -3,37 +3,77 @@
 :func:`pivot` is the package's only row operation: :func:`rref` (and so
 :func:`solve_unique`, :func:`nullspace` and vertex enumeration) and every
 simplex pivot and pricing step in :mod:`cforacle.lp` go through it.
-Everything operates on lists of :class:`fractions.Fraction`.
+
+The kernel is fraction-free: a row is a list of Python ``int`` plus one
+positive ``int`` denominator, and stands for ``row / den``.  After each
+update a row is divided by ``gcd(den, *row)``, so the pair is canonical
+and every entry has exactly the rational value a :class:`Fraction`
+elimination would give it.  The public functions take and return lists
+of :class:`fractions.Fraction`; :func:`int_row` converts a rational row
+to the integer form once, reading the common denominator off
+``.denominator``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+IntMatrix = list[list[int]]
 
 
-def pivot(rows: Matrix, r: int, col: int) -> None:
+def int_row(values) -> tuple[list[int], int]:
+    """A rational row as ``(ints, den)`` with ``ints / den`` equal to it.
+
+    ``den`` is the lcm of the entries' denominators, so the pair is
+    canonical.  Entries may be ``Fraction`` or ``int``.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduce_row(row: list[int], den: int) -> int:
+    """Bring ``row / den`` to lowest terms in place (``den > 0``) and
+    return its new denominator."""
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            row[:] = [v // g for v in row]
+            den //= g
+    return den
+
+
+def pivot(rows: IntMatrix, dens: list[int], r: int, col: int) -> None:
     """Gauss-Jordan step in place: scale row ``r`` so its ``col`` entry is
     1, then clear column ``col`` from every other row.
 
-    Rows are updated in place, and only in the pivot row's nonzero
-    columns, so they must not share list objects with anything that has
-    to stay unchanged.
+    Row ``i`` stands for ``rows[i] / dens[i]``.  Row lists are updated in
+    place, so they must not share list objects with anything that has to
+    stay unchanged.  A row whose ``col`` entry is zero is left as it is.
     """
     row = rows[r]
-    inv = row[col]
-    if inv != 1:
-        for j, v in enumerate(row):
-            if v:
-                row[j] = v / inv
+    p = row[col]
+    if p != dens[r]:
+        # row / p has a unit pivot (the row's own denominator cancels)
+        if p < 0:
+            row[:] = [-v for v in row]
+            p = -p
+        dens[r] = reduce_row(row, p)
+    d = dens[r]
     nonzero = [(j, v) for j, v in enumerate(row) if v]
     for i, other in enumerate(rows):
         factor = other[col]
         if factor and i != r:
+            # other/dens[i] - (factor/dens[i]) (row/d), over dens[i] * d / g
+            g = gcd(d, factor)
+            scale, factor = d // g, factor // g
+            if scale != 1:
+                other[:] = [v * scale for v in other]
             for j, v in nonzero:
                 other[j] -= factor * v
+            dens[i] = reduce_row(other, dens[i] * scale)
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -42,9 +82,11 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     Returns the reduced matrix (zero rows dropped) and the pivot columns.
     The input is not modified.
     """
-    rows = [list(row) for row in matrix]
-    if not rows:
+    if not matrix:
         return [], []
+    pairs = [int_row(row) for row in matrix]
+    rows = [ints for ints, _ in pairs]
+    dens = [den for _, den in pairs]
     n_cols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -57,12 +99,14 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot(rows, r, col)
+        dens[r], dens[pivot_row] = dens[pivot_row], dens[r]
+        pivot(rows, dens, r, col)
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    reduced = [[Fraction(v, d) for v in row] for row, d in zip(rows[:r], dens)]
+    return reduced, pivots
 
 
 def solve_unique(a: Matrix, b: Vector) -> Vector | None:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -380,6 +381,45 @@ class TestErrorHandling:
         model.write_text(json.dumps({"n_x": 1001, "n_y": 1, "pF": {"0" * 1001: "1"}}))
         err = self.one_line_usage_error(capsys, "tomography", "--model", str(model))
         assert "EnumerationCapError" in err
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"01": "1e5000"},
+            {"01": "1e10000000"},
+            # each weight is short enough, but their sum's denominator
+            # has about 5000 digits
+            {
+                digits: f"1/{base**power}"
+                for digits, base, power in zip(
+                    ("000", "001", "010", "011", "100", "101"),
+                    (2, 3, 5, 7, 11, 13),
+                    (2900, 1800, 1250, 1000, 800, 750),
+                )
+            },
+        ],
+        ids=["exponent 5000", "exponent 10^7", "long denominators"],
+    )
+    def test_rationals_too_large_to_parse_or_print(self, capsys, tmp_path, weights):
+        model = tmp_path / "huge.json"
+        n_x = len(next(iter(weights)))
+        model.write_text(json.dumps({"n_x": n_x, "n_y": 2, "pF": weights}))
+        start = time.perf_counter()
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert "ValidationError" in err
+
+    def test_integer_literal_beyond_the_digit_limit(self, capsys, tmp_path):
+        model = tmp_path / "long_int.json"
+        model.write_text('{"n_x": 2, "n_y": 2, "pF": {"01": ' + "1" * 5000 + "}}")
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "ValidationError" in err
 
     def test_model_path_is_a_directory(self, capsys, tmp_path):
         err = self.one_line_usage_error(

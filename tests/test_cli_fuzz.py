@@ -32,9 +32,20 @@ json_values = st.recursive(
 )
 
 
+# rationals whose exact value would take Fraction seconds to build or
+# Python's int-to-str limit to print
+huge_rationals = st.builds(
+    "{}e{}{}".format,
+    st.sampled_from(["1", "-2.5", "0.5", "7/"]),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(1000, 10**8),
+)
+
+
 @st.composite
 def small_models(draw):
-    """A well-formed model, plain or confounded, with n_x, n_y <= 3."""
+    """A model, plain or confounded, with n_x, n_y <= 3: well-formed
+    unless one weight is drawn from ``huge_rationals``."""
     n_x = draw(st.integers(1, 3))
     n_y = draw(st.integers(1, 3))
     outputs = st.tuples(*[st.integers(0, n_y - 1)] * n_x)
@@ -49,11 +60,10 @@ def small_models(draw):
         field = "pF"
     weights = [draw(st.integers(1, 4)) for _ in keys]
     total = sum(weights)
-    return {
-        "n_x": n_x,
-        "n_y": n_y,
-        field: {key: f"{w}/{total}" for key, w in zip(keys, weights)},
-    }
+    values = [f"{w}/{total}" for w in weights]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(huge_rationals)
+    return {"n_x": n_x, "n_y": n_y, field: dict(zip(keys, values))}
 
 
 def _replace_field(model, field, value):

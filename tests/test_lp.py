@@ -153,10 +153,12 @@ def test_rref_matches_the_full_row_reference_on_random_matrices():
 
 
 def test_pivot_in_place():
-    rows = frac_rows([[2, 4, 0, 2], [1, 0, 3, 1], [0, 5, 1, 0]])
+    # integer rows over one denominator each: row i is rows[i] / dens[i]
+    rows = [[2, 4, 0, 2], [1, 0, 3, 1], [0, 5, 1, 0]]
+    dens = [1, 1, 1]
     same_rows = [id(row) for row in rows]
-    rational.pivot(rows, 0, 0)
-    assert rows == [
+    rational.pivot(rows, dens, 0, 0)
+    assert [[F(v, d) for v in row] for row, d in zip(rows, dens)] == [
         [F(1), F(2), F(0), F(1)],
         [F(0), F(-2), F(3), F(0)],
         [F(0), F(5), F(1), F(0)],
@@ -310,3 +312,197 @@ def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
     for search in (lexmin_optimal_vertex, lexmin_optimal_range):
         with pytest.raises(InternalCheckError):
             search([F(-1), F(-1), F(0)], a, [F(1)])
+
+
+# --- The Fraction tableau that the integer kernel replaced, kept as the
+# reference it is checked against: every entry a Fraction, every row
+# update a Fraction Gauss-Jordan step.
+
+
+def fraction_pivot(rows, r, col):
+    row = rows[r]
+    inv = row[col]
+    if inv != 1:
+        for j, v in enumerate(row):
+            if v:
+                row[j] = v / inv
+    nonzero = [(j, v) for j, v in enumerate(row) if v]
+    for i, other in enumerate(rows):
+        factor = other[col]
+        if factor and i != r:
+            for j, v in nonzero:
+                other[j] -= factor * v
+
+
+def fraction_iterate(tableau, basis, n_cols, allowed=None):
+    m = len(tableau) - 1
+    while True:
+        cost = tableau[m]
+        enter = None
+        for j in range(n_cols):
+            if cost[j] < 0 and (allowed is None or allowed[j]):
+                enter = j
+                break
+        if enter is None:
+            return
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise UnboundedProgramError(f"unbounded along variable {enter}")
+        fraction_pivot(tableau, leave, enter)
+        basis[leave] = enter
+
+
+def fraction_price(tableau, basis):
+    for i, bvar in enumerate(basis):
+        if tableau[-1][bvar]:
+            fraction_pivot(tableau, i, bvar)
+
+
+def fraction_phase1(c, a, b):
+    m, n = len(a), len(a[0])
+    signs = [-1 if v < 0 else 1 for v in b]
+    tableau = [
+        [sign * v for v in a[i]]
+        + [F(int(k == i)) for k in range(m)]
+        + [sign * b[i]]
+        for i, sign in enumerate(signs)
+    ]
+    basis = [n + i for i in range(m)]
+    tableau.append([F(0)] * n + [F(1)] * m + [F(0)])
+    fraction_price(tableau, basis)
+    fraction_iterate(tableau, basis, n + m)
+    value1 = -tableau[m][-1]
+    if value1 > 0:
+        certificate = [signs[k] * (1 - tableau[m][n + k]) for k in range(m)]
+        raise InfeasibleSystemError(
+            "infeasible", residual=value1, certificate=certificate
+        )
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if enter is None:
+                continue
+            fraction_pivot(tableau, i, enter)
+            basis[i] = enter
+        keep.append(i)
+    tableau2 = [tableau[i][:n] + tableau[i][-1:] for i in keep]
+    tableau2.append(list(c) + [F(0)])
+    basis2 = [basis[i] for i in keep]
+    fraction_price(tableau2, basis2)
+    return tableau2, basis2
+
+
+def fraction_face_walk(tableau, basis, n):
+    fraction_iterate(tableau, basis, n)
+    eligible = [d == 0 for d in tableau[-1][:n]]
+    for j in range(n):
+        if sum(eligible) == len(basis):
+            break
+        if eligible[j]:
+            tableau[-1] = [F(int(k == j)) for k in range(n + 1)]
+            fraction_price(tableau, basis)
+            fraction_iterate(tableau, basis, n, eligible)
+            eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
+    values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
+    return [values.get(j, F(0)) for j in range(n)], basis
+
+
+def as_fractions(rows, dens):
+    return [[F(v, d) for v in row] for row, d in zip(rows, dens)]
+
+
+def solve_both_ways(c, a, b):
+    """Phase 1 and phase 2 on the Fraction reference and on the integer
+    tableau: the outcome, plus the final tableau and basis when optimal."""
+    outcomes = []
+    for phase1, iterate, to_fractions in (
+        (fraction_phase1, fraction_iterate, lambda rows: rows),
+        (lp._phase1, lp._iterate, lambda rows, dens: as_fractions(rows, dens)),
+    ):
+        try:
+            *tableau, basis = phase1(c, a, b)
+            iterate(*tableau, basis, len(c))
+        except InfeasibleSystemError as err:
+            outcomes.append(("infeasible", err.residual, err.certificate))
+        except UnboundedProgramError:
+            outcomes.append(("unbounded",))
+        else:
+            outcomes.append(("optimal", to_fractions(*tableau), basis))
+    return outcomes
+
+
+def random_system(rng):
+    """A small LP with non-unit rational coefficients.  Right-hand sides
+    come from a sparse nonnegative point (feasible, often degenerate) or
+    at random (often infeasible); rows may be negated, repeated as a
+    combination of two others, or zero."""
+    n, m = rng.randint(1, 7), rng.randint(1, 4)
+    a = [
+        [F(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.7 else F(0)
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+    if rng.random() < 0.6:
+        a.append([F(1)] * n)  # a normalization row keeps the polytope bounded
+    if rng.random() < 0.3:
+        i, k = rng.randrange(len(a)), rng.randrange(len(a))
+        a.append([u + F(2, 3) * v for u, v in zip(a[i], a[k])])  # redundant
+    if rng.random() < 0.2:
+        a.append([F(0)] * n)
+    if rng.random() < 0.7:
+        point = [
+            F(rng.choice((0, 0, 0, 1, 2, 5)), rng.randint(1, 3)) for _ in range(n)
+        ]
+        b = [sum(p * q for p, q in zip(row, point)) for row in a]
+    else:
+        b = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in a]
+    c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    return c, a, b
+
+
+def test_integer_tableau_matches_the_fraction_reference_on_random_systems():
+    rng = random.Random(1968)
+    kinds = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        c, a, b = random_system(rng)
+        reference, integer = solve_both_ways(c, a, b)
+        assert integer == reference
+        kinds[reference[0]] += 1
+        if reference[0] == "optimal":
+            tableau, basis = reference[1:]
+            values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
+            vertex = [values.get(j, F(0)) for j in range(len(c))]
+            assert simplex_minimize(c, a, b) == (-tableau[-1][-1], vertex)
+        elif reference[0] == "infeasible":
+            with pytest.raises(InfeasibleSystemError) as excinfo:
+                simplex_minimize(c, a, b)
+            assert excinfo.value.certificate == reference[2]
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize(
+    "c, a, b",
+    [
+        p for p in _witness_systems()
+        if p.id in ("tail-5 one-way", "model_ab 3x3 two-way")
+    ],
+)
+def test_face_walk_matches_the_fraction_reference_on_witness_systems(c, a, b):
+    expected = []
+    for d in (c, [-v for v in c]):
+        tableau, basis = fraction_phase1(d, a, b)
+        expected.append(fraction_face_walk(tableau, basis, len(c))[0])
+    assert list(lexmin_optimal_range(c, a, b)) == expected

@@ -15,7 +15,10 @@ from cforacle import (
     save_model,
 )
 from cforacle.modelio import (
+    MAX_RATIONAL_CHARS,
+    MAX_RATIONAL_EXPONENT,
     distribution_to_json_dict,
+    parse_rational,
     table_from_digits,
     table_to_digits,
 )
@@ -66,6 +69,29 @@ def test_parse_validation_messages():
         parse_model({"n_x": 2, "n_y": 2})
     with pytest.raises(ValidationError, match="r_x"):
         parse_model({"n_x": 2, "n_y": 2, "joint": {"00": "1"}})
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"n_x": 2.7, "n_y": 2, "pF": {"01": "1"}},
+        {"n_x": 2, "n_y": True, "pF": {"00": "1"}},
+    ],
+    ids=["n_x float", "n_y bool"],
+)
+def test_cardinalities_must_be_json_integers(model):
+    with pytest.raises(ValidationError, match="integer fields"):
+        parse_model(model)
+
+
+def test_rational_text_is_bounded_before_parsing():
+    assert parse_rational("1" * MAX_RATIONAL_CHARS) == int("1" * MAX_RATIONAL_CHARS)
+    with pytest.raises(ValidationError, match="characters"):
+        parse_rational("1" * (MAX_RATIONAL_CHARS + 1))
+    tiny = parse_rational(f"1e-{MAX_RATIONAL_EXPONENT}")
+    assert tiny == F(1, 10**MAX_RATIONAL_EXPONENT)
+    with pytest.raises(ValidationError, match="exponent"):
+        parse_rational(f"1e-{MAX_RATIONAL_EXPONENT + 1}")
 
 
 def test_bundled_reference_models():
