@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,12 @@ from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
 
-#: Rows per string joined in :meth:`SampleLog.to_csv`; bounds its scratch
-#: memory to one chunk's row strings on top of the output itself.
-_CSV_CHUNK = 1 << 16
+#: Rows per chunk, both for :meth:`SampleLog.csv_chunks` (one rendered
+#: string per chunk) and for the draws of :func:`estimate_conditionals`:
+#: scratch memory stays at one chunk however many queries there are.
+_CHUNK_ROWS = 1 << 16
+
+_CSV_HEADER = "x_in,x_out,y_out,query_index\n"
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -53,17 +56,42 @@ class SampleLog:
     y_out: np.ndarray
     seed: int = 0
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows."""
+        yield _CSV_HEADER
+        for start in range(0, len(self.x_in), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(self.x_in))
+            comma = _separator(",", stop - start)
+            x = _digits(self.x_in[start:stop])
+            y = _digits(self.y_out[start:stop])
+            index = _digits(np.arange(start, stop))
+            parts = (x, comma, x, comma, y, comma, index, _separator("\n", stop - start))
+            chars, keep = (np.hstack(column) for column in zip(*parts))
+            yield chars[keep].tobytes().decode("ascii")
+
     def to_csv(self) -> str:
-        chunks = ["x_in,x_out,y_out,query_index\n"]
-        for start in range(0, len(self.x_in), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            rows = zip(
-                range(start, stop),
-                self.x_in[start:stop].tolist(),
-                self.y_out[start:stop].tolist(),
-            )
-            chunks.append("".join(f"{x},{x},{y},{i}\n" for i, x, y in rows))
-        return "".join(chunks)
+        return "".join(self.csv_chunks())
+
+
+def _separator(char: str, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """A one-character column, kept on every row."""
+    return np.full((rows, 1), ord(char), dtype=np.uint8), np.ones((rows, 1), dtype=bool)
+
+
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative integers as a fixed-width matrix of ASCII digits, most
+    significant first, and the mask that drops leading zeros (a lone 0
+    keeps its last digit)."""
+    rest = values.astype(np.int64, copy=False)
+    width = len(str(int(rest.max(initial=0))))
+    digits = np.empty((len(rest), width), dtype=np.uint8)
+    keep = np.empty((len(rest), width), dtype=bool)
+    for j in range(width - 1, -1, -1):
+        keep[:, j] = rest > 0
+        rest, digits[:, j] = np.divmod(rest, 10)
+    digits += ord("0")
+    keep[:, -1] = True
+    return digits, keep
 
 
 class TableSampler:
@@ -145,8 +173,11 @@ def estimate_conditionals(
     rng = make_rng(seed)
     counts = np.zeros((pF.n_x, pF.n_y), dtype=np.int64)
     for x in range(pF.n_x):
-        ys = sampler.draw_outputs(rng, np.full(queries_per_x, x))
-        counts[x] = np.bincount(ys, minlength=pF.n_y)
+        # the full-range uint64 stream is the same however it is split
+        for start in range(0, queries_per_x, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, queries_per_x - start)
+            indices = sampler.draw_indices(rng, size)
+            counts[x] += np.bincount(sampler.outputs[indices, x], minlength=pF.n_y)
     p_hat = counts / float(queries_per_x)
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / queries_per_x)
     return ConditionalEstimates(counts, p_hat, std_err, queries_per_x, seed)

@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -67,6 +68,27 @@ def _load_distribution(token: str) -> FunctionDistribution:
     return model
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's int-to-str digit limit while a result is rendered.
+
+    Exact bounds and witness weights of a valid model can need more than
+    the default 4300 digits; input text and the enumeration cap bound
+    their length.  The previous limit is restored on exit, and library
+    functions never change it.  Older 3.10 releases have no limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -85,14 +107,15 @@ def cmd_identification(args) -> int:
     system = build_constraints(model, level)
     target = LinearTarget.from_query(query, model.n_x, model.n_y)
     result = is_identifiable(target, system)
-    fields = {
-        "identifiable": result.identifiable,
-        "lo": str(result.bounds.lo),
-        "hi": str(result.bounds.hi),
-        "width": str(result.bounds.width),
-        "witness_lo": distribution_to_json_dict(result.witness_lo),
-        "witness_hi": distribution_to_json_dict(result.witness_hi),
-    }
+    with _unlimited_int_str():
+        fields = {
+            "identifiable": result.identifiable,
+            "lo": str(result.bounds.lo),
+            "hi": str(result.bounds.hi),
+            "width": str(result.bounds.width),
+            "witness_lo": distribution_to_json_dict(result.witness_lo),
+            "witness_hi": distribution_to_json_dict(result.witness_hi),
+        }
     _emit_json({key: fields[key] for key in _RESULT_KEYS[args.command]})
     return 0
 
@@ -102,7 +125,8 @@ def cmd_simulate(args) -> int:
         raise CfOracleError(f"--queries must lie in [1, {MAX_QUERIES}]")
     model = _load_distribution(args.model)
     log = simulate_log(model, np.arange(args.queries) % model.n_x, args.seed)
-    sys.stdout.write(log.to_csv())
+    for chunk in log.csv_chunks():
+        sys.stdout.write(chunk)
     return 0
 
 

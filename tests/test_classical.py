@@ -21,7 +21,7 @@ from cforacle import (
     query,
     simulate_log,
 )
-from cforacle.classical import _CSV_CHUNK, TableSampler
+from cforacle.classical import _CHUNK_ROWS, TableSampler
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
@@ -154,6 +154,28 @@ def test_counts_sum_to_queries():
     assert np.all(est.counts.sum(axis=1) == 500)
 
 
+def one_shot_counts(pf, queries_per_x, seed):
+    """Reference tally: every input's draws made in one call."""
+    sampler = TableSampler(pf)
+    rng = make_rng(seed)
+    counts = np.zeros((pf.n_x, pf.n_y), dtype=np.int64)
+    for x in range(pf.n_x):
+        ys = sampler.draw_outputs(rng, np.full(queries_per_x, x))
+        counts[x] = np.bincount(ys, minlength=pf.n_y)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "queries_per_x",
+    [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1],
+)
+def test_chunked_tally_matches_one_shot_draws(queries_per_x):
+    for pf in (mix_identity_flip(), affine_ternary_model()):
+        for seed in (0, 31, 2**100):
+            est = estimate_conditionals(pf, queries_per_x, seed)
+            assert np.array_equal(est.counts, one_shot_counts(pf, queries_per_x, seed))
+
+
 def csv_by_records(pf, inputs, seed):
     """Reference log writer: one record per query, rows written by
     ``csv.writer``, each output read off the drawn table itself."""
@@ -181,6 +203,10 @@ LOG_MODELS = {
         [FunctionTable(3, 2, (0, 1, 1)), FunctionTable(3, 2, (1, 0, 0))]
     ),
     "2**-70 atom": FunctionDistribution(2, 2, {IDENTITY: TINY, FLIP: 1 - TINY}),
+    # two-digit x_in and y_out
+    "12->11": FunctionDistribution.uniform_over(
+        FunctionTable(12, 11, tuple(k * x % 11 for x in range(12))) for k in range(1, 5)
+    ),
 }
 
 
@@ -191,9 +217,19 @@ def test_columnar_csv_matches_the_record_writer(pf):
         [i % pf.n_x for i in range(300)],
         [rng.randrange(pf.n_x) for _ in range(300)],
         [],
-        [rng.randrange(pf.n_x) for _ in range(_CSV_CHUNK + 3)],
+        [rng.randrange(pf.n_x) for _ in range(_CHUNK_ROWS + 3)],
     )
     for inputs in schedules:
         for seed in (0, 7, 2**100):
             expected = csv_by_records(pf, inputs, seed)
             assert simulate_log(pf, inputs, seed).to_csv() == expected
+
+
+@pytest.mark.parametrize("pf", LOG_MODELS.values(), ids=LOG_MODELS.keys())
+def test_csv_query_index_widens_inside_a_chunk(pf):
+    # query_index reaches 6 digits at row 100000, inside the second chunk;
+    # the schedule also crosses two chunk boundaries
+    rng = random.Random(pf.n_x * 100 + pf.n_y)
+    inputs = [rng.randrange(pf.n_x) for _ in range(2 * _CHUNK_ROWS + 5)]
+    assert _CHUNK_ROWS < 100_000 < 2 * _CHUNK_ROWS
+    assert simulate_log(pf, inputs, 5).to_csv() == csv_by_records(pf, inputs, 5)

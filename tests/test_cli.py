@@ -1,14 +1,19 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cforacle import cli, quantum
+from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
+from cforacle.modelio import load_model
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +228,27 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_rows_are_written_one_chunk_at_a_time(self, monkeypatch):
+        writes = []
+
+        class RecordingStdout:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        queries = _CHUNK_ROWS + 3
+        monkeypatch.setattr(sys, "stdout", RecordingStdout())
+        code = main(
+            ["simulate", "--model", "uniform2.json", "--queries", str(queries), "--seed", "11"]
+        )
+        monkeypatch.undo()
+        assert code == 0
+        rows_per_write = [text.count("\n") for text in writes]
+        assert rows_per_write == [1, _CHUNK_ROWS, 3]  # header, then two chunks
+        model = load_model(cli._resolve_model_path("uniform2.json"))
+        expected = simulate_log(model, np.arange(queries) % model.n_x, 11).to_csv()
+        assert "".join(writes) == expected
+
 
 class TestTomography:
     def test_sweep_rows(self, capsys):
@@ -427,6 +453,42 @@ class TestErrorHandling:
             "--target", "0:0",
         )
         assert "directory" in err
+
+
+def test_exact_result_longer_than_the_int_to_str_limit(capsys, tmp_path):
+    # k*N + 1 for k = 1..10 with 10! | N are pairwise coprime:
+    # gcd(kN + 1, jN + 1) divides j(kN + 1) - k(jN + 1) = j - k, whose
+    # primes all divide N, while kN + 1 is 1 mod N
+    big = math.factorial(10) * 10**470
+    coprimes = [k * big + 1 for k in range(1, 11)]
+    weights = {}
+    for i, p in enumerate(coprimes):
+        weights["0" + format(i, "04b")] = Fraction(1, 10 * p)
+        weights["1" + format(i, "04b")] = Fraction(1, 10) - Fraction(1, 10 * p)
+    model = tmp_path / "long_result.json"
+    model.write_text(
+        json.dumps({"n_x": 5, "n_y": 2, "pF": {k: str(w) for k, w in weights.items()}})
+    )
+    marginal = sum(Fraction(1, 10 * p) for p in coprimes)  # p(Y_0 = 0)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+
+    code, out, err = run_cli(
+        capsys, "bounds", "--model", str(model), "--level", "one-way", "--target", "0:0"
+    )
+
+    assert code == 0, err
+    if get_limit:
+        assert get_limit() == limit  # restored after rendering
+        sys.set_int_max_str_digits(0)
+    try:
+        result = json.loads(out)
+        assert len(str(marginal.denominator)) > 4300
+        assert result["lo"] == result["hi"] == str(marginal)
+        assert result["identifiable"] is True
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_console_script_entry_point():
