@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FunctionDistribution, outputs_matrix
+from .core import FunctionDistribution
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
@@ -114,7 +114,8 @@ class TableSampler:
         # the final threshold is 2**64 and can never be reached by a draw,
         # so it is dropped; searchsorted then lands in [0, len(support))
         self._cuts = np.array(thresholds[:-1], dtype=np.uint64)
-        self.outputs = outputs_matrix(support)
+        # row k is the outputs of support[k]: outputs[k, x] is f_k(x)
+        self.outputs = np.array([t.outputs for t in support], dtype=np.int64)
 
     def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         draws = rng.integers(0, _SCALE, size=size, dtype=np.uint64)

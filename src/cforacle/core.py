@@ -11,11 +11,11 @@ computed in exact rational arithmetic so that identifiability questions
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     ContractViolationError,
@@ -28,8 +28,6 @@ from .errors import (
 #: Hard ceiling on full function-table enumerations.  Operations that need
 #: the complete table list fail loudly past this rather than sampling.
 DEFAULT_ENUMERATION_CAP = 10**6
-
-_BITS = (Fraction(0), Fraction(1))
 
 
 # Fractions with a longer numerator or denominator are shown approximately
@@ -54,11 +52,7 @@ def _describe_rational(value: Fraction) -> str:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
@@ -76,7 +70,13 @@ class FunctionTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outputs", tuple(int(y) for y in self.outputs))
+        try:
+            for name in ("n_x", "n_y"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            outputs = tuple(map(operator.index, self.outputs))
+            object.__setattr__(self, "outputs", outputs)
+        except TypeError as exc:
+            raise ValidationError(f"table entries must be integers: {exc}") from exc
         if self.n_x < 1 or self.n_y < 1:
             raise ValidationError("cardinalities must be positive integers")
         if len(self.outputs) != self.n_x:
@@ -151,21 +151,21 @@ def enumerate_functions(
     ]
 
 
-def outputs_matrix(tables: Sequence[FunctionTable]) -> np.ndarray:
-    """Row k is ``tables[k].outputs``, so ``outputs[k, x]`` is f_k(x): the
-    layout of constraint rows, sampler lookups and oracle states alike."""
-    return np.array([t.outputs for t in tables], dtype=np.int64)
-
-
 def event_indicator(
-    outputs: np.ndarray, pairs: Iterable[tuple[int, int]]
-) -> tuple[Fraction, ...]:
-    """Entry k is 1 if f_k(x) = y for every (x, y) in ``pairs`` and 0
-    otherwise, over the rows of an :func:`outputs_matrix`."""
-    hit = np.ones(len(outputs), dtype=bool)
+    n_x: int, n_y: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Entry k (an ``int``) is 1 if f_k(x) = y for every (x, y) in ``pairs``
+    and 0 otherwise.  f_k(x) is digit x of k in base n_y, most significant
+    first, so ``{f(x) = y}`` is a run of n_y**(n_x-1-x) ones at offset y in
+    each block of n_y**(n_x-x) tables: no table is built."""
+    runs = []
     for x, y in pairs:
-        hit &= outputs[:, x] == y
-    return tuple(_BITS[h] for h in hit.tolist())
+        if not (0 <= x < n_x and 0 <= y < n_y):
+            raise DomainError(f"pair ({x}, {y}) outside [0, {n_x}) x [0, {n_y})")
+        run = n_y ** (n_x - 1 - x)
+        block = (0,) * (y * run) + (1,) * run + (0,) * ((n_y - 1 - y) * run)
+        runs.append(block * n_y**x)
+    return tuple(reduce(partial(map, operator.and_), runs, (1,) * n_y**n_x))
 
 
 def _normalize_weights(
@@ -270,7 +270,10 @@ class CounterfactualQuery:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
+        try:
+            pairs = tuple((operator.index(x), operator.index(y)) for x, y in self.pairs)
+        except TypeError as exc:
+            raise ContractViolationError(f"pairs must be integers: {exc}") from exc
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ContractViolationError("query needs at least one (x, y) pair")
@@ -333,8 +336,9 @@ def joint_counterfactual(
 ) -> Fraction:
     """Probability that f maps every queried x_i to its y_i simultaneously."""
     query.validate_for(pF.n_x, pF.n_y)
-    hits = event_indicator(outputs_matrix(pF.support()), query.pairs)
-    return sum((w for w, hit in zip(pF.weights.values(), hits) if hit), Fraction(0))
+    pairs, weights = query.pairs, pF.weights.items()
+    hits = (w for t, w in weights if all(t.outputs[x] == y for x, y in pairs))
+    return sum(hits, Fraction(0))
 
 
 def conditional_counterfactual(
@@ -377,10 +381,8 @@ def abduct_act_predict(
         raise DomainError(f"evidence {evidence} out of range")
     if not 0 <= x_cf < pF.n_x:
         raise DomainError(f"input {x_cf} outside range [0, {pF.n_x})")
-    hits = event_indicator(
-        outputs_matrix(pF.support()), ((evidence.x_obs, evidence.y_obs),)
-    )
-    posterior = {t: w for (t, w), hit in zip(pF.weights.items(), hits) if hit}
+    x_obs, y_obs = evidence.x_obs, evidence.y_obs
+    posterior = {t: w for t, w in pF.weights.items() if t.outputs[x_obs] == y_obs}
     norm = sum(posterior.values(), Fraction(0))
     if norm == 0:
         raise UndefinedConditionalError(

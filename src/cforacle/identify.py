@@ -24,17 +24,21 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     conditional,
-    enumerate_functions,
     event_indicator,
     joint_counterfactual,
-    outputs_matrix,
 )
 from .errors import EnumerationCapError, ValidationError
 from .rational import nullspace
 from .report import ReproductionReport
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _exact(coeffs) -> tuple:
+    """Keep ``int`` and ``Fraction`` entries; convert others with ``Fraction``."""
+    if set(map(type, coeffs)) <= {int, Fraction}:
+        return tuple(coeffs)
+    return tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs)
 
 
 class ConstraintLevel(enum.Enum):
@@ -67,21 +71,20 @@ class ConstraintSystem:
 
     n_x: int
     n_y: int
-    rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    rows: tuple[tuple[tuple[int | Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
         dim = self.n_y**self.n_x
         normalized_rows = []
         ones = 0
         for coeffs, rhs in self.rows:
-            if not all(isinstance(c, Fraction) for c in coeffs):
-                coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = _exact(coeffs)
             rhs = Fraction(rhs)
             if len(coeffs) != dim:
                 raise ValidationError(
                     f"coefficient vector has {len(coeffs)} entries, expected {dim}"
                 )
-            if all(c == 1 for c in coeffs):
+            if coeffs.count(1) == dim:
                 ones += 1
                 if rhs != 1:
                     raise ValidationError(
@@ -98,7 +101,7 @@ class ConstraintSystem:
     def dimension(self) -> int:
         return self.n_y**self.n_x
 
-    def matrix(self) -> tuple[list[list[Fraction]], list[Fraction]]:
+    def matrix(self) -> tuple[list[list[int | Fraction]], list[Fraction]]:
         a = [list(coeffs) for coeffs, _ in self.rows]
         b = [rhs for _, rhs in self.rows]
         return a, b
@@ -108,12 +111,10 @@ class ConstraintSystem:
 class LinearTarget:
     """A linear functional ``sum_f c_f p(f)`` of the table distribution."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", _exact(self.coefficients))
 
     @classmethod
     def from_query(
@@ -122,8 +123,9 @@ class LinearTarget:
     ) -> "LinearTarget":
         """Indicator coefficients of a joint counterfactual event."""
         query.validate_for(n_x, n_y)
-        outputs = outputs_matrix(enumerate_functions(n_x, n_y, cap=cap))
-        return cls(event_indicator(outputs, query.pairs))
+        if n_y**n_x > cap:
+            raise EnumerationCapError(f"{n_y}^{n_x} tables exceed the cap {cap}")
+        return cls(event_indicator(n_x, n_y, query.pairs))
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
         return sum(
@@ -161,10 +163,10 @@ def build_constraints(
 
     ONE_WAY fixes every p(f(x)=y); TWO_WAY additionally fixes every
     p(f(x)=y, f(x')=y') for x != x', so the two-way system contains the
-    one-way system as a subset of rows.  Right-hand sides are evaluated
-    exactly on ``pF_true``, and the normalization row is appended last.
-    Raises :class:`EnumerationCapError`, before enumerating any table, when
-    rows times tables would exceed ``cap``.
+    one-way system as a subset of rows.  Rows are ``int`` 0/1 event
+    indicators; right-hand sides are their exact dot products with
+    ``pF_true``, and the normalization row is appended last.  Raises
+    :class:`EnumerationCapError` when rows times tables would exceed ``cap``.
     """
     if isinstance(level, str):
         level = ConstraintLevel.parse(level)
@@ -183,15 +185,12 @@ def build_constraints(
             for y in range(n_y)
             for y_prime in range(n_y)
         ]
-    outputs = outputs_matrix(enumerate_functions(n_x, n_y, cap=cap))
-    rows = [
-        (
-            event_indicator(outputs, pairs),
-            joint_counterfactual(pF_true, CounterfactualQuery(pairs)),
-        )
-        for pairs in events
-    ]
-    rows.append(((_ONE,) * len(outputs), _ONE))
+    weights = [(t.index, w) for t, w in pF_true.weights.items()]
+    rows = []
+    for pairs in events:
+        row = event_indicator(n_x, n_y, pairs)
+        rows.append((row, sum((w for k, w in weights if row[k]), _ZERO)))
+    rows.append(((1,) * n_y**n_x, Fraction(1)))
     return ConstraintSystem(n_x, n_y, tuple(rows))
 
 

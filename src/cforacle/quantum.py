@@ -22,7 +22,6 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     enumerate_functions,
-    outputs_matrix,
 )
 from .errors import (
     DomainError,
@@ -145,10 +144,11 @@ class MeasurementEffect:
         return int(self.operator.shape[0])
 
 
-def _oracle_states(outputs: np.ndarray, n_y: int, alpha: Amplitudes) -> np.ndarray:
-    """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of the
-    table in row k of an :func:`~cforacle.core.outputs_matrix`."""
-    k, n_x = outputs.shape
+def _oracle_states(tables: tuple[FunctionTable, ...], alpha: Amplitudes) -> np.ndarray:
+    """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of
+    f_k = ``tables[k]``."""
+    outputs = np.array([t.outputs for t in tables], dtype=np.int64)
+    (k, n_x), n_y = outputs.shape, tables[0].n_y
     psi = np.zeros((k, n_x * n_y), dtype=complex)
     psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
     return psi
@@ -160,7 +160,7 @@ def apply_oracle(f: FunctionTable, alpha: Amplitudes) -> np.ndarray:
         raise ValidationError(
             f"amplitude vector has {alpha.n_x} entries, table expects {f.n_x}"
         )
-    return _oracle_states(outputs_matrix([f]), f.n_y, alpha)[0]
+    return _oracle_states((f,), alpha)[0]
 
 
 def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
@@ -180,7 +180,7 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
         raise EnumerationCapError(
             f"a {dim} x {dim} density matrix exceeds {DEFAULT_ENUMERATION_CAP} entries"
         )
-    psi = _oracle_states(outputs_matrix(pF.support()), pF.n_y, alpha)
+    psi = _oracle_states(pF.support(), alpha)
     weights = np.array([float(w) for w in pF.weights.values()])
     rho = (psi.T * weights) @ psi.conj()
     rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry

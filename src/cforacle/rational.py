@@ -8,10 +8,10 @@ The kernel is fraction-free: a row is a list of Python ``int`` plus one
 positive ``int`` denominator, and stands for ``row / den``.  After each
 update a row is divided by ``gcd(den, *row)``, so the pair is canonical
 and every entry has exactly the rational value a :class:`Fraction`
-elimination would give it.  The public functions take and return lists
-of :class:`fractions.Fraction`; :func:`int_row` converts a rational row
-to the integer form once, reading the common denominator off
-``.denominator``.
+elimination would give it.  The public functions take lists of ``int``
+(such as 0/1 event rows) or :class:`fractions.Fraction` and return
+``Fraction``; :func:`int_row` converts a rational row to the integer
+form once, reading the common denominator off ``.denominator``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def int_row(values) -> tuple[list[int], int]:
     """A rational row as ``(ints, den)`` with ``ints / den`` equal to it.
 
     ``den`` is the lcm of the entries' denominators, so the pair is
-    canonical.  Entries may be ``Fraction`` or ``int``.
+    canonical.  Entries may be ``Fraction`` or ``int`` (0/1 event rows).
     """
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .core import (
     CounterfactualQuery,
     Evidence,
@@ -175,7 +173,7 @@ def scenario_model_ab() -> ReproductionReport:
     alpha = Amplitudes.uniform(3)
     rho_a = build_rho_xy(model_a, alpha)
     rho_b = build_rho_xy(model_b, alpha)
-    gap = float(np.max(np.abs(rho_a.entries - rho_b.entries)))
+    gap = float(abs(rho_a.entries - rho_b.entries).max())
     report.check_close(
         "coherent-probe states coincide entry-wise", 0.0, gap, 1e-12
     )

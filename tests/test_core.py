@@ -1,7 +1,11 @@
 """Exact-arithmetic checks of the causal core."""
 
+import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations, compress
 
+import numpy as np
 import pytest
 
 from cforacle import (
@@ -24,6 +28,7 @@ from cforacle import (
     joint_counterfactual,
     observational_joint,
 )
+from cforacle.core import event_indicator
 from conftest import (
     CONST0,
     CONST1,
@@ -61,6 +66,73 @@ class TestFunctionTable:
             FunctionTable(2, 2, (0,))
         with pytest.raises(ValidationError):
             FunctionTable(0, 2, ())
+
+    def test_non_integer_entries_rejected_not_truncated(self):
+        for n_x, n_y, outputs in (
+            (2, 2, (0.9, 1)),
+            (2.0, 2, (0, 1)),
+            (2, "2", (0, 1)),
+            (2, 2, ("0", "1")),
+        ):
+            with pytest.raises(ValidationError, match="integers"):
+                FunctionTable(n_x, n_y, outputs)
+        table = FunctionTable(np.int64(2), np.uint8(2), np.array([1, 0]))
+        assert table == FLIP
+        assert {type(v) for v in (table.n_x, table.n_y, *table.outputs)} == {int}
+
+
+def reference_indicator(tables, pairs):
+    """Literal definition: 1 where every queried output matches."""
+    return tuple(int(all(t.outputs[x] == y for x, y in pairs)) for t in tables)
+
+
+# every shape with n_x <= 12, n_y <= 8 and at most 4096 tables
+SHAPES = [
+    (n_x, n_y)
+    for n_x in range(1, 13)
+    for n_y in range(1, 9)
+    if n_y**n_x <= 4096
+]
+
+
+class TestEventIndicator:
+    @pytest.mark.parametrize("n_x, n_y", SHAPES)
+    def test_every_one_and_two_pair_event(self, n_x, n_y):
+        # Each table lies in exactly one event per set of one or two inputs,
+        # the one its own outputs spell, so grouping the enumerated tables by
+        # those outputs lists every event's members in canonical order.
+        outputs = [t.outputs for t in enumerate_functions(n_x, n_y)]
+        for xs in (*combinations(range(n_x), 1), *combinations(range(n_x), 2)):
+            members = defaultdict(list)
+            for k, outs in enumerate(outputs):
+                members[tuple(outs[x] for x in xs)].append(k)
+            assert len(members) == n_y ** len(xs)
+            for ys, expected in members.items():
+                row = event_indicator(n_x, n_y, tuple(zip(xs, ys)))
+                assert len(row) == len(outputs)
+                assert set(map(type, row)) == {int} and set(row) <= {0, 1}
+                assert list(compress(range(len(outputs)), row)) == expected
+
+    def test_seeded_events_of_three_or_more_pairs(self):
+        rng = random.Random(11)
+        tables = {
+            (n_x, n_y): enumerate_functions(n_x, n_y)
+            for n_x, n_y in SHAPES
+            if n_x >= 3 and n_y >= 2
+        }
+        for _ in range(120):
+            n_x, n_y = rng.choice(sorted(tables))
+            xs = rng.sample(range(n_x), rng.randint(3, n_x))
+            pairs = tuple((x, rng.randrange(n_y)) for x in xs)
+            assert event_indicator(n_x, n_y, pairs) == reference_indicator(
+                tables[n_x, n_y], pairs
+            )
+
+    def test_no_pairs_and_out_of_range_pairs(self):
+        assert event_indicator(2, 3, ()) == (1,) * 9
+        for pair in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(DomainError):
+                event_indicator(2, 3, (pair,))
 
 
 class TestEnumeration:
@@ -150,6 +222,14 @@ class TestJointCounterfactual:
     def test_duplicate_antecedent_rejected(self):
         with pytest.raises(ContractViolationError):
             CounterfactualQuery(((0, 0), (0, 1)))
+
+    def test_non_integer_pairs_rejected_not_truncated(self):
+        for pairs in (((0.7, 0),), ((0, 0), (1, 1.9)), (("0", 1),)):
+            with pytest.raises(ContractViolationError, match="integers"):
+                CounterfactualQuery(pairs)
+        query = CounterfactualQuery(((np.int64(1), np.uint8(0)),))
+        assert query.pairs == ((1, 0),)
+        assert {type(v) for v in query.pairs[0]} == {int}
 
     def test_single_pair_reduces_to_conditional(self, mix_identity_flip):
         for x in range(2):

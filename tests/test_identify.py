@@ -1,5 +1,6 @@
 """Constraint systems, partial-identification bounds, identifiability."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from cforacle import (
     ValidationError,
     build_constraints,
     constant_mixture,
+    enumerate_functions,
     is_identifiable,
     joint_counterfactual,
     lp_bounds,
@@ -28,7 +30,7 @@ from cforacle import (
     solution_family_direction,
     vertex_bounds,
 )
-from cforacle import identify
+from cforacle import core
 from cforacle.rational import is_scalar_multiple
 from cforacle.reproduce import (
     affine_ternary_model,
@@ -94,9 +96,77 @@ class TestBuildConstraints:
         def enumerate_nothing(*args, **kwargs):
             raise RuntimeError("tables enumerated before the cap check")
 
-        monkeypatch.setattr(identify, "enumerate_functions", enumerate_nothing)
+        monkeypatch.setattr(core, "enumerate_functions", enumerate_nothing)
         with pytest.raises(EnumerationCapError):
             build_constraints(model, "two-way", cap=19 * 8 - 1)
+
+    def test_from_query_cap_and_no_table_enumerated(self, monkeypatch):
+        model = restricted_tail_model(3, ())
+        query = CounterfactualQuery(((0, 1), (2, 0)))
+
+        def enumerate_nothing(*args, **kwargs):
+            raise RuntimeError("tables enumerated")
+
+        monkeypatch.setattr(core, "enumerate_functions", enumerate_nothing)
+        with pytest.raises(EnumerationCapError):
+            LinearTarget.from_query(query, 3, 2, cap=7)
+        assert len(LinearTarget.from_query(query, 3, 2, cap=8).coefficients) == 8
+        assert len(build_constraints(model, "two-way", cap=19 * 8).rows) == 19
+
+    @pytest.mark.parametrize(
+        "n_x, n_y", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
+    )
+    def test_rows_are_int_events_with_joint_right_hand_sides(self, n_x, n_y):
+        pf = random_distribution(random.Random(10 * n_x + n_y), n_x, n_y)
+        tables = enumerate_functions(n_x, n_y)
+        for level in ConstraintLevel:
+            system = build_constraints(pf, level)
+            n_events = n_x * n_y
+            if level is ConstraintLevel.TWO_WAY:
+                n_events += math.comb(n_x, 2) * n_y**2
+            assert len(system.rows) == n_events + 1
+            seen = set()
+            for coeffs, rhs in system.rows:
+                assert set(map(type, coeffs)) == {int}
+                # the event's pairs are the inputs on which its members agree
+                members = [t.outputs for t, c in zip(tables, coeffs) if c == 1]
+                pairs = tuple(
+                    (x, members[0][x])
+                    for x in range(n_x)
+                    if len({outs[x] for outs in members}) == 1
+                )
+                assert coeffs == tuple(
+                    int(all(t.outputs[x] == y for x, y in pairs)) for t in tables
+                )
+                if pairs:
+                    assert rhs == joint_counterfactual(pf, CounterfactualQuery(pairs))
+                else:
+                    assert coeffs == (1,) * len(tables) and rhs == 1
+                seen.add(pairs)
+            assert len(seen) == len(system.rows)
+
+    def test_from_query_coefficients_are_ints(self):
+        for n_x, n_y, pairs in ((2, 2, ((1, 0),)), (3, 3, ((0, 2), (2, 1)))):
+            target = LinearTarget.from_query(CounterfactualQuery(pairs), n_x, n_y)
+            assert set(map(type, target.coefficients)) == {int}
+            assert target.coefficients == tuple(
+                int(all(t.outputs[x] == y for x, y in pairs))
+                for t in enumerate_functions(n_x, n_y)
+            )
+
+    def test_exact_entries_kept_and_others_converted(self):
+        entries = (F(1, 3), 0.5, "2/7", 1, "0.25", 0)
+        exact = (F(1, 3), F(1, 2), F(2, 7), 1, F(1, 4), 0)
+        kinds = [Fraction, Fraction, Fraction, int, Fraction, int]
+        target = LinearTarget(entries)
+        assert target.coefficients == exact
+        assert [type(c) for c in target.coefficients] == kinds
+        system = ConstraintSystem(
+            1, 6, ((entries, "1/3"), ((1,) * 6, 1.0))
+        )
+        assert system.rows[0] == (exact, F(1, 3))
+        assert [type(c) for c in system.rows[0][0]] == kinds
+        assert system.rows[1] == ((1,) * 6, 1)
 
     def test_level_parsing(self):
         assert ConstraintLevel.parse("one-way") is ConstraintLevel.ONE_WAY
