@@ -409,7 +409,12 @@ class ConfoundedModel:
     def __post_init__(self):
         cleaned: dict[tuple[int, FunctionTable], Fraction] = {}
         for (r_x, table), w in self.joint_weights.items():
-            r_x = int(r_x)
+            try:
+                r_x = operator.index(r_x)
+            except TypeError as exc:
+                raise ValidationError(
+                    f"input settings must be integers: {exc}"
+                ) from exc
             if not isinstance(table, FunctionTable):
                 table = FunctionTable(self.n_x, self.n_y, tuple(table))
             if not 0 <= r_x < self.n_x:

@@ -3,18 +3,31 @@
 Two solution routes that cross-check each other.  They share only the
 row operation :func:`cforacle.rational.pivot`; the algorithms stay apart:
 
-* a primal simplex with Bland's anti-cycling rule, exact and with no
-  floating point anywhere.  Its tableau is fraction-free: each row is a
-  list of ``int`` over one positive ``int`` denominator, kept in lowest
-  terms, so every entry has the rational value a
-  :class:`fractions.Fraction` tableau would hold and every pivot choice
-  is the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by the
-  lcm of their denominators; :class:`~fractions.Fraction` values are
-  built only for what is returned (solutions, optima, certificates).
-  Phase 1 finds a feasible basis once; each objective is then optimized
-  from the current basis of that one tableau.  The lexicographic witness
-  search walks the optimal face in place, adding no rows and never
-  restarting; the witnesses for both directions share one phase 1.
+* a two-phase primal simplex, exact and with no floating point anywhere.
+  Its tableau is fraction-free: each row is a list of ``int`` over one
+  positive ``int`` denominator, kept in lowest terms, so every entry has
+  the rational value a :class:`fractions.Fraction` tableau would hold
+  and every pivot choice is the same.  Phase 1 scales each
+  ``[a_i | b_i]`` and ``c`` once by the lcm of their denominators;
+  :class:`~fractions.Fraction` values are built only for what is
+  returned (solutions, optima, certificates).  Phase 1 finds a feasible
+  basis once; each objective is then optimized from the current basis of
+  that one tableau.  The lexicographic witness search walks the optimal
+  face in place, adding no rows and never restarting; the witnesses for
+  both directions share one phase 1.
+
+  :func:`objective_range`, :func:`lexmin_optimal_vertex` and
+  :func:`lexmin_optimal_range` first presolve: a row with right-hand
+  side 0 and coefficients of one sign forces its columns to zero, so
+  those columns, and the rows left all zero, are dropped (repeated until
+  nothing changes).  Their pivots then take the most negative reduced
+  cost (Dantzig), with Bland's rule for the choice after each degenerate
+  pivot, which keeps the method finite.  The bounds and the
+  lexicographically smallest optimal vertex are unique, so neither step
+  changes a result; witnesses are checked on the full system and
+  certificates are extended to it.  :func:`simplex_minimize` keeps
+  Bland's rule on the full system, so its pivot path stays that of a
+  plain Bland simplex.
 * brute-force vertex enumeration of the feasible polytope, practical for
   up to ~16 variables.
 
@@ -59,20 +72,32 @@ def _iterate(
     basis: list[int],
     n_cols: int,
     allowed: list[bool] | None = None,
+    dantzig: bool = False,
 ) -> None:
-    """Run Bland-rule simplex iterations until the cost row is optimal.
+    """Run simplex iterations until the cost row is optimal.
 
     Only columns marked in ``allowed`` (all by default) may enter the
-    basis.  Raises on an unbounded descent direction.
+    basis.  The entering column is the first with a negative reduced cost
+    (Bland's rule) or, with ``dantzig``, the one with the most negative
+    reduced cost, lowest index on ties; after a degenerate pivot the next
+    choice falls back to Bland's rule, which keeps the method finite.  The
+    leaving row is the lowest ratio, lowest basic variable on ties.
+    Raises on an unbounded descent direction.
     """
     m = len(rows) - 1
+    cols = range(n_cols) if allowed is None else [
+        j for j in range(n_cols) if allowed[j]
+    ]
+    bland = not dantzig
     while True:
         cost = rows[m]
-        enter = None
-        for j in range(n_cols):
-            if cost[j] < 0 and (allowed is None or allowed[j]):
-                enter = j
-                break
+        if bland:
+            enter = next((j for j in cols if cost[j] < 0), None)
+        else:
+            # the cost row shares one denominator, so its integers compare
+            enter = min(cols, key=cost.__getitem__, default=None)
+            if enter is not None and cost[enter] >= 0:
+                enter = None
         if enter is None:
             return
         # Ratio test on rhs_i / coeff_i, in which the row's denominator
@@ -92,6 +117,7 @@ def _iterate(
             raise UnboundedProgramError(
                 f"objective is unbounded along variable {enter}"
             )
+        bland = not dantzig or rows[leave][-1] == 0
         pivot(rows, dens, leave, enter)
         basis[leave] = enter
 
@@ -105,18 +131,29 @@ def _price(rows: IntMatrix, dens: list[int], basis: list[int]) -> None:
             pivot(rows, dens, i, bvar)
 
 
+def _check_shape(c: Vector, a: Matrix, b: Vector) -> None:
+    if not a:
+        raise ValidationError("cannot solve an empty system")
+    if len(b) != len(a) or len(c) != len(a[0]):
+        raise ValidationError("dimension mismatch between c, A, b")
+
+
+def _check_certificate(y: Vector, a: Matrix, b: Vector) -> None:
+    """Raise unless ``y . b > 0`` and ``y . A <= 0``, which proves that
+    ``{A x = b, x >= 0}`` is empty."""
+    if _dot(y, b) <= 0 or any(_dot(y, column) > 0 for column in zip(*a)):
+        raise InternalCheckError("phase 1 produced an invalid certificate")
+
+
 def _phase1(
-    c: Vector, a: Matrix, b: Vector
+    c: Vector, a: Matrix, b: Vector, dantzig: bool = False
 ) -> tuple[IntMatrix, list[int], list[int]]:
     """Phase 1: a feasible tableau of ``{A x = b, x >= 0}`` and its basis,
     on the original columns, redundant rows dropped, cost row of ``c`` last.
+    ``dantzig`` selects the pricing rule of :func:`_iterate`.
     Raises :class:`InfeasibleSystemError` with a Farkas certificate."""
-    m = len(a)
-    if m == 0:
-        raise ValidationError("cannot solve an empty system")
-    n = len(a[0])
-    if len(b) != m or len(c) != n:
-        raise ValidationError("dimension mismatch between c, A, b")
+    _check_shape(c, a, b)
+    m, n = len(a), len(a[0])
     # Artificials form the starting basis; rows with b_i < 0 are negated.
     # Row i is [a_i | b_i] over the lcm of its denominators, so the
     # artificial's unit entry is that lcm.
@@ -135,7 +172,7 @@ def _phase1(
     rows.append([0] * n + [1] * m + [0])
     dens.append(1)
     _price(rows, dens, basis)
-    _iterate(rows, dens, basis, width)
+    _iterate(rows, dens, basis, width, dantzig=dantzig)
 
     cost, cost_den = rows[m], dens[m]
     if cost[-1] < 0:
@@ -145,10 +182,7 @@ def _phase1(
         certificate = [
             signs[k] * Fraction(cost_den - cost[n + k], cost_den) for k in range(m)
         ]
-        if _dot(certificate, b) <= 0 or any(
-            sum(certificate[k] * a[k][j] for k in range(m)) > 0 for j in range(n)
-        ):
-            raise InternalCheckError("phase 1 produced an invalid certificate")
+        _check_certificate(certificate, a, b)
         raise InfeasibleSystemError(
             f"constraint system is infeasible (phase-1 residual {value1})",
             residual=value1,
@@ -217,18 +251,133 @@ def _optimum(rows: IntMatrix, dens: list[int]) -> Fraction:
     return Fraction(-rows[-1][-1], dens[-1])
 
 
+def _presolve(
+    a: Matrix, b: Vector
+) -> tuple[list[int], list[int], list[tuple[int, list[int]]]]:
+    """Columns that ``{A x = b, x >= 0}`` forces to zero, found row by row.
+
+    A row with right-hand side 0 whose coefficients on the columns still
+    kept all have one sign forces each column in its support to 0.  Those
+    columns are dropped and the rows rescanned until nothing changes.
+    Returns the kept columns, the kept rows (those with a nonzero
+    right-hand side or a nonzero entry on a kept column) and the pins
+    ``(row, columns)`` in the order they were found.  When no row would be
+    kept, nothing is dropped.
+    """
+    m, n = len(a), len(a[0])
+    live = [True] * n
+    pins: list[tuple[int, list[int]]] = []
+    candidates = [
+        (i, [(j, v) for j, v in enumerate(a[i]) if v]) for i in range(m) if b[i] == 0
+    ]
+    found = True
+    while found:
+        found = False
+        rest = []
+        for i, entries in candidates:
+            entries = [(j, v) for j, v in entries if live[j]]
+            if not entries:
+                continue
+            if len({v > 0 for _, v in entries}) == 1:
+                pins.append((i, [j for j, _ in entries]))
+                for j, _ in entries:
+                    live[j] = False
+                found = True
+            else:
+                rest.append((i, entries))
+        candidates = rest
+    cols = [j for j in range(n) if live[j]]
+    rows = [i for i in range(m) if b[i] != 0 or any(a[i][j] for j in cols)]
+    if not rows:
+        return list(range(n)), list(range(m)), []
+    return cols, rows, pins
+
+
+def _check_presolve(
+    a: Matrix,
+    b: Vector,
+    cols: list[int],
+    rows: list[int],
+    pins: list[tuple[int, list[int]]],
+) -> None:
+    """Raise unless the presolved system has the feasible set of the full
+    one, up to zeros in the dropped columns: each pin row has right-hand
+    side 0 and one sign on its columns and is zero on every other column
+    not pinned before it, the pins cover exactly the dropped columns, and
+    each dropped row is zero on the kept columns with right-hand side 0."""
+    dropped: set[int] = set()
+    for i, pinned in pins:
+        support = [j for j, v in enumerate(a[i]) if v and j not in dropped]
+        if b[i] != 0 or support != pinned or len({a[i][j] > 0 for j in support}) != 1:
+            raise InternalCheckError(f"presolve: row {i} does not pin {pinned}")
+        dropped.update(support)
+    if len(dropped) + len(cols) != len(a[0]) or not dropped.isdisjoint(cols):
+        raise InternalCheckError("presolve dropped a column no row forces to zero")
+    kept = set(rows)
+    for i in range(len(a)):
+        if i not in kept and (b[i] != 0 or any(a[i][j] for j in cols)):
+            raise InternalCheckError(f"presolve dropped the nonzero row {i}")
+
+
+def _full_certificate(
+    y_kept: Vector, a: Matrix, rows: list[int], pins: list[tuple[int, list[int]]]
+) -> Vector:
+    """Extend a Farkas certificate of the presolved system to the full one.
+
+    Pin rows have right-hand side 0, so adding multiples of them leaves
+    ``y . b`` as it is.  From the last pin back, each pin row is
+    subtracted, signed, just enough to bring ``y . A`` to at most 0 on the
+    columns it pinned.  It is zero on the kept columns and on the columns
+    pinned after it, so no column already settled moves.
+    """
+    y = [_ZERO] * len(a)
+    for i, v in zip(rows, y_kept):
+        y[i] = v
+    for i, pinned in reversed(pins):
+        row = a[i]
+        excess = max(_dot(y, [r[j] for r in a]) / abs(row[j]) for j in pinned)
+        if excess > 0:
+            y[i] = -excess if row[pinned[0]] > 0 else excess
+    return y
+
+
+def _presolved_phase1(
+    c: Vector, a: Matrix, b: Vector
+) -> tuple[IntMatrix, list[int], list[int], list[int]]:
+    """:func:`_presolve`, then :func:`_phase1` with Dantzig pricing on the
+    rest.  Returns that tableau and basis and the kept columns; an
+    infeasible system raises with a certificate checked on ``(A, b)``."""
+    _check_shape(c, a, b)
+    cols, rows, pins = _presolve(a, b)
+    _check_presolve(a, b, cols, rows, pins)
+    try:
+        tableau = _phase1(
+            [c[j] for j in cols],
+            [[a[i][j] for j in cols] for i in rows],
+            [b[i] for i in rows],
+            dantzig=True,
+        )
+    except InfeasibleSystemError as err:
+        y = _full_certificate(err.certificate, a, rows, pins)
+        _check_certificate(y, a, b)
+        raise InfeasibleSystemError(
+            str(err), residual=err.residual, certificate=y
+        ) from None
+    return (*tableau, cols)
+
+
 def objective_range(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of ``c . x`` over the feasible polytope.
 
-    Phase 1 runs once; both directions re-optimize copies of its tableau.
+    Forced-zero columns are presolved away, phase 1 runs once, and both
+    directions re-optimize copies of its tableau, all with Dantzig pricing.
     """
-    rows, dens, basis = _phase1(c, a, b)
-    n = len(c)
+    rows, dens, basis, cols = _presolved_phase1(c, a, b)
     up, up_dens = _negated_copy(rows, dens)
-    _iterate(up, up_dens, list(basis), n)
-    _iterate(rows, dens, basis, n)
+    _iterate(up, up_dens, list(basis), len(cols), dantzig=True)
+    _iterate(rows, dens, basis, len(cols), dantzig=True)
     return _optimum(rows, dens), -_optimum(up, up_dens)
 
 
@@ -239,31 +388,36 @@ def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
     on the optimal face (complementary slackness), so it may no longer
     enter.  Coordinates are then minimized in index order from the current
     basis, shutting out each column whose reduced cost turns positive,
-    until every eligible column is basic.  The result is a vertex.
+    until every eligible column is basic.  The result is a vertex.  The
+    search runs on the presolved system, whose columns keep their order,
+    and writes zeros back into the dropped columns.
     """
-    return _face_walk(*_phase1(c, a, b), c, a, b)
+    return _face_walk(*_presolved_phase1(c, a, b), c, a, b)
 
 
 def lexmin_optimal_range(c: Vector, a: Matrix, b: Vector) -> tuple[Vector, Vector]:
     """:func:`lexmin_optimal_vertex` for ``c`` and for ``-c`` (the min and
     the max witness), from one shared phase 1."""
-    rows, dens, basis = _phase1(c, a, b)
+    rows, dens, basis, cols = _presolved_phase1(c, a, b)
     up, up_dens = _negated_copy(rows, dens)
-    x_max = _face_walk(up, up_dens, list(basis), [-v for v in c], a, b)
-    return _face_walk(rows, dens, basis, c, a, b), x_max
+    x_max = _face_walk(up, up_dens, list(basis), cols, [-v for v in c], a, b)
+    return _face_walk(rows, dens, basis, cols, c, a, b), x_max
 
 
 def _face_walk(
     rows: IntMatrix,
     dens: list[int],
     basis: list[int],
+    cols: list[int],
     c: Vector,
     a: Matrix,
     b: Vector,
 ) -> Vector:
-    """The search of :func:`lexmin_optimal_vertex`, from a phase-1 tableau."""
-    n = len(c)
-    _iterate(rows, dens, basis, n)
+    """The search of :func:`lexmin_optimal_vertex`, from a tableau of the
+    presolved system with kept columns ``cols``; the point it returns is
+    checked against the full ``(A, b)`` and ``c``."""
+    n = len(cols)
+    _iterate(rows, dens, basis, n, dantzig=True)
     optimum = _optimum(rows, dens)
     eligible = [d == 0 for d in rows[-1][:n]]
     for j in range(n):
@@ -273,13 +427,17 @@ def _face_walk(
             rows[-1] = [int(k == j) for k in range(n + 1)]
             dens[-1] = 1
             _price(rows, dens, basis)
-            _iterate(rows, dens, basis, n, eligible)
+            _iterate(rows, dens, basis, n, eligible, dantzig=True)
             eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
-    x = _basic_solution(rows, dens, basis, n)
+    x = [_ZERO] * len(c)
+    for j, v in zip(cols, _basic_solution(rows, dens, basis, n)):
+        x[j] = v
+    # a vertex has few nonzero entries, and zero terms add nothing
+    support = [(j, v) for j, v in enumerate(x) if v]
     if (
-        any(v < 0 for v in x)
-        or any(_dot(row, x) != rhs for row, rhs in zip(a, b))
-        or _dot(c, x) != optimum
+        any(v < 0 for _, v in support)
+        or any(sum(row[j] * v for j, v in support) != rhs for row, rhs in zip(a, b))
+        or sum(c[j] * v for j, v in support) != optimum
     ):
         raise InternalCheckError("face walk ended off the optimal face")
     return x

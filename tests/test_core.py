@@ -342,6 +342,20 @@ class TestConfoundedModel:
         with pytest.raises(ValidationError, match="sum"):
             ConfoundedModel(2, 2, {(0, IDENTITY): F(1, 2)})
 
+    def test_non_integer_settings_rejected_not_truncated(self):
+        for r_x in (0.7, 1.9, "0", F(1)):
+            with pytest.raises(ValidationError, match="integers"):
+                ConfoundedModel(2, 2, {(r_x, IDENTITY): F(1)})
+        with pytest.raises(ValidationError, match="integers"):
+            ConfoundedModel(
+                2, 2, {(0.7, (0, 1)): F(1, 2), (1.9, (1, 1)): F(1, 2)}
+            )
+        model = ConfoundedModel(
+            2, 2, {(np.int64(0), IDENTITY): F(1, 2), (np.uint8(1), CONST1): F(1, 2)}
+        )
+        assert list(model.joint_weights) == [(0, IDENTITY), (1, CONST1)]
+        assert {type(r_x) for r_x, _ in model.joint_weights} == {int}
+
 
 class TestEmbedding:
     def test_square_passthrough(self, uniform_binary):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cforacle import (
+    FunctionDistribution,
     ConstraintLevel,
     CounterfactualQuery,
     InfeasibleSystemError,
@@ -506,3 +507,221 @@ def test_face_walk_matches_the_fraction_reference_on_witness_systems(c, a, b):
         tableau, basis = fraction_phase1(d, a, b)
         expected.append(fraction_face_walk(tableau, basis, len(c))[0])
     assert list(lexmin_optimal_range(c, a, b)) == expected
+
+
+# --- Presolve and Dantzig pricing (objective_range, lexmin_optimal_*),
+# checked against Bland's rule on the full system.
+
+
+def bland_face_walk(rows, dens, basis, n):
+    """The lexicographic face walk with Bland's rule on an integer tableau."""
+    lp._iterate(rows, dens, basis, n)
+    eligible = [d == 0 for d in rows[-1][:n]]
+    for j in range(n):
+        if sum(eligible) == len(basis):
+            break
+        if eligible[j]:
+            rows[-1] = [int(k == j) for k in range(n + 1)]
+            dens[-1] = 1
+            lp._price(rows, dens, basis)
+            lp._iterate(rows, dens, basis, n, eligible)
+            eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
+    return lp._basic_solution(rows, dens, basis, n)
+
+
+def bland_reference(c, a, b):
+    """Bounds and both lexicographic witnesses by Bland's rule on the full
+    system, with no presolve: ``((lo, hi), (x_lo, x_hi))``."""
+    witnesses = tuple(
+        bland_face_walk(*lp._phase1(d, a, b), len(c)) for d in (c, [-v for v in c])
+    )
+    lo, hi = (sum(p * q for p, q in zip(c, x)) for x in witnesses)
+    return (lo, hi), witnesses
+
+
+def outcome(solve, *args):
+    try:
+        return ("solved", solve(*args))
+    except InfeasibleSystemError as err:
+        return ("infeasible", err)
+    except UnboundedProgramError:
+        return ("unbounded",)
+
+
+def assert_full_certificate(err, a, b):
+    y = err.certificate
+    assert len(y) == len(a)
+    assert sum(p * q for p, q in zip(y, b)) > 0
+    for j in range(len(a[0])):
+        assert sum(y[i] * a[i][j] for i in range(len(a))) <= 0
+
+
+def assert_matches_bland(c, a, b):
+    """objective_range, lexmin_optimal_range and lexmin_optimal_vertex
+    agree with the reference; returns the kind of outcome."""
+    reference = outcome(bland_reference, c, a, b)
+    both = (c, [-v for v in c])
+    got = [
+        outcome(objective_range, c, a, b),
+        outcome(lexmin_optimal_range, c, a, b),
+        outcome(lambda: tuple(lexmin_optimal_vertex(d, a, b) for d in both)),
+    ]
+    assert [g[0] for g in got] == [reference[0]] * 3
+    if reference[0] == "solved":
+        bounds, witnesses = reference[1]
+        assert [g[1] for g in got] == [bounds, witnesses, witnesses]
+    elif reference[0] == "infeasible":
+        for g in got:
+            assert_full_certificate(g[1], a, b)
+    return reference[0]
+
+
+def pinned_system(rng):
+    """:func:`random_system` with rows of right-hand side 0 added: one
+    sign on a random support, and sometimes one entry of the other sign on
+    a column that an earlier such row pins, so pins cascade."""
+    c, a, b = random_system(rng)
+    n = len(c)
+    pinned = []
+    for _ in range(rng.randint(0, 3)):
+        sign = rng.choice((1, -1))
+        support = rng.sample(range(n), rng.randint(1, max(1, n // 2)))
+        row = [F(0)] * n
+        for j in support:
+            row[j] = sign * F(rng.randint(1, 4), rng.randint(1, 3))
+        if pinned and rng.random() < 0.5:
+            row[rng.choice(pinned)] = -sign * F(rng.randint(1, 3))
+        pinned.extend(support)
+        at = rng.randint(0, len(a))
+        a.insert(at, row)
+        b.insert(at, F(0))
+    return c, a, b
+
+
+def test_presolve_and_pricing_match_bland_on_random_systems():
+    rng = random.Random(1977)
+    kinds = {"solved": 0, "infeasible": 0, "unbounded": 0}
+    dropped = 0
+    for _ in range(300):
+        c, a, b = pinned_system(rng)
+        kinds[assert_matches_bland(c, a, b)] += 1
+        dropped += len(a[0]) - len(lp._presolve(a, b)[0])
+    assert min(kinds.values()) >= 20, kinds
+    assert dropped >= 100
+
+
+def _ladder():
+    tails = {5: (0, 1), 6: (1, 1, 1), 7: (0, 1, 0, 1), 8: (1, 0, 1, 0, 1)}
+    for n, tail in tails.items():
+        for level in ("one-way", "two-way"):
+            pairs = ((0, 1), (1, 1), (2, 1)) + tuple(
+                (3 + i, v) for i, v in enumerate(tail)
+            )
+            yield f"tail-{n} {level}", restricted_tail_model(n, tail), level, pairs
+    diagonal = ((0, 0), (1, 1), (2, 2))
+    yield "affine 3x3 two-way", affine_ternary_model(), "two-way", diagonal
+    yield "uniform 3x3 two-way", uniform_ternary_model(), "two-way", diagonal
+    yield (
+        "uniform 4x3 two-way", FunctionDistribution.uniform(4, 3), "two-way",
+        diagonal + ((3, 0),),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, level, pairs", [pytest.param(*case[1:], id=case[0]) for case in _ladder()]
+)
+def test_presolve_and_pricing_match_bland_on_the_ladder(model, level, pairs):
+    system = build_constraints(model, ConstraintLevel.parse(level))
+    c = list(
+        LinearTarget.from_query(CounterfactualQuery(pairs), model.n_x, model.n_y)
+        .coefficients
+    )
+    a, b = system.matrix()
+    assert assert_matches_bland(c, a, b) == "solved"
+
+
+def test_presolve_drops_forced_zero_columns_of_a_tail_model():
+    system = build_constraints(
+        restricted_tail_model(7, (0, 1, 0, 1)), ConstraintLevel.parse("two-way")
+    )
+    a, b = system.matrix()
+    assert (len(a), len(a[0])) == (99, 128)
+    cols, rows, _ = lp._presolve(a, b)
+    assert (len(rows), len(cols)) == (53, 8)
+
+
+def test_presolve_pins_with_negative_coefficients():
+    # -x0 - 2 x1 = 0 forces x0 = x1 = 0
+    a = frac_rows([[1, 1, 1, 1], [-1, -2, 0, 0]])
+    b = [F(1), F(0)]
+    assert lp._presolve(a, b) == ([2, 3], [0], [(1, [0, 1])])
+    c = [F(5), F(7), F(1), F(-1)]
+    assert objective_range(c, a, b) == (F(-1), F(1))
+    assert lexmin_optimal_range(c, a, b) == (
+        [F(0), F(0), F(0), F(1)], [F(0), F(0), F(1), F(0)]
+    )
+    assert_matches_bland(c, a, b)
+
+
+def test_presolve_pins_cascade():
+    # x0 - x1 = 0 has mixed signs until x1 = 0 is pinned by the next row
+    a = frac_rows([[1, -1, 0, 0], [0, 3, 0, 0], [1, 1, 1, 1]])
+    b = [F(0), F(0), F(1)]
+    assert lp._presolve(a, b) == ([2, 3], [2], [(1, [1]), (0, [0])])
+    assert_matches_bland([F(1), F(2), F(3), F(4)], a, b)
+
+
+def test_presolve_leaves_a_system_it_would_empty():
+    # every column and every row is dropped: solve the full system instead
+    a = frac_rows([[1, 1]])
+    b = [F(0)]
+    assert lp._presolve(a, b) == ([0, 1], [0], [])
+    assert objective_range([F(1), F(-1)], a, b) == (F(0), F(0))
+    assert lexmin_optimal_range([F(1), F(-1)], a, b) == ([F(0), F(0)], [F(0), F(0)])
+
+
+@pytest.mark.parametrize(
+    "rows, b",
+    [
+        # every column is forced to zero, leaving 0 = 1
+        ([[1, 0, 0], [0, 1, 1], [1, 1, 1]], [0, 0, 1]),
+        # the same through a cascade: x1 = 0, then x0 - x1 = 0
+        ([[1, -1, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1]),
+        # pins leave an infeasible system on the kept columns
+        ([[0, 1, 2, 0], [1, 0, 0, 1], [1, 0, 0, 1]], [0, F(1, 2), F(1, 3)]),
+    ],
+)
+def test_presolved_infeasible_system_has_a_full_certificate(rows, b):
+    a = frac_rows(rows)
+    b = [F(v) for v in b]
+    c = [F(1)] * len(a[0])
+    for search in (objective_range, lexmin_optimal_range, lexmin_optimal_vertex):
+        with pytest.raises(InfeasibleSystemError) as excinfo:
+            search(c, a, b)
+        assert_full_certificate(excinfo.value, a, b)
+
+
+def test_presolve_that_drops_a_live_column_is_caught(monkeypatch):
+    real = lp._presolve
+
+    def drop_first_column(a, b):
+        cols, rows, pins = real(a, b)
+        return cols[1:], rows, pins
+
+    monkeypatch.setattr(lp, "_presolve", drop_first_column)
+    a = frac_rows([[1, 1, 1]])
+    for search in (objective_range, lexmin_optimal_vertex, lexmin_optimal_range):
+        with pytest.raises(InternalCheckError):
+            search([F(-1), F(0), F(0)], a, [F(1)])
+
+
+def test_simplex_minimize_keeps_blands_rule_and_the_full_system(monkeypatch):
+    calls = []
+    real = lp._iterate
+    monkeypatch.setattr(
+        lp, "_iterate", lambda *args, **kw: calls.append(kw) or real(*args, **kw)
+    )
+    monkeypatch.setattr(lp, "_presolve", None)  # would raise if called
+    a = frac_rows([[1, 1, 1], [0, 1, 0]])
+    assert simplex_minimize([F(1), F(1), F(2)], a, [F(1), F(0)])[0] == 1
+    assert calls and not any(kw.get("dantzig") for kw in calls)
