@@ -22,16 +22,12 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
-import numpy as np
-
-from .classical import simulate_log
+# Each command imports its own layer when it runs, so a launch loads only
+# what that command needs: bounds, identify and the exact scenarios never
+# import numpy.
 from .core import ConfoundedModel, CounterfactualQuery, FunctionDistribution
 from .errors import CfOracleError
-from .identify import ConstraintLevel, LinearTarget, build_constraints, is_identifiable
 from .modelio import distribution_to_json_dict, load_model
-from .quantum import Amplitudes, build_rho_xy, tomography_sweep
-from .reproduce import SCENARIOS, run_scenario
-from .toy import verify_binary_equivalence
 
 #: Upper bound on ``simulate --queries``, checked before anything is
 #: allocated: the log and its CSV grow linearly with the query count.
@@ -94,6 +90,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import run_scenario
+
     report = run_scenario(args.example)
     _emit_json(report.to_json_dict())
     return 0 if report.passed else 1
@@ -101,6 +99,8 @@ def cmd_reproduce(args) -> int:
 
 def cmd_identification(args) -> int:
     """``bounds`` and ``identify``: one result, each command's own keys."""
+    from .identify import ConstraintLevel, LinearTarget, build_constraints, is_identifiable
+
     model = _load_distribution(args.model)
     level = ConstraintLevel.parse(args.level)
     query = CounterfactualQuery.from_string(args.target)
@@ -121,6 +121,10 @@ def cmd_identification(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .classical import simulate_log
+
     if not 1 <= args.queries <= MAX_QUERIES:
         raise CfOracleError(f"--queries must lie in [1, {MAX_QUERIES}]")
     model = _load_distribution(args.model)
@@ -131,6 +135,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomography(args) -> int:
+    from .quantum import Amplitudes, build_rho_xy, tomography_sweep
+
     model = _load_distribution(args.model)
     alpha = Amplitudes.uniform(model.n_x)
     rho = build_rho_xy(model, alpha)
@@ -144,12 +150,16 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_toy_check(args) -> int:
+    from .toy import verify_binary_equivalence
+
     report = verify_binary_equivalence()
     _emit_json(report.to_json_list())
     return 0 if report.all_equal else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .reproduce import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="cforacle",
         description="Counterfactual identification via classical and coherent oracle queries.",

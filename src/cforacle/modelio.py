@@ -51,6 +51,12 @@ def parse_rational(text) -> Fraction:
         raise ValidationError(f"cannot parse rational {text!r}") from exc
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
+    ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
+    return text.isascii() and text.isdigit()
+
+
 def table_to_digits(table: FunctionTable) -> str:
     if table.n_y > 10:
         raise ValidationError(
@@ -66,7 +72,7 @@ def table_from_digits(digits: str, n_x: int, n_y: int) -> FunctionTable:
             "digit-string serialization requires n_y <= 10; "
             f"got n_y = {n_y}"
         )
-    if len(digits) != n_x or not digits.isdigit():
+    if len(digits) != n_x or not _is_digits(digits):
         raise ValidationError(
             f"table key {digits!r} must be {n_x} digits for n_x = {n_x}"
         )
@@ -116,6 +122,8 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
         for key, value in data["joint"].items():
             try:
                 r_x_str, digits = key.split("|")
+                if not _is_digits(r_x_str):
+                    raise ValueError(r_x_str)
                 r_x = int(r_x_str)
             except ValueError as exc:
                 raise ValidationError(

@@ -33,15 +33,11 @@ from .identify import (
     solution_family_direction,
 )
 from .modelio import table_to_digits
-from .quantum import (
-    Amplitudes,
-    binary_forward_measurements,
-    build_rho_xy,
-    solve_binary_pF,
-)
 from .rational import is_scalar_multiple
 from .report import ReproductionReport
-from .toy import verify_binary_equivalence
+
+# The quantum and toy layers (and with them numpy) are imported inside the
+# three scenarios that use them, so the exact scenarios run without numpy.
 
 _ZERO = Fraction(0)
 
@@ -92,6 +88,8 @@ def scenario_binary() -> ReproductionReport:
     """Binary case: single queries leave a counterfactual completely open
     (width 0 to 1 after conditioning) while coherent probing pins the
     whole distribution."""
+    from .quantum import binary_forward_measurements, solve_binary_pF
+
     report = ReproductionReport("binary")
     truth = mix_identity_flip()
     system = build_constraints(truth, ConstraintLevel.ONE_WAY)
@@ -141,6 +139,8 @@ def scenario_binary() -> ReproductionReport:
 def scenario_model_ab() -> ReproductionReport:
     """Two ternary models that agree on every one- and two-way marginal
     (and hence on the full coherent-probe state) yet differ three-way."""
+    from .quantum import Amplitudes, build_rho_xy
+
     report = ReproductionReport("model_ab")
     model_a = uniform_ternary_model()
     model_b = affine_ternary_model()
@@ -302,6 +302,8 @@ def scenario_appendix_e_general() -> ReproductionReport:
 
 
 def scenario_toy() -> ReproductionReport:
+    from .toy import verify_binary_equivalence
+
     report = ReproductionReport("toy")
     equivalence = verify_binary_equivalence()
     for comparison in equivalence.comparisons:

@@ -392,6 +392,15 @@ class TestErrorHandling:
         )
         assert "'x|01'" in err
 
+    def test_table_key_with_a_non_ascii_digit(self, capsys, tmp_path):
+        model = tmp_path / "superscript.json"
+        model.write_text('{"n_x": 2, "n_y": 2, "pF": {"0\\u00b2": "1"}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "ValidationError" in err
+
     def test_model_file_that_is_not_utf8(self, capsys, tmp_path):
         model = tmp_path / "latin1.json"
         model.write_bytes(b'{"n_x": 2, "n_y": 2, "pF": {"01": "\xbd"}}')

@@ -42,10 +42,16 @@ huge_rationals = st.builds(
 )
 
 
+# key characters that are not ASCII digits, although str.isdigit accepts
+# the first three and int() the last three
+odd_digits = st.sampled_from(["\u00b2", "\u0661", "\uff10", " 1", "+1", "1_"])
+
+
 @st.composite
 def small_models(draw):
     """A model, plain or confounded, with n_x, n_y <= 3: well-formed
-    unless one weight is drawn from ``huge_rationals``."""
+    unless one weight is drawn from ``huge_rationals`` or one character
+    of a key is replaced by one drawn from ``odd_digits``."""
     n_x = draw(st.integers(1, 3))
     n_y = draw(st.integers(1, 3))
     outputs = st.tuples(*[st.integers(0, n_y - 1)] * n_x)
@@ -58,6 +64,10 @@ def small_models(draw):
         field = "joint"
     else:
         field = "pF"
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(keys) - 1))
+        at = draw(st.integers(0, len(keys[i]) - 1))
+        keys[i] = keys[i][:at] + draw(odd_digits) + keys[i][at + 1 :]
     weights = [draw(st.integers(1, 4)) for _ in keys]
     total = sum(weights)
     values = [f"{w}/{total}" for w in weights]

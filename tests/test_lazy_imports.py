@@ -1,0 +1,180 @@
+"""Lazy package exports and per-command imports.
+
+``import cforacle`` resolves its exports on first access, and each CLI
+command imports only its own layer, so ``bounds``, ``identify`` and the
+exact ``reproduce`` scenarios run with numpy unimportable, byte for byte
+as in a normal run.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cforacle
+from cforacle.cli import main
+
+SRC = str(Path(cforacle.__file__).resolve().parents[1])
+
+# the package's exports, each with the submodule that defines it
+EXPORTS = {
+    "classical": (
+        "ClassicalQueryRecord", "ConditionalEstimates", "SampleLog",
+        "estimate_conditionals", "make_rng", "query", "simulate_log",
+    ),
+    "core": (
+        "DEFAULT_ENUMERATION_CAP", "ConfoundedModel", "CounterfactualQuery",
+        "Evidence", "FunctionDistribution", "FunctionTable", "abduct_act_predict",
+        "conditional", "conditional_counterfactual", "do_conditional",
+        "embed_square", "enumerate_functions", "joint_counterfactual",
+        "observational_joint",
+    ),
+    "errors": (
+        "CfOracleError", "ContractViolationError", "DomainError",
+        "EnumerationCapError", "ExtractionError", "InfeasibleSystemError",
+        "InternalCheckError", "MeasurementInconsistencyError",
+        "UnboundedProgramError", "UndefinedConditionalError",
+        "UnsupportedTableError", "ValidationError",
+    ),
+    "identify": (
+        "Bounds", "ConstraintLevel", "ConstraintSystem", "IdentifiabilityResult",
+        "LinearTarget", "build_constraints", "constant_mixture", "is_identifiable",
+        "lp_bounds", "lp_bounds_with_witnesses", "permutation_mixture",
+        "reproduce_appendix_b", "reproduce_appendix_e_general",
+        "restricted_tail_model", "solution_family_direction", "vertex_bounds",
+    ),
+    "modelio": ("load_model", "parse_model", "save_model"),
+    "quantum": (
+        "Amplitudes", "BINARY_SCENARIOS", "DensityMatrix", "MeasurementEffect",
+        "apply_oracle", "bell_effect", "binary_forward_measurements",
+        "build_rho_xy", "computational_effect", "extract_two_way", "measure",
+        "measure_shots", "scenario_probability_exact",
+        "scenario_probability_simulated", "solve_binary_pF", "tomography_sweep",
+    ),
+    "report": ("Claim", "ReproductionReport"),
+    "toy": (
+        "ToyEpistemicState", "ToyOraclePermutation", "apply_oracle_mixture",
+        "is_valid_epistemic_state", "toy_measure", "toy_oracle", "toy_prepare",
+        "toy_scenario_probability", "verify_binary_equivalence",
+    ),
+}
+NAMES = {name for names in EXPORTS.values() for name in names}
+
+# stdout of `cforacle --help` and `cforacle reproduce --help` at 80 columns
+GOLDEN_HELP = {
+    "--help": """\
+usage: cforacle [-h]
+                {reproduce,bounds,identify,simulate,tomography,toy-check} ...
+
+Counterfactual identification via classical and coherent oracle queries.
+
+positional arguments:
+  {reproduce,bounds,identify,simulate,tomography,toy-check}
+    reproduce           run a scripted scenario and report its claims
+    bounds              partial-identification interval for a target
+    identify            decide identifiability with witnesses
+    simulate            log classical oracle queries as CSV
+    tomography          extract all pairwise marginals from the probe state
+    toy-check           bit-pair model versus exact coherent probabilities
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "reproduce --help": """\
+usage: cforacle reproduce [-h] [--output {json}]
+                          {appendix_b,appendix_e,appendix_e_general,binary,model_ab,toy}
+
+positional arguments:
+  {appendix_b,appendix_e,appendix_e_general,binary,model_ab,toy}
+
+options:
+  -h, --help            show this help message and exit
+  --output {json}
+""",
+}
+
+# a CLI launch in which any import of numpy fails
+NO_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from cforacle.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+APPE_TWO_WAY = ["--model", "appE.json", "--level", "two-way", "--target", "0:1,1:1,2:1"]
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, check=False
+    )
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from cforacle import *", namespace)
+    assert set(namespace) - {"__builtins__"} == NAMES
+    assert len(NAMES) == 79
+
+
+def test_each_export_is_its_submodules_object():
+    for module, names in EXPORTS.items():
+        submodule = importlib.import_module(f"cforacle.{module}")
+        for name in names:
+            assert getattr(cforacle, name) is getattr(submodule, name), name
+
+
+def test_dir_lists_every_export():
+    assert NAMES <= set(dir(cforacle))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cforacle.no_such_name
+    assert not hasattr(cforacle, "no_such_name")
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_HELP))
+def test_help_is_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == GOLDEN_HELP[argv]
+
+
+def test_bare_cli_import_loads_no_numpy_layer():
+    # a fresh interpreter: in this one every layer is already loaded
+    result = run_python(
+        "-c",
+        "import sys, cforacle.cli\n"
+        "print(sorted({'numpy', 'cforacle.classical', 'cforacle.quantum',"
+        " 'cforacle.toy'} & set(sys.modules)))\n"
+        "from cforacle import classical, quantum\n"
+        "print(classical is sys.modules['cforacle.classical'],"
+        " quantum is sys.modules['cforacle.quantum'])\n",
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().splitlines() == ["[]", "True True"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", *APPE_TWO_WAY],
+        ["identify", *APPE_TWO_WAY],
+        ["reproduce", "appendix_b"],
+        ["reproduce", "appendix_e"],
+        ["reproduce", "appendix_e_general"],
+        ["--help"],
+    ],
+    ids=" ".join,
+)
+def test_exact_commands_run_without_numpy(argv):
+    blocked = run_python("-c", NO_NUMPY, *argv)
+    normal = run_python("-m", "cforacle.cli", *argv)
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert normal.returncode == 0
+    assert blocked.stdout == normal.stdout

@@ -84,6 +84,32 @@ def test_cardinalities_must_be_json_integers(model):
         parse_model(model)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"n_x": 2, "n_y": 2, "pF": {"0²": "1"}},
+        {"n_x": 2, "n_y": 2, "pF": {"١٠": "1"}},
+        {"n_x": 2, "n_y": 2, "pF": {"０1": "1"}},
+        {"n_x": 2, "n_y": 2, "joint": {" 0|01": "1"}},
+        {"n_x": 2, "n_y": 2, "joint": {"+0|01": "1"}},
+        {"n_x": 11, "n_y": 2, "joint": {"1_0|00000000000": "1"}},
+    ],
+    ids=[
+        "superscript two",
+        "arabic-indic digits",
+        "fullwidth zero",
+        "r_x with a space",
+        "r_x with a sign",
+        "r_x with an underscore",
+    ],
+)
+def test_model_keys_must_be_ascii_digits(model):
+    # str.isdigit and int() accept all of these; each must be a
+    # ValidationError (CLI exit 2), neither a crash nor a silent reading
+    with pytest.raises(ValidationError, match="digits|<r_x>"):
+        parse_model(model)
+
+
 def test_rational_text_is_bounded_before_parsing():
     assert parse_rational("1" * MAX_RATIONAL_CHARS) == int("1" * MAX_RATIONAL_CHARS)
     with pytest.raises(ValidationError, match="characters"):
