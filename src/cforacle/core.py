@@ -49,6 +49,12 @@ def _describe_rational(value: Fraction) -> str:
     return f"a rational {size} ({num_bits}-bit numerator, {den_bits}-bit denominator)"
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
+    ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
+    return text.isascii() and text.isdigit()
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -285,19 +291,19 @@ class CounterfactualQuery:
 
     @classmethod
     def from_string(cls, text: str) -> "CounterfactualQuery":
-        """Parse the CLI syntax ``"x:y,x':y'"``."""
+        """Parse the CLI syntax ``"x:y,x':y'"``; each side is ASCII ``0-9``
+        after stripping whitespace."""
         pairs = []
         for chunk in text.split(","):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            try:
-                x_str, y_str = chunk.split(":")
-                pairs.append((int(x_str), int(y_str)))
-            except ValueError as exc:
+            sides = [side.strip() for side in chunk.split(":")]
+            if len(sides) != 2 or not all(map(_is_digits, sides)):
                 raise ContractViolationError(
-                    f"malformed target pair {chunk!r}, expected 'x:y'"
-                ) from exc
+                    f"malformed target pair {chunk!r}, expected 'x:y' in digits 0-9"
+                )
+            pairs.append((int(sides[0]), int(sides[1])))
         return cls(tuple(pairs))
 
     def validate_for(self, n_x: int, n_y: int) -> None:

@@ -16,18 +16,15 @@ row operation :func:`cforacle.rational.pivot`; the algorithms stay apart:
   face in place, adding no rows and never restarting; the witnesses for
   both directions share one phase 1.
 
-  :func:`objective_range`, :func:`lexmin_optimal_vertex` and
-  :func:`lexmin_optimal_range` first presolve: a row with right-hand
-  side 0 and coefficients of one sign forces its columns to zero, so
-  those columns, and the rows left all zero, are dropped (repeated until
-  nothing changes).  Their pivots then take the most negative reduced
-  cost (Dantzig), with Bland's rule for the choice after each degenerate
-  pivot, which keeps the method finite.  The bounds and the
-  lexicographically smallest optimal vertex are unique, so neither step
-  changes a result; witnesses are checked on the full system and
-  certificates are extended to it.  :func:`simplex_minimize` keeps
-  Bland's rule on the full system, so its pivot path stays that of a
-  plain Bland simplex.
+  Every entry point runs one route.  It first presolves: a row with
+  right-hand side 0 and coefficients of one sign forces its columns to
+  zero, so those columns, and the rows left all zero, are dropped
+  (repeated until nothing changes).  Every pivot then takes the most
+  negative reduced cost (Dantzig), with Bland's rule for the choice
+  after each degenerate pivot, which keeps the method finite.  The
+  bounds and the lexicographically smallest optimal vertex are unique,
+  so neither step changes a result; witnesses are checked on the full
+  system and certificates are extended to it.
 * brute-force vertex enumeration of the feasible polytope, practical for
   up to ~16 variables.
 
@@ -72,34 +69,29 @@ def _iterate(
     basis: list[int],
     n_cols: int,
     allowed: list[bool] | None = None,
-    dantzig: bool = False,
 ) -> None:
     """Run simplex iterations until the cost row is optimal.
 
     Only columns marked in ``allowed`` (all by default) may enter the
-    basis.  The entering column is the first with a negative reduced cost
-    (Bland's rule) or, with ``dantzig``, the one with the most negative
-    reduced cost, lowest index on ties; after a degenerate pivot the next
-    choice falls back to Bland's rule, which keeps the method finite.  The
-    leaving row is the lowest ratio, lowest basic variable on ties.
-    Raises on an unbounded descent direction.
+    basis.  The entering column is the one with the most negative reduced
+    cost, lowest index on ties (Dantzig); after a degenerate pivot the next
+    choice is the first column with a negative reduced cost (Bland's rule),
+    which keeps the method finite.  The leaving row is the lowest ratio,
+    lowest basic variable on ties.  Raises on an unbounded descent
+    direction.
     """
     m = len(rows) - 1
     cols = range(n_cols) if allowed is None else [
         j for j in range(n_cols) if allowed[j]
     ]
-    bland = not dantzig
+    bland = False
     while True:
         cost = rows[m]
-        if bland:
-            enter = next((j for j in cols if cost[j] < 0), None)
-        else:
-            # the cost row shares one denominator, so its integers compare
-            enter = min(cols, key=cost.__getitem__, default=None)
-            if enter is not None and cost[enter] >= 0:
-                enter = None
-        if enter is None:
+        negative = [j for j in cols if cost[j] < 0]
+        if not negative:
             return
+        # the cost row shares one denominator, so its integers compare
+        enter = negative[0] if bland else min(negative, key=cost.__getitem__)
         # Ratio test on rhs_i / coeff_i, in which the row's denominator
         # cancels; ratios are compared by cross-multiplication.
         leave = None
@@ -117,7 +109,7 @@ def _iterate(
             raise UnboundedProgramError(
                 f"objective is unbounded along variable {enter}"
             )
-        bland = not dantzig or rows[leave][-1] == 0
+        bland = rows[leave][-1] == 0
         pivot(rows, dens, leave, enter)
         basis[leave] = enter
 
@@ -146,13 +138,11 @@ def _check_certificate(y: Vector, a: Matrix, b: Vector) -> None:
 
 
 def _phase1(
-    c: Vector, a: Matrix, b: Vector, dantzig: bool = False
+    c: Vector, a: Matrix, b: Vector
 ) -> tuple[IntMatrix, list[int], list[int]]:
     """Phase 1: a feasible tableau of ``{A x = b, x >= 0}`` and its basis,
     on the original columns, redundant rows dropped, cost row of ``c`` last.
-    ``dantzig`` selects the pricing rule of :func:`_iterate`.
     Raises :class:`InfeasibleSystemError` with a Farkas certificate."""
-    _check_shape(c, a, b)
     m, n = len(a), len(a[0])
     # Artificials form the starting basis; rows with b_i < 0 are negated.
     # Row i is [a_i | b_i] over the lcm of its denominators, so the
@@ -172,7 +162,7 @@ def _phase1(
     rows.append([0] * n + [1] * m + [0])
     dens.append(1)
     _price(rows, dens, basis)
-    _iterate(rows, dens, basis, width, dantzig=dantzig)
+    _iterate(rows, dens, basis, width)
 
     cost, cost_den = rows[m], dens[m]
     if cost[-1] < 0:
@@ -220,22 +210,6 @@ def _basic_solution(
         bvar: Fraction(row[-1], den) for bvar, row, den in zip(basis, rows, dens)
     }
     return [values.get(j, _ZERO) for j in range(n)]
-
-
-def simplex_minimize(
-    c: Vector, a: Matrix, b: Vector
-) -> tuple[Fraction, Vector]:
-    """Minimize ``c . x`` over ``{A x = b, x >= 0}`` exactly.
-
-    Returns the optimal value and one optimal basic feasible solution.
-    Raises :class:`InfeasibleSystemError` (with a Farkas certificate) when
-    the system has no nonnegative solution.
-    """
-    rows, dens, basis = _phase1(c, a, b)
-    n = len(c)
-    _iterate(rows, dens, basis, n)
-    x = _basic_solution(rows, dens, basis, n)
-    return _dot(c, x), x
 
 
 def _negated_copy(
@@ -344,9 +318,9 @@ def _full_certificate(
 def _presolved_phase1(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[IntMatrix, list[int], list[int], list[int]]:
-    """:func:`_presolve`, then :func:`_phase1` with Dantzig pricing on the
-    rest.  Returns that tableau and basis and the kept columns; an
-    infeasible system raises with a certificate checked on ``(A, b)``."""
+    """:func:`_presolve`, then :func:`_phase1` on the rest.  Returns that
+    tableau and basis and the kept columns; an infeasible system raises
+    with a certificate checked on ``(A, b)``."""
     _check_shape(c, a, b)
     cols, rows, pins = _presolve(a, b)
     _check_presolve(a, b, cols, rows, pins)
@@ -355,7 +329,6 @@ def _presolved_phase1(
             [c[j] for j in cols],
             [[a[i][j] for j in cols] for i in rows],
             [b[i] for i in rows],
-            dantzig=True,
         )
     except InfeasibleSystemError as err:
         y = _full_certificate(err.certificate, a, rows, pins)
@@ -372,13 +345,28 @@ def objective_range(
     """Exact (min, max) of ``c . x`` over the feasible polytope.
 
     Forced-zero columns are presolved away, phase 1 runs once, and both
-    directions re-optimize copies of its tableau, all with Dantzig pricing.
+    directions re-optimize copies of its tableau.
     """
     rows, dens, basis, cols = _presolved_phase1(c, a, b)
     up, up_dens = _negated_copy(rows, dens)
-    _iterate(up, up_dens, list(basis), len(cols), dantzig=True)
-    _iterate(rows, dens, basis, len(cols), dantzig=True)
+    _iterate(up, up_dens, list(basis), len(cols))
+    _iterate(rows, dens, basis, len(cols))
     return _optimum(rows, dens), -_optimum(up, up_dens)
+
+
+def simplex_minimize(
+    c: Vector, a: Matrix, b: Vector
+) -> tuple[Fraction, Vector]:
+    """Minimize ``c . x`` over ``{A x = b, x >= 0}`` exactly.
+
+    Returns the optimal value and the vertex of
+    :func:`lexmin_optimal_vertex`, the lexicographically smallest optimal
+    one, checked against the full ``(A, b)``.  Raises
+    :class:`InfeasibleSystemError`, with a Farkas certificate, when the
+    system has no nonnegative solution.
+    """
+    x = lexmin_optimal_vertex(c, a, b)
+    return _dot(c, x), x
 
 
 def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
@@ -417,7 +405,7 @@ def _face_walk(
     presolved system with kept columns ``cols``; the point it returns is
     checked against the full ``(A, b)`` and ``c``."""
     n = len(cols)
-    _iterate(rows, dens, basis, n, dantzig=True)
+    _iterate(rows, dens, basis, n)
     optimum = _optimum(rows, dens)
     eligible = [d == 0 for d in rows[-1][:n]]
     for j in range(n):
@@ -427,7 +415,7 @@ def _face_walk(
             rows[-1] = [int(k == j) for k in range(n + 1)]
             dens[-1] = 1
             _price(rows, dens, basis)
-            _iterate(rows, dens, basis, n, eligible, dantzig=True)
+            _iterate(rows, dens, basis, n, eligible)
             eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
     x = [_ZERO] * len(c)
     for j, v in zip(cols, _basic_solution(rows, dens, basis, n)):

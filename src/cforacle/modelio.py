@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .core import ConfoundedModel, FunctionDistribution, FunctionTable
+from .core import ConfoundedModel, FunctionDistribution, FunctionTable, _is_digits
 from .errors import ValidationError
 
 
@@ -49,12 +49,6 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse rational {text!r}") from exc
-
-
-def _is_digits(text: str) -> bool:
-    """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
-    ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
-    return text.isascii() and text.isdigit()
 
 
 def table_to_digits(table: FunctionTable) -> str:

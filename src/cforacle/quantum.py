@@ -49,8 +49,9 @@ class Amplitudes:
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=complex)
         object.__setattr__(self, "alpha", arr)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("amplitudes must form a nonempty vector")
+        # NaN would pass every tolerance test below: comparisons with it are false
+        if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
+            raise ValidationError("amplitudes must form a nonempty finite vector")
         norm = float(np.sum(np.abs(arr) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(
@@ -81,8 +82,8 @@ class DensityMatrix:
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("density matrix must be square")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
+            raise ValidationError("density matrix must be square and finite")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
         if herm > HERMITICITY_TOL:
             raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm:g}")
@@ -128,8 +129,8 @@ class MeasurementEffect:
     def __post_init__(self):
         arr = np.asarray(self.operator, dtype=complex)
         object.__setattr__(self, "operator", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("effect operator must be square")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
+            raise ValidationError("effect operator must be square and finite")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
         if herm > MEASUREMENT_TOL:
             raise ValidationError(f"effect not Hermitian: {herm:g}")

@@ -12,6 +12,7 @@ quantum theory itself in the binary case.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,10 @@ class ToyEpistemicState:
     def __post_init__(self):
         cleaned: dict[OnticState, Fraction] = {}
         for state, p in self.probs.items():
-            state = tuple(int(b) for b in state)
+            try:
+                state = tuple(map(operator.index, state))
+            except TypeError as exc:
+                raise ValidationError(f"non-integer ontic state {state!r}") from exc
             if len(state) != 4 or any(b not in (0, 1) for b in state):
                 raise ValidationError(f"bad ontic state {state}")
             p = Fraction(p)

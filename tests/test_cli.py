@@ -201,6 +201,15 @@ class TestBoundsAndIdentify:
         assert code == 2
         assert "target" in err or "pair" in err
 
+    @pytest.mark.parametrize("target", ["١:0", "1_0:0", "+1:0"])
+    def test_target_with_non_ascii_digits_is_a_usage_error(self, capsys, target):
+        code, out, err = run_cli(
+            capsys, "bounds", "--model", "mixIF.json", "--level", "one-way",
+            "--target", target,
+        )
+        assert (code, out) == (2, "")
+        assert "malformed target pair" in err
+
 
 class TestSimulate:
     def test_row_count_and_copy_invariant(self, capsys):

@@ -231,6 +231,17 @@ class TestJointCounterfactual:
         assert query.pairs == ((1, 0),)
         assert {type(v) for v in query.pairs[0]} == {int}
 
+    @pytest.mark.parametrize(
+        "text", ["١:0", "0:٠", "1_0:0", "+1:0", "-0:0", "²:0", "0x1:0", "1:0:0", "1:"]
+    )
+    def test_target_string_needs_ascii_digits(self, text):
+        with pytest.raises(ContractViolationError, match="malformed target pair"):
+            CounterfactualQuery.from_string(text)
+
+    def test_target_string_strips_whitespace(self):
+        query = CounterfactualQuery.from_string(" 1 : 0 ,\t2:1, ")
+        assert query.pairs == ((1, 0), (2, 1))
+
     def test_single_pair_reduces_to_conditional(self, mix_identity_flip):
         for x in range(2):
             cond = conditional(mix_identity_flip, x)

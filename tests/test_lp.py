@@ -234,14 +234,22 @@ def lexmin_by_enumeration(c, a, b):
     )
 
 
+def full_system_optimum(c, a, b):
+    """``min c.x`` from the tableau of the full system, with no presolve."""
+    rows, dens, basis = lp._phase1(c, a, b)
+    lp._iterate(rows, dens, basis, len(c))
+    return lp._optimum(rows, dens)
+
+
 def lexmin_by_restarts(c, a, b):
     """Reference lexicographic minimum, one fresh LP per coordinate.
 
     Pins ``c.x`` at its optimum, then minimizes each coordinate in turn
-    with a new two-phase solve, appending its optimum as an equality row,
-    until the equalities determine a single point.
+    with a new two-phase solve of the unpresolved system, appending its
+    optimum as an equality row, until the equalities determine a single
+    point.
     """
-    optimum, _ = simplex_minimize(c, a, b)
+    optimum = full_system_optimum(c, a, b)
     n = len(c)
     rows = [list(row) for row in a] + [list(c)]
     rhs = list(b) + [optimum]
@@ -250,7 +258,7 @@ def lexmin_by_restarts(c, a, b):
         if point is not None:
             return point
         unit = [F(int(k == j)) for k in range(n)]
-        vj, _ = simplex_minimize(unit, rows, rhs)
+        vj = full_system_optimum(unit, rows, rhs)
         rows.append(unit)
         rhs.append(vj)
     return solve_unique(rows, rhs)
@@ -310,7 +318,7 @@ def test_lexmin_matches_restart_algorithm_on_witness_systems(c, a, b):
 def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
     monkeypatch.setattr(lp, "_basic_solution", lambda *_: [F(0), F(0), F(1)])
     a = frac_rows([[1, 1, 1]])
-    for search in (lexmin_optimal_vertex, lexmin_optimal_range):
+    for search in (lexmin_optimal_vertex, lexmin_optimal_range, simplex_minimize):
         with pytest.raises(InternalCheckError):
             search([F(-1), F(-1), F(0)], a, [F(1)])
 
@@ -336,16 +344,19 @@ def fraction_pivot(rows, r, col):
 
 
 def fraction_iterate(tableau, basis, n_cols, allowed=None):
+    """The library's pricing: the most negative reduced cost, lowest index
+    on ties, and the first negative one (Bland's rule) after a degenerate
+    pivot."""
     m = len(tableau) - 1
+    bland = False
     while True:
         cost = tableau[m]
-        enter = None
-        for j in range(n_cols):
-            if cost[j] < 0 and (allowed is None or allowed[j]):
-                enter = j
-                break
-        if enter is None:
+        negative = [
+            j for j in range(n_cols) if cost[j] < 0 and (allowed is None or allowed[j])
+        ]
+        if not negative:
             return
+        enter = negative[0] if bland else min(negative, key=lambda j: cost[j])
         leave = None
         best_ratio = None
         for i in range(m):
@@ -361,6 +372,7 @@ def fraction_iterate(tableau, basis, n_cols, allowed=None):
                     leave = i
         if leave is None:
             raise UnboundedProgramError(f"unbounded along variable {enter}")
+        bland = tableau[leave][-1] == 0
         fraction_pivot(tableau, leave, enter)
         basis[leave] = enter
 
@@ -374,10 +386,11 @@ def fraction_price(tableau, basis):
 def fraction_phase1(c, a, b):
     m, n = len(a), len(a[0])
     signs = [-1 if v < 0 else 1 for v in b]
+    # Fraction entries even for int rows, whose int/int pivots would be floats
     tableau = [
-        [sign * v for v in a[i]]
+        [sign * F(v) for v in a[i]]
         + [F(int(k == i)) for k in range(m)]
-        + [sign * b[i]]
+        + [sign * F(b[i])]
         for i, sign in enumerate(signs)
     ]
     basis = [n + i for i in range(m)]
@@ -400,7 +413,7 @@ def fraction_phase1(c, a, b):
             basis[i] = enter
         keep.append(i)
     tableau2 = [tableau[i][:n] + tableau[i][-1:] for i in keep]
-    tableau2.append(list(c) + [F(0)])
+    tableau2.append([F(v) for v in c] + [F(0)])
     basis2 = [basis[i] for i in keep]
     fraction_price(tableau2, basis2)
     return tableau2, basis2
@@ -483,24 +496,18 @@ def test_integer_tableau_matches_the_fraction_reference_on_random_systems():
         assert integer == reference
         kinds[reference[0]] += 1
         if reference[0] == "optimal":
-            tableau, basis = reference[1:]
-            values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
-            vertex = [values.get(j, F(0)) for j in range(len(c))]
-            assert simplex_minimize(c, a, b) == (-tableau[-1][-1], vertex)
+            assert simplex_minimize(c, a, b)[0] == -reference[1][-1][-1]
         elif reference[0] == "infeasible":
             with pytest.raises(InfeasibleSystemError) as excinfo:
                 simplex_minimize(c, a, b)
-            assert excinfo.value.certificate == reference[2]
+            assert_full_certificate(excinfo.value, a, b)
+        else:
+            with pytest.raises(UnboundedProgramError):
+                simplex_minimize(c, a, b)
     assert min(kinds.values()) >= 20, kinds
 
 
-@pytest.mark.parametrize(
-    "c, a, b",
-    [
-        p for p in _witness_systems()
-        if p.id in ("tail-5 one-way", "model_ab 3x3 two-way")
-    ],
-)
+@pytest.mark.parametrize("c, a, b", list(_witness_systems()))
 def test_face_walk_matches_the_fraction_reference_on_witness_systems(c, a, b):
     expected = []
     for d in (c, [-v for v in c]):
@@ -509,31 +516,18 @@ def test_face_walk_matches_the_fraction_reference_on_witness_systems(c, a, b):
     assert list(lexmin_optimal_range(c, a, b)) == expected
 
 
-# --- Presolve and Dantzig pricing (objective_range, lexmin_optimal_*),
-# checked against Bland's rule on the full system.
+# --- Presolve (objective_range, lexmin_optimal_*, simplex_minimize),
+# checked against the same pricing on the full system.
 
 
-def bland_face_walk(rows, dens, basis, n):
-    """The lexicographic face walk with Bland's rule on an integer tableau."""
-    lp._iterate(rows, dens, basis, n)
-    eligible = [d == 0 for d in rows[-1][:n]]
-    for j in range(n):
-        if sum(eligible) == len(basis):
-            break
-        if eligible[j]:
-            rows[-1] = [int(k == j) for k in range(n + 1)]
-            dens[-1] = 1
-            lp._price(rows, dens, basis)
-            lp._iterate(rows, dens, basis, n, eligible)
-            eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
-    return lp._basic_solution(rows, dens, basis, n)
-
-
-def bland_reference(c, a, b):
-    """Bounds and both lexicographic witnesses by Bland's rule on the full
-    system, with no presolve: ``((lo, hi), (x_lo, x_hi))``."""
+def full_system_reference(c, a, b):
+    """Bounds and both lexicographic witnesses from ``lp._face_walk`` over
+    ``lp._phase1`` of the full system, with no presolve:
+    ``((lo, hi), (x_lo, x_hi))``."""
+    cols = list(range(len(c)))
     witnesses = tuple(
-        bland_face_walk(*lp._phase1(d, a, b), len(c)) for d in (c, [-v for v in c])
+        lp._face_walk(*lp._phase1(d, a, b), cols, d, a, b)
+        for d in (c, [-v for v in c])
     )
     lo, hi = (sum(p * q for p, q in zip(c, x)) for x in witnesses)
     return (lo, hi), witnesses
@@ -556,20 +550,24 @@ def assert_full_certificate(err, a, b):
         assert sum(y[i] * a[i][j] for i in range(len(a))) <= 0
 
 
-def assert_matches_bland(c, a, b):
-    """objective_range, lexmin_optimal_range and lexmin_optimal_vertex
-    agree with the reference; returns the kind of outcome."""
-    reference = outcome(bland_reference, c, a, b)
+def assert_matches_full_system(c, a, b):
+    """objective_range, lexmin_optimal_range, lexmin_optimal_vertex and
+    simplex_minimize agree with the reference; returns the kind of
+    outcome."""
+    reference = outcome(full_system_reference, c, a, b)
     both = (c, [-v for v in c])
     got = [
         outcome(objective_range, c, a, b),
         outcome(lexmin_optimal_range, c, a, b),
         outcome(lambda: tuple(lexmin_optimal_vertex(d, a, b) for d in both)),
+        outcome(lambda: tuple(simplex_minimize(d, a, b) for d in both)),
     ]
-    assert [g[0] for g in got] == [reference[0]] * 3
+    assert [g[0] for g in got] == [reference[0]] * 4
     if reference[0] == "solved":
-        bounds, witnesses = reference[1]
-        assert [g[1] for g in got] == [bounds, witnesses, witnesses]
+        (lo, hi), (x_lo, x_hi) = reference[1]
+        assert [g[1] for g in got] == [
+            (lo, hi), (x_lo, x_hi), (x_lo, x_hi), ((lo, x_lo), (-hi, x_hi))
+        ]
     elif reference[0] == "infeasible":
         for g in got:
             assert_full_certificate(g[1], a, b)
@@ -604,7 +602,7 @@ def test_presolve_and_pricing_match_bland_on_random_systems():
     dropped = 0
     for _ in range(300):
         c, a, b = pinned_system(rng)
-        kinds[assert_matches_bland(c, a, b)] += 1
+        kinds[assert_matches_full_system(c, a, b)] += 1
         dropped += len(a[0]) - len(lp._presolve(a, b)[0])
     assert min(kinds.values()) >= 20, kinds
     assert dropped >= 100
@@ -637,7 +635,7 @@ def test_presolve_and_pricing_match_bland_on_the_ladder(model, level, pairs):
         .coefficients
     )
     a, b = system.matrix()
-    assert assert_matches_bland(c, a, b) == "solved"
+    assert assert_matches_full_system(c, a, b) == "solved"
 
 
 def test_presolve_drops_forced_zero_columns_of_a_tail_model():
@@ -660,7 +658,7 @@ def test_presolve_pins_with_negative_coefficients():
     assert lexmin_optimal_range(c, a, b) == (
         [F(0), F(0), F(0), F(1)], [F(0), F(0), F(1), F(0)]
     )
-    assert_matches_bland(c, a, b)
+    assert_matches_full_system(c, a, b)
 
 
 def test_presolve_pins_cascade():
@@ -668,7 +666,7 @@ def test_presolve_pins_cascade():
     a = frac_rows([[1, -1, 0, 0], [0, 3, 0, 0], [1, 1, 1, 1]])
     b = [F(0), F(0), F(1)]
     assert lp._presolve(a, b) == ([2, 3], [2], [(1, [1]), (0, [0])])
-    assert_matches_bland([F(1), F(2), F(3), F(4)], a, b)
+    assert_matches_full_system([F(1), F(2), F(3), F(4)], a, b)
 
 
 def test_presolve_leaves_a_system_it_would_empty():
@@ -695,7 +693,9 @@ def test_presolved_infeasible_system_has_a_full_certificate(rows, b):
     a = frac_rows(rows)
     b = [F(v) for v in b]
     c = [F(1)] * len(a[0])
-    for search in (objective_range, lexmin_optimal_range, lexmin_optimal_vertex):
+    for search in (
+        objective_range, lexmin_optimal_range, lexmin_optimal_vertex, simplex_minimize
+    ):
         with pytest.raises(InfeasibleSystemError) as excinfo:
             search(c, a, b)
         assert_full_certificate(excinfo.value, a, b)
@@ -710,18 +710,8 @@ def test_presolve_that_drops_a_live_column_is_caught(monkeypatch):
 
     monkeypatch.setattr(lp, "_presolve", drop_first_column)
     a = frac_rows([[1, 1, 1]])
-    for search in (objective_range, lexmin_optimal_vertex, lexmin_optimal_range):
+    for search in (
+        objective_range, lexmin_optimal_vertex, lexmin_optimal_range, simplex_minimize
+    ):
         with pytest.raises(InternalCheckError):
             search([F(-1), F(0), F(0)], a, [F(1)])
-
-
-def test_simplex_minimize_keeps_blands_rule_and_the_full_system(monkeypatch):
-    calls = []
-    real = lp._iterate
-    monkeypatch.setattr(
-        lp, "_iterate", lambda *args, **kw: calls.append(kw) or real(*args, **kw)
-    )
-    monkeypatch.setattr(lp, "_presolve", None)  # would raise if called
-    a = frac_rows([[1, 1, 1], [0, 1, 0]])
-    assert simplex_minimize([F(1), F(1), F(2)], a, [F(1), F(0)])[0] == 1
-    assert calls and not any(kw.get("dantzig") for kw in calls)

@@ -116,6 +116,23 @@ class TestBuildRho:
         with pytest.raises(ValidationError, match="semidefinite"):
             DensityMatrix(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: Amplitudes(np.array([1.0, bad])),
+            lambda bad: DensityMatrix(np.array([[1.0, 0.0], [0.0, bad]])),
+            lambda bad: DensityMatrix.from_json_dict(
+                {"dim": 2, "re": [[1.0, 0.0], [0.0, bad]], "im": [[0.0] * 2] * 2}
+            ),
+            lambda bad: MeasurementEffect(np.array([[1.0, 0.0], [0.0, bad]])),
+        ],
+        ids=["Amplitudes", "DensityMatrix", "from_json_dict", "MeasurementEffect"],
+    )
+    def test_non_finite_entries_rejected(self, build, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            build(bad)
+
     def test_json_round_trip(self, uniform_binary):
         rho = build_rho_xy(uniform_binary, Amplitudes.uniform(2))
         data = rho.to_json_dict()

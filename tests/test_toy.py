@@ -139,3 +139,12 @@ class TestEquivalence:
 
         with pytest.raises(ValidationError):
             ToyEpistemicState({(0, 0, 0, 0): F(1, 2)})
+
+    def test_state_bits_rejected_not_truncated(self):
+        from cforacle import ValidationError
+
+        for state in ((0.5, 0, 0, 0.9), (0, 0, "1", 0), 5):
+            with pytest.raises(ValidationError, match="non-integer ontic state"):
+                ToyEpistemicState({state: 1})
+        state = ToyEpistemicState({(1, True, 0, 0): 1})
+        assert state.support() == ((1, 1, 0, 0),)
