@@ -7,10 +7,18 @@ counter-based generator (Philox) and exact integer thresholds: the
 cumulative table probabilities are floored onto a 64-bit grid and
 compared against raw uniform 64-bit draws, so the per-atom sampling bias
 is below 2**-64.
+
+A draw's table is found by an indexed search (a guide table, as in
+Chen and Asau 1974 and Devroye 1986, III.2), exact on integers: the top
+``_BUCKET_BITS`` bits of a draw pick one of 4096 buckets, and a bucket
+that no threshold splits holds a single table index, read straight off.
+Only draws in a split bucket (at most one bucket per threshold) are
+searched, so every draw gets the index a full binary search would give.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -21,6 +29,10 @@ from .core import FunctionDistribution
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
+
+#: A draw's top bits pick its bucket in :class:`TableSampler`'s lookup table.
+_BUCKET_BITS = 12
+_BUCKET_SHIFT = np.uint64(64 - _BUCKET_BITS)
 
 #: Rows per chunk, both for :meth:`SampleLog.csv_chunks` (one rendered
 #: string per chunk) and for the draws of :func:`estimate_conditionals`:
@@ -57,49 +69,80 @@ class SampleLog:
     seed: int = 0
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows."""
+        """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows.
+
+        Each chunk is one ``(rows, width)`` byte matrix with every field
+        zero-padded to its widest value in the chunk, and a mask that
+        drops the padding."""
         yield _CSV_HEADER
         for start in range(0, len(self.x_in), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(self.x_in))
-            comma = _separator(",", stop - start)
-            x = _digits(self.x_in[start:stop])
-            y = _digits(self.y_out[start:stop])
-            index = _digits(np.arange(start, stop))
-            parts = (x, comma, x, comma, y, comma, index, _separator("\n", stop - start))
-            chars, keep = (np.hstack(column) for column in zip(*parts))
-            yield chars[keep].tobytes().decode("ascii")
+            x = self.x_in[start:stop]
+            fields = (x, x, self.y_out[start:stop], np.arange(start, stop))
+            widths = [len(str(int(values.max()))) for values in fields]
+            chars = np.empty((stop - start, sum(widths) + len(fields)), dtype=np.uint8)
+            keep = np.ones(chars.shape, dtype=bool)
+            col = 0
+            for values, width in zip(fields, widths):
+                _put_digits(chars, keep, col, values, width)
+                col += width
+                chars[:, col] = ord(",")
+                col += 1
+            chars[:, -1] = ord("\n")
+            if not keep.all():
+                chars = chars[keep]
+            yield chars.tobytes().decode("ascii")
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
 
-def _separator(char: str, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """A one-character column, kept on every row."""
-    return np.full((rows, 1), ord(char), dtype=np.uint8), np.ones((rows, 1), dtype=bool)
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """Entry n is the four ASCII digits of n, zero-padded, as one 4-byte item."""
+    text = "".join(f"{n:04d}" for n in range(10**4))
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
 
 
-def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative integers as a fixed-width matrix of ASCII digits, most
-    significant first, and the mask that drops leading zeros (a lone 0
-    keeps its last digit)."""
-    rest = values.astype(np.int64, copy=False)
-    width = len(str(int(rest.max(initial=0))))
-    digits = np.empty((len(rest), width), dtype=np.uint8)
-    keep = np.empty((len(rest), width), dtype=bool)
-    for j in range(width - 1, -1, -1):
-        keep[:, j] = rest > 0
-        rest, digits[:, j] = np.divmod(rest, 10)
-    digits += ord("0")
-    keep[:, -1] = True
-    return digits, keep
+def _put_digits(
+    chars: np.ndarray, keep: np.ndarray, col: int, values: np.ndarray, width: int
+) -> None:
+    """Write nonnegative integers below ``10**width`` into columns
+    ``col .. col + width - 1`` of ``chars`` as zero-padded ASCII digits,
+    four per table lookup, and clear ``keep`` on the leading zeros (a lone
+    0 keeps its last digit)."""
+    quads = _digit_quads()
+    rest = values
+    stop = col + width
+    while stop > col:
+        n = min(4, stop - col)
+        if stop - n > col:
+            high = rest // 10**4
+            group, rest = rest - high * 10**4, high
+        else:
+            group = rest
+        # n bytes are copied as one n-byte item, not as n strided bytes;
+        # numpy copies unsigned items much faster than void ones
+        item = "V3" if n == 3 else f"u{n}"
+        digits = quads[group].view(np.uint8).reshape(-1, 4)[:, 4 - n :]
+        chars[:, stop - n : stop].view(item)[:, 0] = digits.view(item)[:, 0]
+        stop -= n
+    smallest = int(values.min())
+    for j in range(width - 1):
+        power = 10 ** (width - 1 - j)
+        if smallest < power:
+            keep[:, col + j] = values >= power
 
 
 class TableSampler:
     """Draws tables from a distribution via integer inverse-CDF lookup.
 
     Thresholds are ``floor(cumulative * 2**64)`` computed exactly from the
-    rational weights; a raw uint64 draw then indexes the support with
-    ``searchsorted``.
+    rational weights; a raw uint64 draw's table index is the number of
+    thresholds at or below it.  ``_lut`` holds that index for each bucket
+    of draws sharing their top ``_BUCKET_BITS`` bits, or -1 where a
+    threshold falls inside the bucket; only draws in those buckets are
+    looked up with ``searchsorted``.
     """
 
     def __init__(self, pF: FunctionDistribution):
@@ -116,10 +159,25 @@ class TableSampler:
         self._cuts = np.array(thresholds[:-1], dtype=np.uint64)
         # row k is the outputs of support[k]: outputs[k, x] is f_k(x)
         self.outputs = np.array([t.outputs for t in support], dtype=np.int64)
+        # the index is nondecreasing in the draw, so a bucket whose first
+        # and last draws share an index gives every draw in it that index
+        first = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << _BUCKET_SHIFT
+        last = first + np.uint64(2 ** (64 - _BUCKET_BITS) - 1)
+        low = np.searchsorted(self._cuts, first, side="right")
+        high = np.searchsorted(self._cuts, last, side="right")
+        # int32 halves the gather's memory traffic; no support has 2**31 tables
+        self._lut = np.where(low == high, low, -1).astype(np.int32)
+
+    def _lookup(self, draws: np.ndarray) -> np.ndarray:
+        """``searchsorted(self._cuts, draws, side="right")`` for uint64 draws."""
+        # the bucket numbers are below 2**12, so the int64 view is exact
+        indices = self._lut[(draws >> _BUCKET_SHIFT).view(np.int64)]
+        split = np.flatnonzero(indices < 0)
+        indices[split] = np.searchsorted(self._cuts, draws[split], side="right")
+        return indices
 
     def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        draws = rng.integers(0, _SCALE, size=size, dtype=np.uint64)
-        return np.searchsorted(self._cuts, draws, side="right")
+        return self._lookup(rng.integers(0, _SCALE, size=size, dtype=np.uint64))
 
     def draw_outputs(self, rng: np.random.Generator, x_in: np.ndarray) -> np.ndarray:
         """f(x_in[i]) with a fresh table drawn for every query i."""
@@ -174,11 +232,13 @@ def estimate_conditionals(
     rng = make_rng(seed)
     counts = np.zeros((pF.n_x, pF.n_y), dtype=np.int64)
     for x in range(pF.n_x):
-        # the full-range uint64 stream is the same however it is split
+        # draws per table; the full-range uint64 stream is the same
+        # however it is split
+        tally = np.zeros(len(sampler.outputs), dtype=np.int64)
         for start in range(0, queries_per_x, _CHUNK_ROWS):
             size = min(_CHUNK_ROWS, queries_per_x - start)
-            indices = sampler.draw_indices(rng, size)
-            counts[x] += np.bincount(sampler.outputs[indices, x], minlength=pF.n_y)
+            tally += np.bincount(sampler.draw_indices(rng, size), minlength=len(tally))
+        np.add.at(counts[x], sampler.outputs[:, x], tally)
     p_hat = counts / float(queries_per_x)
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / queries_per_x)
     return ConditionalEstimates(counts, p_hat, std_err, queries_per_x, seed)

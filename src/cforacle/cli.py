@@ -25,8 +25,8 @@ from pathlib import Path
 # Each command imports its own layer when it runs, so a launch loads only
 # what that command needs: bounds, identify and the exact scenarios never
 # import numpy.
-from .core import ConfoundedModel, CounterfactualQuery, FunctionDistribution
-from .errors import CfOracleError
+from .core import ConfoundedModel, CounterfactualQuery, FunctionDistribution, _is_digits
+from .errors import CfOracleError, ValidationError
 from .modelio import distribution_to_json_dict, load_model
 
 #: Upper bound on ``simulate --queries``, checked before anything is
@@ -120,15 +120,30 @@ def cmd_identification(args) -> int:
     return 0
 
 
+def _parse_ascii_int(option: str, text: str) -> int:
+    """A nonnegative integer written in ASCII digits only: ``int`` alone
+    also accepts ``"1_0"``, ``"+1"``, ``" 1"`` and ``"١"``."""
+    if not _is_digits(text):
+        raise ValidationError(
+            f"{option} must be a nonnegative integer in ASCII digits, got {text!r}"
+        )
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ValidationError(f"{option} has {len(text)} digits, too many") from None
+
+
 def cmd_simulate(args) -> int:
     import numpy as np
 
     from .classical import simulate_log
 
-    if not 1 <= args.queries <= MAX_QUERIES:
+    queries = _parse_ascii_int("--queries", args.queries)
+    seed = _parse_ascii_int("--seed", args.seed)
+    if not 1 <= queries <= MAX_QUERIES:
         raise CfOracleError(f"--queries must lie in [1, {MAX_QUERIES}]")
     model = _load_distribution(args.model)
-    log = simulate_log(model, np.arange(args.queries) % model.n_x, args.seed)
+    log = simulate_log(model, np.arange(queries) % model.n_x, seed)
     for chunk in log.csv_chunks():
         sys.stdout.write(chunk)
     return 0
@@ -190,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="log classical oracle queries as CSV")
     p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--queries", type=int, required=True, help="total query count")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--queries", required=True, help="total query count")
+    p_sim.add_argument("--seed", default="0")
     p_sim.add_argument("--output", choices=["csv"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -112,7 +112,12 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        dim = int(data["dim"])
+        missing = [key for key in ("dim", "re", "im") if key not in data]
+        if missing:
+            raise ValidationError(f"density matrix JSON lacks {', '.join(missing)}")
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValidationError(f"dim must be an integer, got {dim!r}")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
         if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -21,13 +21,13 @@ from cforacle import (
     query,
     simulate_log,
 )
-from cforacle.classical import _CHUNK_ROWS, TableSampler
+from cforacle.classical import _CHUNK_ROWS, TableSampler, _put_digits
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
     uniform_ternary_model,
 )
-from conftest import CONST1, FLIP, IDENTITY, binary_distribution
+from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
 
 F = Fraction
 
@@ -233,3 +233,67 @@ def test_csv_query_index_widens_inside_a_chunk(pf):
     inputs = [rng.randrange(pf.n_x) for _ in range(2 * _CHUNK_ROWS + 5)]
     assert _CHUNK_ROWS < 100_000 < 2 * _CHUNK_ROWS
     assert simulate_log(pf, inputs, 5).to_csv() == csv_by_records(pf, inputs, 5)
+
+
+LOOKUP_MODELS = {
+    "point mass": FunctionDistribution.point_mass(IDENTITY),
+    # cuts at multiples of 2**62, each the first draw of a bucket
+    "uniform 2x2": FunctionDistribution.uniform(2, 2),
+    # three cuts within 2**-60 of 1/3, in one bucket, two of them equal
+    "thin atoms": FunctionDistribution(2, 2, {
+        CONST0: F(1, 3), IDENTITY: TINY, FLIP: F(1, 2**60),
+        CONST1: F(2, 3) - TINY - F(1, 2**60),
+    }),
+    # 8192 tables: a cut inside every bucket, so every draw is searched
+    "uniform 13->2": FunctionDistribution.uniform(13, 2),
+    "affine 3x3": affine_ternary_model(),
+}
+
+
+@pytest.mark.parametrize("pf", LOOKUP_MODELS.values(), ids=LOOKUP_MODELS.keys())
+def test_bucket_lookup_matches_a_full_search(pf):
+    sampler = TableSampler(pf)
+    cuts = sampler._cuts
+    starts = np.arange(4096, dtype=np.uint64) << np.uint64(52)
+    edges = np.concatenate([
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        cuts,
+        cuts[cuts > 0] - np.uint64(1),
+        starts,
+        starts + np.uint64(2**52 - 1),
+        make_rng(17).integers(0, 2**64, size=50_000, dtype=np.uint64),
+    ])
+    expected = np.searchsorted(cuts, edges, side="right")
+    assert np.array_equal(sampler._lookup(edges), expected)
+
+
+def test_bucket_table_resolves_unsplit_buckets():
+    assert np.all(TableSampler(FunctionDistribution.uniform(2, 2))._lut >= 0)
+    assert np.all(TableSampler(FunctionDistribution.uniform(13, 2))._lut == -1)
+    thin = TableSampler(LOOKUP_MODELS["thin atoms"])
+    assert np.count_nonzero(thin._lut < 0) == 1
+
+
+@pytest.mark.parametrize("top", [9, 10**4, 10**8, 10**12 + 7])
+def test_digit_rendering_matches_str(top):
+    rng = np.random.default_rng(top)
+    values = np.concatenate([
+        np.array([0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, top]),
+        rng.integers(0, top + 1, size=2000),
+    ])
+    values = values[values <= top]
+    width = len(str(top))
+    chars = np.zeros((len(values), width + 1), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    _put_digits(chars, keep, 1, values, width)
+    rows = [bytes(row[mask]).decode("ascii") for row, mask in zip(chars, keep)]
+    assert rows == [f"\0{v}" for v in values.tolist()]
+
+
+def test_estimate_counts_match_the_recorded_ones():
+    # modelA.json's distribution; recorded with the per-draw output gather
+    # and a full searchsorted per draw
+    counts = estimate_conditionals(uniform_ternary_model(), 70_000, seed=9).counts
+    assert counts.tolist() == [
+        [23378, 23493, 23129], [23253, 23142, 23605], [23377, 23278, 23345],
+    ]

@@ -1,5 +1,6 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -258,6 +259,18 @@ class TestSimulate:
         expected = simulate_log(model, np.arange(queries) % model.n_x, 11).to_csv()
         assert "".join(writes) == expected
 
+    def test_multi_chunk_output_matches_the_recorded_digest(self, capsys):
+        # recorded before the bucket lookup and the table-driven digit
+        # rendering; query_index crosses 10**5 in the second chunk
+        code, out, _ = run_cli(
+            capsys, "simulate", "--model", "modelA.json", "--queries", "200003",
+            "--seed", "5",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "25a7eb5799f12a8133e5a7b1fff336ca6f1c5c7bed29eb531ee18382963927ff"
+        )
+
 
 class TestTomography:
     def test_sweep_rows(self, capsys):
@@ -375,6 +388,18 @@ class TestErrorHandling:
             str(cli.MAX_QUERIES + 1),
         )
         assert "--queries" in err
+
+    @pytest.mark.parametrize(
+        "queries, seed",
+        [("1_0", "0"), ("١٠", "0"), ("+10", "0"), (" 10", "0"), ("10", "٧"),
+         ("10", "1_0"), ("10", "+7"), pytest.param("10", "9" * 5000, id="5000-digit seed")],
+    )
+    def test_queries_and_seed_need_ascii_digits(self, capsys, queries, seed):
+        err = self.one_line_usage_error(
+            capsys, "simulate", "--model", "uniform2.json", "--queries", queries,
+            "--seed", seed,
+        )
+        assert ("--seed" if queries == "10" else "--queries") in err
 
     def test_negative_seed(self, capsys):
         err = self.one_line_usage_error(

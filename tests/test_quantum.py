@@ -133,6 +133,18 @@ class TestBuildRho:
         with pytest.raises(ValidationError, match="finite"):
             build(bad)
 
+    @pytest.mark.parametrize("dim", [1.9, True, "1", None])
+    def test_json_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValidationError, match="dim"):
+            DensityMatrix.from_json_dict({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
+
+    @pytest.mark.parametrize("key", ["dim", "re", "im"])
+    def test_json_missing_key(self, key):
+        data = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+        del data[key]
+        with pytest.raises(ValidationError, match=key):
+            DensityMatrix.from_json_dict(data)
+
     def test_json_round_trip(self, uniform_binary):
         rho = build_rho_xy(uniform_binary, Amplitudes.uniform(2))
         data = rho.to_json_dict()
