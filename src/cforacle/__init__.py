@@ -40,7 +40,6 @@ _EXPORTS = {
             "lp_bounds_with_witnesses", "permutation_mixture",
             "reproduce_appendix_b", "reproduce_appendix_e_general",
             "restricted_tail_model", "solution_family_direction",
-            "vertex_bounds",
         ),
         "modelio": ("load_model", "parse_model", "save_model"),
         "quantum": (

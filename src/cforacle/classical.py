@@ -180,8 +180,10 @@ class TableSampler:
         return self._lookup(rng.integers(0, _SCALE, size=size, dtype=np.uint64))
 
     def draw_outputs(self, rng: np.random.Generator, x_in: np.ndarray) -> np.ndarray:
-        """f(x_in[i]) with a fresh table drawn for every query i."""
-        return self.outputs[self.draw_indices(rng, len(x_in)), x_in]
+        """f(x_in[i]), x_in[i] in [0, n_x), a fresh table drawn per query."""
+        # a flat gather is about twice as fast as the 2-D one
+        n_x = self.outputs.shape[1]
+        return self.outputs.ravel()[self.draw_indices(rng, len(x_in)) * n_x + x_in]
 
 
 def query(

@@ -174,6 +174,41 @@ def event_indicator(
     return tuple(reduce(partial(map, operator.and_), runs, (1,) * n_y**n_x))
 
 
+def _as_table(n_x: int, n_y: int, table) -> FunctionTable:
+    """``table``, built from its outputs if need be, checked to be n_x -> n_y."""
+    if not isinstance(table, FunctionTable):
+        table = FunctionTable(n_x, n_y, tuple(table))
+    if table.n_x != n_x or table.n_y != n_y:
+        raise ValidationError(
+            f"table {table} does not match cardinalities ({n_x}, {n_y})"
+        )
+    return table
+
+
+def _checked_weights(entries: Iterable[tuple], what: str, order) -> dict:
+    """``{key: weight}`` from canonical ``(key, weight)`` pairs, zero
+    weights dropped, keys sorted by ``order``.  Raises unless every weight
+    is a nonnegative rational, no key comes twice and the ``what`` sum to
+    exactly 1."""
+    cleaned = {}
+    for key, w in entries:
+        w = _as_fraction(w)
+        if w < 0:
+            raise ValidationError(
+                f"weight of {key} is negative: {_describe_rational(w)}"
+            )
+        if key in cleaned:
+            raise ValidationError(f"duplicate weight entry for {key}")
+        cleaned[key] = w
+    total = sum(cleaned.values(), Fraction(0))
+    if total != 1:
+        raise ValidationError(
+            f"{what} sum to {_describe_rational(total)}, expected exactly 1"
+        )
+    kept = [(key, w) for key, w in cleaned.items() if w]
+    return dict(sorted(kept, key=lambda kv: order(kv[0])))
+
+
 def _normalize_weights(
     n_x: int, n_y: int, weights: Mapping
 ) -> dict[FunctionTable, Fraction]:
@@ -182,29 +217,11 @@ def _normalize_weights(
     Zero-weight entries are dropped; the result iterates in canonical
     index order.
     """
-    cleaned: dict[FunctionTable, Fraction] = {}
-    for table, w in weights.items():
-        if not isinstance(table, FunctionTable):
-            table = FunctionTable(n_x, n_y, tuple(table))
-        if table.n_x != n_x or table.n_y != n_y:
-            raise ValidationError(
-                f"table {table} does not match cardinalities ({n_x}, {n_y})"
-            )
-        w = _as_fraction(w)
-        if w < 0:
-            raise ValidationError(
-                f"weight of {table} is negative: {_describe_rational(w)}"
-            )
-        if table in cleaned:
-            raise ValidationError(f"duplicate weight entry for {table}")
-        if w > 0:
-            cleaned[table] = w
-    total = sum(cleaned.values(), Fraction(0))
-    if total != 1:
-        raise ValidationError(
-            f"weights sum to {_describe_rational(total)}, expected exactly 1"
-        )
-    return dict(sorted(cleaned.items(), key=lambda kv: kv[0].index))
+    return _checked_weights(
+        ((_as_table(n_x, n_y, table), w) for table, w in weights.items()),
+        "weights",
+        lambda table: table.index,
+    )
 
 
 @dataclass(frozen=True)
@@ -413,7 +430,14 @@ class ConfoundedModel:
     joint_weights: Mapping[tuple[int, FunctionTable], Fraction]
 
     def __post_init__(self):
-        cleaned: dict[tuple[int, FunctionTable], Fraction] = {}
+        ordered = _checked_weights(
+            self._entries(), "joint weights", lambda key: (key[0], key[1].index)
+        )
+        object.__setattr__(self, "joint_weights", ordered)
+
+    def _entries(self):
+        """The ``((r_x, table), weight)`` pairs, each key checked and made
+        canonical."""
         for (r_x, table), w in self.joint_weights.items():
             try:
                 r_x = operator.index(r_x)
@@ -421,29 +445,9 @@ class ConfoundedModel:
                 raise ValidationError(
                     f"input settings must be integers: {exc}"
                 ) from exc
-            if not isinstance(table, FunctionTable):
-                table = FunctionTable(self.n_x, self.n_y, tuple(table))
             if not 0 <= r_x < self.n_x:
                 raise ValidationError(f"input setting {r_x} out of range")
-            if table.n_x != self.n_x or table.n_y != self.n_y:
-                raise ValidationError(
-                    f"table {table} does not match cardinalities"
-                    f" ({self.n_x}, {self.n_y})"
-                )
-            w = _as_fraction(w)
-            if w < 0:
-                raise ValidationError(f"weight of ({r_x}, {table}) is negative")
-            if w > 0:
-                cleaned[(r_x, table)] = w
-        total = sum(cleaned.values(), Fraction(0))
-        if total != 1:
-            raise ValidationError(
-                f"joint weights sum to {_describe_rational(total)}, expected 1"
-            )
-        ordered = dict(
-            sorted(cleaned.items(), key=lambda kv: (kv[0][0], kv[0][1].index))
-        )
-        object.__setattr__(self, "joint_weights", ordered)
+            yield (r_x, _as_table(self.n_x, self.n_y, table)), w
 
     @classmethod
     def product(

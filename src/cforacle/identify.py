@@ -227,17 +227,6 @@ def lp_bounds_with_witnesses(
     )
 
 
-def vertex_bounds(
-    target: LinearTarget, system: ConstraintSystem, max_vars: int = 16
-) -> Bounds:
-    """Bounds by brute-force vertex enumeration; cross-check for lp_bounds."""
-    a, b = system.matrix()
-    lo, hi = lp.vertex_objective_range(
-        list(target.coefficients), a, b, max_vars=max_vars
-    )
-    return Bounds(lo, hi)
-
-
 @dataclass(frozen=True)
 class IdentifiabilityResult:
     identifiable: bool

@@ -1,32 +1,26 @@
 """Exact linear programming over small probability polytopes.
 
-Two solution routes that cross-check each other.  They share only the
-row operation :func:`cforacle.rational.pivot`; the algorithms stay apart:
+One route: a two-phase primal simplex, exact and with no floating point
+anywhere, whose row operation is :func:`cforacle.rational.pivot`.  Its
+tableau is fraction-free: each row is a list of ``int`` over one positive
+``int`` denominator, kept in lowest terms, so every entry has the rational
+value a :class:`fractions.Fraction` tableau would hold and every pivot
+choice is the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by
+the lcm of their denominators; :class:`~fractions.Fraction` values are
+built only for what is returned (solutions, optima, certificates).
+Phase 1 finds a feasible basis once; each objective is then optimized
+from the current basis of that one tableau.  The lexicographic witness
+search walks the optimal face in place, adding no rows and never
+restarting; the witnesses for both directions share one phase 1.
 
-* a two-phase primal simplex, exact and with no floating point anywhere.
-  Its tableau is fraction-free: each row is a list of ``int`` over one
-  positive ``int`` denominator, kept in lowest terms, so every entry has
-  the rational value a :class:`fractions.Fraction` tableau would hold
-  and every pivot choice is the same.  Phase 1 scales each
-  ``[a_i | b_i]`` and ``c`` once by the lcm of their denominators;
-  :class:`~fractions.Fraction` values are built only for what is
-  returned (solutions, optima, certificates).  Phase 1 finds a feasible
-  basis once; each objective is then optimized from the current basis of
-  that one tableau.  The lexicographic witness search walks the optimal
-  face in place, adding no rows and never restarting; the witnesses for
-  both directions share one phase 1.
-
-  Every entry point runs one route.  It first presolves: a row with
-  right-hand side 0 and coefficients of one sign forces its columns to
-  zero, so those columns, and the rows left all zero, are dropped
-  (repeated until nothing changes).  Every pivot then takes the most
-  negative reduced cost (Dantzig), with Bland's rule for the choice
-  after each degenerate pivot, which keeps the method finite.  The
-  bounds and the lexicographically smallest optimal vertex are unique,
-  so neither step changes a result; witnesses are checked on the full
-  system and certificates are extended to it.
-* brute-force vertex enumeration of the feasible polytope, practical for
-  up to ~16 variables.
+Every entry point first presolves: a row with right-hand side 0 and
+coefficients of one sign forces its columns to zero, so those columns,
+and the rows left all zero, are dropped (repeated until nothing changes).
+Every pivot then takes the most negative reduced cost (Dantzig), with
+Bland's rule for the choice after each degenerate pivot, which keeps the
+method finite.  The bounds and the lexicographically smallest optimal
+vertex are unique, so neither step changes a result; witnesses are
+checked on the full system and certificates are extended to it.
 
 All problems have the form  min/max  c.x  subject to  A x = b,  x >= 0.
 The systems built elsewhere in this package always include a simplex
@@ -36,7 +30,6 @@ normalization row, so feasible sets are bounded polytopes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     InfeasibleSystemError,
@@ -51,8 +44,6 @@ from .rational import (
     int_row,
     pivot,
     reduce_row,
-    rref,
-    solve_unique,
 )
 
 _ZERO = Fraction(0)
@@ -430,53 +421,3 @@ def _face_walk(
         raise InternalCheckError("face walk ended off the optimal face")
     return x
 
-
-def enumerate_vertices(
-    a: Matrix, b: Vector, max_vars: int = 16
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of ``{A x = b, x >= 0}`` by basis enumeration.
-
-    Exponential in the variable count; guarded by ``max_vars``.  The
-    polytopes used in this package contain a normalization row, so they
-    are bounded and every point is a convex combination of the result.
-    """
-    if not a:
-        raise ValidationError("cannot enumerate an empty system")
-    n = len(a[0])
-    if n > max_vars:
-        raise ValidationError(
-            f"vertex enumeration limited to {max_vars} variables, got {n}"
-        )
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        raise InfeasibleSystemError("affine system is inconsistent")
-    r = len(reduced)
-    coeff = [row[:n] for row in reduced]
-    d = [row[-1] for row in reduced]
-    vertices: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(n), r):
-        sub = [[coeff[i][j] for j in subset] for i in range(r)]
-        solution = solve_unique(sub, d)
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        x = [_ZERO] * n
-        for col, val in zip(subset, solution):
-            x[col] = val
-        vertices.add(tuple(x))
-    if not vertices:
-        raise InfeasibleSystemError(
-            "no basic feasible solution: empty polytope"
-        )
-    return sorted(vertices)
-
-
-def vertex_objective_range(
-    c: Vector, a: Matrix, b: Vector, max_vars: int = 16
-) -> tuple[Fraction, Fraction]:
-    """(min, max) of ``c . x`` via explicit vertex enumeration.
-
-    Independent cross-check for :func:`objective_range` on small systems.
-    """
-    values = [_dot(c, v) for v in enumerate_vertices(a, b, max_vars=max_vars)]
-    return min(values), max(values)

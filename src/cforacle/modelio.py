@@ -123,7 +123,10 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
                 raise ValidationError(
                     f"joint key {key!r} must look like '<r_x>|<outputs>'"
                 ) from exc
-            joint[(r_x, table_from_digits(digits, n_x, n_y))] = parse_rational(value)
+            entry = (r_x, table_from_digits(digits, n_x, n_y))
+            if entry in joint:  # "0|01" and "00|01" name one entry
+                raise ValidationError(f"duplicate weight entry for joint key {key!r}")
+            joint[entry] = parse_rational(value)
         return ConfoundedModel(n_x, n_y, joint)
     raise ValidationError("model JSON needs a 'pF' or 'joint' mapping")
 

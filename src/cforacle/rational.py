@@ -1,8 +1,8 @@
 """Small exact linear-algebra toolkit over the rationals.
 
 :func:`pivot` is the package's only row operation: :func:`rref` (and so
-:func:`solve_unique`, :func:`nullspace` and vertex enumeration) and every
-simplex pivot and pricing step in :mod:`cforacle.lp` go through it.
+:func:`solve_unique` and :func:`nullspace`) and every simplex pivot and
+pricing step in :mod:`cforacle.lp` go through it.
 
 The kernel is fraction-free: a row is a list of Python ``int`` plus one
 positive ``int`` denominator, and stands for ``row / den``.  After each

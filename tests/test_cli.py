@@ -1,6 +1,7 @@
 """CLI contract: output schemas, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -188,6 +189,27 @@ class TestBoundsAndIdentify:
         assert code == 0
         assert out == GOLDEN_APPE_TWO_WAY[command]
 
+    def test_every_bundled_model_matches_the_recorded_digest(self, capsys):
+        # both commands on every bundled model (name: n_x) at both levels,
+        # all-zeros n_x-way target; recorded while vertex enumeration was
+        # still in the library, so it pins the simplex's witnesses
+        models = {"appE": 3, "mixIF": 2, "mixR0R1": 2, "modelA": 3, "modelB": 3,
+                  "uniform2": 2}
+        digest = hashlib.sha256()
+        for (name, n_x), level, command in itertools.product(
+            models.items(), ("one-way", "two-way"), ("bounds", "identify")
+        ):
+            target = ",".join(f"{x}:0" for x in range(n_x))
+            code, out, _ = run_cli(
+                capsys, command, "--model", f"{name}.json", "--level", level,
+                "--target", target,
+            )
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "74945d3400da735c7aceef21de886585344c8e8bda52cc881155916d523d43b5"
+        )
+
     def test_malformed_target(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -300,49 +322,28 @@ class TestToyCheck:
 
 class TestErrorHandling:
     def test_missing_model_file(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "bounds",
-            "--model",
-            "nope.json",
-            "--level",
-            "one-way",
-            "--target",
-            "0:0",
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", "nope.json", "--level", "one-way",
+            "--target", "0:0",
         )
-        assert code == 2
         assert "not found" in err
 
     def test_malformed_json_reports_line_and_column(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_x": 2,\n  "n_y": 2,\n  "pF": {')
-        code, _, err = run_cli(
-            capsys,
-            "bounds",
-            "--model",
-            str(bad),
-            "--level",
-            "one-way",
-            "--target",
-            "0:0",
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(bad), "--level", "one-way",
+            "--target", "0:0",
         )
-        assert code == 2
         assert "line" in err and "column" in err
 
     def test_invalid_weights_report_the_invariant(self, capsys, tmp_path):
         bad = tmp_path / "half.json"
         bad.write_text('{"n_x": 2, "n_y": 2, "pF": {"01": "1/2"}}')
-        code, _, err = run_cli(
-            capsys,
-            "bounds",
-            "--model",
-            str(bad),
-            "--level",
-            "one-way",
-            "--target",
-            "0:0",
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(bad), "--level", "one-way",
+            "--target", "0:0",
         )
-        assert code == 2
         assert "sum" in err
 
     def test_confounded_model_uses_response_marginal(self, capsys, tmp_path):
@@ -416,6 +417,17 @@ class TestErrorHandling:
             "--target", "0:0",
         )
         assert "'n_x'" in err
+
+    def test_joint_keys_that_name_one_entry(self, capsys, tmp_path):
+        # "0|01" and "00|01" are both setting 0 with table 01
+        model = tmp_path / "duplicate.json"
+        model.write_text('{"n_x": 2, "n_y": 2, "joint": {"0|01": "1/2", '
+                         '"00|01": "1/2", "1|10": "1/2"}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:1",
+        )
+        assert "duplicate" in err and "'00|01'" in err
 
     def test_joint_key_with_a_non_integer_input(self, capsys, tmp_path):
         model = tmp_path / "joint.json"

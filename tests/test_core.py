@@ -164,6 +164,10 @@ class TestDistribution:
         with pytest.raises(ValidationError, match="cardinalities"):
             FunctionDistribution(2, 2, {FunctionTable.identity(3): F(1)})
 
+    def test_duplicate_entry_rejected_even_at_weight_zero(self):
+        with pytest.raises(ValidationError, match="duplicate"):
+            FunctionDistribution(2, 2, {(0, 1): F(0), IDENTITY: F(1)})
+
     def test_drops_zero_weights(self):
         pf = binary_distribution(0, 1, 0, 0)
         assert pf.support() == (IDENTITY,)
@@ -352,6 +356,12 @@ class TestConfoundedModel:
     def test_validation(self):
         with pytest.raises(ValidationError, match="sum"):
             ConfoundedModel(2, 2, {(0, IDENTITY): F(1, 2)})
+
+    def test_duplicate_entry_rejected(self):
+        # (0, identity) twice: the weights sum to 3/2, and to 1 without a copy
+        joint = {(0, (0, 1)): F(1, 2), (0, IDENTITY): F(1, 2), (1, FLIP): F(1, 2)}
+        with pytest.raises(ValidationError, match="duplicate"):
+            ConfoundedModel(2, 2, joint)
 
     def test_non_integer_settings_rejected_not_truncated(self):
         for r_x in (0.7, 1.9, "0", F(1)):

@@ -28,7 +28,6 @@ from cforacle import (
     reproduce_appendix_e_general,
     restricted_tail_model,
     solution_family_direction,
-    vertex_bounds,
 )
 from cforacle import core
 from cforacle.rational import is_scalar_multiple
@@ -40,6 +39,7 @@ from cforacle.reproduce import (
     uniform_ternary_model,
 )
 from conftest import binary_distribution
+from reference import vertex_range
 
 F = Fraction
 
@@ -228,8 +228,10 @@ class TestBounds:
                     coeffs = tuple(
                         F(rng.randint(0, 1)) for _ in range(n_y**n_x)
                     )
-                    target = LinearTarget(coeffs)
-                    assert lp_bounds(target, system) == vertex_bounds(target, system)
+                    a, b = system.matrix()
+                    assert lp_bounds(LinearTarget(coeffs), system) == Bounds(
+                        *vertex_range(coeffs, a, b)
+                    )
 
 
 class TestIdentifiability:

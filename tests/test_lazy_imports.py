@@ -44,7 +44,7 @@ EXPORTS = {
         "LinearTarget", "build_constraints", "constant_mixture", "is_identifiable",
         "lp_bounds", "lp_bounds_with_witnesses", "permutation_mixture",
         "reproduce_appendix_b", "reproduce_appendix_e_general",
-        "restricted_tail_model", "solution_family_direction", "vertex_bounds",
+        "restricted_tail_model", "solution_family_direction",
     ),
     "modelio": ("load_model", "parse_model", "save_model"),
     "quantum": (
@@ -116,7 +116,7 @@ def test_star_import_binds_exactly_the_exports():
     namespace = {}
     exec("from cforacle import *", namespace)
     assert set(namespace) - {"__builtins__"} == NAMES
-    assert len(NAMES) == 79
+    assert len(NAMES) == 78
 
 
 def test_each_export_is_its_submodules_object():

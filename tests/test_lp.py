@@ -1,4 +1,4 @@
-"""Exact simplex solver and its vertex-enumeration cross-check."""
+"""Exact simplex solver, checked against the references in ``reference.py``."""
 
 import random
 from fractions import Fraction
@@ -19,18 +19,24 @@ from cforacle import (
     restricted_tail_model,
 )
 from cforacle.lp import (
-    enumerate_vertices,
     lexmin_optimal_range,
     lexmin_optimal_vertex,
     objective_range,
     simplex_minimize,
-    vertex_objective_range,
 )
 from cforacle.rational import solve_unique
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
     uniform_ternary_model,
+)
+from reference import (
+    fraction_face_walk,
+    fraction_iterate,
+    fraction_phase1,
+    lexmin_by_enumeration,
+    vertex_range,
+    vertices,
 )
 
 F = Fraction
@@ -74,13 +80,8 @@ def test_infeasible_with_certificate():
         n = len(a[0])
         with pytest.raises(InfeasibleSystemError) as excinfo:
             simplex_minimize([F(0)] * n, a, b)
-        err = excinfo.value
-        assert err.residual > 0
-        y = err.certificate
-        assert len(y) == len(a)
-        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
-        for j in range(n):
-            assert sum(y[i] * a[i][j] for i in range(len(a))) <= 0
+        assert excinfo.value.residual > 0
+        assert_full_certificate(excinfo.value, a, b)
 
 
 def test_infeasible_negative_rhs_direction():
@@ -171,19 +172,15 @@ def test_vertex_enumeration_square():
     # {p >= 0, sum = 1} in 3 variables: vertices are the unit atoms
     a = frac_rows([[1, 1, 1]])
     b = [F(1)]
-    vertices = enumerate_vertices(a, b)
-    assert set(vertices) == {
-        (F(1), F(0), F(0)),
-        (F(0), F(1), F(0)),
-        (F(0), F(0), F(1)),
-    }
+    assert vertices(a, b) == [
+        (F(0), F(0), F(1)), (F(0), F(1), F(0)), (F(1), F(0), F(0))
+    ]
 
 
 def test_vertex_enumeration_infeasible():
     a = frac_rows([[1, 1], [1, 1]])
     b = [F(1), F(2)]
-    with pytest.raises(InfeasibleSystemError):
-        enumerate_vertices(a, b)
+    assert vertices(a, b) == []
 
 
 def test_lexmin_breaks_ties():
@@ -222,16 +219,7 @@ def test_simplex_agrees_with_vertex_enumeration_on_random_systems():
         point = [p / total for p in point]  # a guaranteed witness
         b = [sum(row[j] * point[j] for j in range(n)) for row in a]
         c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        assert objective_range(c, a, b) == vertex_objective_range(c, a, b)
-
-
-def lexmin_by_enumeration(c, a, b):
-    """Lexicographically smallest optimal vertex, from all vertices."""
-    vertices = enumerate_vertices(a, b)
-    best = min(sum(ci * vi for ci, vi in zip(c, v)) for v in vertices)
-    return list(
-        min(v for v in vertices if sum(ci * vi for ci, vi in zip(c, v)) == best)
-    )
+        assert objective_range(c, a, b) == vertex_range(c, a, b)
 
 
 def full_system_optimum(c, a, b):
@@ -323,115 +311,7 @@ def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
             search([F(-1), F(-1), F(0)], a, [F(1)])
 
 
-# --- The Fraction tableau that the integer kernel replaced, kept as the
-# reference it is checked against: every entry a Fraction, every row
-# update a Fraction Gauss-Jordan step.
-
-
-def fraction_pivot(rows, r, col):
-    row = rows[r]
-    inv = row[col]
-    if inv != 1:
-        for j, v in enumerate(row):
-            if v:
-                row[j] = v / inv
-    nonzero = [(j, v) for j, v in enumerate(row) if v]
-    for i, other in enumerate(rows):
-        factor = other[col]
-        if factor and i != r:
-            for j, v in nonzero:
-                other[j] -= factor * v
-
-
-def fraction_iterate(tableau, basis, n_cols, allowed=None):
-    """The library's pricing: the most negative reduced cost, lowest index
-    on ties, and the first negative one (Bland's rule) after a degenerate
-    pivot."""
-    m = len(tableau) - 1
-    bland = False
-    while True:
-        cost = tableau[m]
-        negative = [
-            j for j in range(n_cols) if cost[j] < 0 and (allowed is None or allowed[j])
-        ]
-        if not negative:
-            return
-        enter = negative[0] if bland else min(negative, key=lambda j: cost[j])
-        leave = None
-        best_ratio = None
-        for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave is None:
-            raise UnboundedProgramError(f"unbounded along variable {enter}")
-        bland = tableau[leave][-1] == 0
-        fraction_pivot(tableau, leave, enter)
-        basis[leave] = enter
-
-
-def fraction_price(tableau, basis):
-    for i, bvar in enumerate(basis):
-        if tableau[-1][bvar]:
-            fraction_pivot(tableau, i, bvar)
-
-
-def fraction_phase1(c, a, b):
-    m, n = len(a), len(a[0])
-    signs = [-1 if v < 0 else 1 for v in b]
-    # Fraction entries even for int rows, whose int/int pivots would be floats
-    tableau = [
-        [sign * F(v) for v in a[i]]
-        + [F(int(k == i)) for k in range(m)]
-        + [sign * F(b[i])]
-        for i, sign in enumerate(signs)
-    ]
-    basis = [n + i for i in range(m)]
-    tableau.append([F(0)] * n + [F(1)] * m + [F(0)])
-    fraction_price(tableau, basis)
-    fraction_iterate(tableau, basis, n + m)
-    value1 = -tableau[m][-1]
-    if value1 > 0:
-        certificate = [signs[k] * (1 - tableau[m][n + k]) for k in range(m)]
-        raise InfeasibleSystemError(
-            "infeasible", residual=value1, certificate=certificate
-        )
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if enter is None:
-                continue
-            fraction_pivot(tableau, i, enter)
-            basis[i] = enter
-        keep.append(i)
-    tableau2 = [tableau[i][:n] + tableau[i][-1:] for i in keep]
-    tableau2.append([F(v) for v in c] + [F(0)])
-    basis2 = [basis[i] for i in keep]
-    fraction_price(tableau2, basis2)
-    return tableau2, basis2
-
-
-def fraction_face_walk(tableau, basis, n):
-    fraction_iterate(tableau, basis, n)
-    eligible = [d == 0 for d in tableau[-1][:n]]
-    for j in range(n):
-        if sum(eligible) == len(basis):
-            break
-        if eligible[j]:
-            tableau[-1] = [F(int(k == j)) for k in range(n + 1)]
-            fraction_price(tableau, basis)
-            fraction_iterate(tableau, basis, n, eligible)
-            eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
-    values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
-    return [values.get(j, F(0)) for j in range(n)], basis
+# --- The integer tableau against the Fraction tableau of reference.py.
 
 
 def as_fractions(rows, dens):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cforacle import (
     Amplitudes,
+    Bounds,
     ConfoundedModel,
     ConstraintLevel,
     CounterfactualQuery,
@@ -27,9 +28,9 @@ from cforacle import (
     observational_joint,
     solve_binary_pF,
     binary_forward_measurements,
-    vertex_bounds,
 )
 from conftest import brute_force_joint
+from reference import vertex_range
 
 F = Fraction
 
@@ -234,7 +235,8 @@ def test_simplex_agrees_with_vertex_oracle(pf_and_query, level):
     pf, query = pf_and_query
     system = build_constraints(pf, level)
     target = LinearTarget.from_query(query, pf.n_x, pf.n_y)
-    assert lp_bounds(target, system) == vertex_bounds(target, system)
+    a, b = system.matrix()
+    assert lp_bounds(target, system) == Bounds(*vertex_range(target.coefficients, a, b))
 
 
 @given(distributions([(2, 2)]))
