@@ -59,7 +59,12 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str, float)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                f"cannot interpret {value!r} as an exact rational"
+            ) from exc
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -131,10 +131,21 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
     raise ValidationError("model JSON needs a 'pF' or 'joint' mapping")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.load``: a key written twice in one
+    object is an error, not a silent overwrite by the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"model JSON repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_model(path: str | Path) -> FunctionDistribution | ConfoundedModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             raise  # reported with its line and column
         except UnicodeDecodeError as exc:

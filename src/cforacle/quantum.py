@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     FunctionDistribution,
     FunctionTable,
+    _as_fraction,
     enumerate_functions,
 )
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     MeasurementInconsistencyError,
     ValidationError,
 )
-from .rational import solve_unique
+from .rational import int_row, solve_unique
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -153,8 +156,10 @@ class MeasurementEffect:
 def _oracle_states(tables: tuple[FunctionTable, ...], alpha: Amplitudes) -> np.ndarray:
     """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of
     f_k = ``tables[k]``."""
-    outputs = np.array([t.outputs for t in tables], dtype=np.int64)
-    (k, n_x), n_y = outputs.shape, tables[0].n_y
+    k, n_x, n_y = len(tables), tables[0].n_x, tables[0].n_y
+    outputs = np.fromiter(
+        chain.from_iterable(t.outputs for t in tables), np.int64, count=k * n_x
+    ).reshape(k, n_x)
     psi = np.zeros((k, n_x * n_y), dtype=complex)
     psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
     return psi
@@ -187,7 +192,8 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
             f"a {dim} x {dim} density matrix exceeds {DEFAULT_ENUMERATION_CAP} entries"
         )
     psi = _oracle_states(pF.support(), alpha)
-    weights = np.array([float(w) for w in pF.weights.values()])
+    # float(Fraction) is this same correctly rounded int true division
+    weights = np.array([w.numerator / w.denominator for w in pF.weights.values()])
     rho = (psi.T * weights) @ psi.conj()
     rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry
     return DensityMatrix(rho)
@@ -326,16 +332,43 @@ def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
     raise DomainError(f"unknown scenario {scenario!r}")
 
 
+@cache
+def _binary_rows() -> tuple[tuple[Fraction, ...], ...]:
+    """``scenario_coefficient`` of the four 2 -> 2 tables: one row per
+    scenario of ``BINARY_SCENARIOS``, columns in canonical index order."""
+    tables = enumerate_functions(2, 2)
+    return tuple(
+        tuple(scenario_coefficient(t, s) for t in tables) for s in BINARY_SCENARIOS
+    )
+
+
+# Both caches hold tuples only, so concurrent callers share nothing mutable.
+@cache
+def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The exact inverse of the scenario rows plus the all-ones row, as
+    integer rows over one common denominator: ``(rows, den)``."""
+    matrix = [*_binary_rows(), [Fraction(1)] * 4]
+    columns = []
+    for k in range(4):
+        column = solve_unique(matrix, [Fraction(int(i == k)) for i in range(4)])
+        if column is None:
+            raise InternalCheckError("the binary identification matrix is singular")
+        columns.append(column)
+    flat, den = int_row([v for row in zip(*columns) for v in row])
+    return tuple(tuple(flat[i : i + 4]) for i in range(0, 16, 4)), den
+
+
 def scenario_probability_exact(
     pF: FunctionDistribution, scenario: str
 ) -> Fraction:
     """Exact rational outcome probability of one probe scenario."""
     if pF.n_x != 2 or pF.n_y != 2:
         raise DomainError("binary scenarios require a 2 -> 2 model")
-    return sum(
-        (w * scenario_coefficient(t, scenario) for t, w in pF.weights.items()),
-        Fraction(0),
-    )
+    if scenario not in BINARY_SCENARIOS:
+        raise DomainError(f"unknown scenario {scenario!r}")
+    row = _binary_rows()[BINARY_SCENARIOS.index(scenario)]
+    terms = ((w, row[t.index]) for t, w in pF.weights.items())
+    return sum((w * c for w, c in terms if c), Fraction(0))
 
 
 def scenario_probability_simulated(
@@ -366,30 +399,31 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
     statistics (plus normalization).
 
     Inputs may be exact rationals or floats.  The 4x4 system always has a
-    unique algebraic solution; if any component falls outside [0, 1] by
-    more than 1e-9 the statistics are inconsistent and an error reports
-    the violation.  Otherwise components are clamped and renormalized.
+    unique algebraic solution: its cached exact inverse, in integers over
+    one common denominator, times the statistics.  If any component falls
+    outside [0, 1] by more than 1e-9 (tested exactly, in integers) the
+    statistics are inconsistent and an error reports the violation.
+    Otherwise components are clamped and renormalized.
     """
-    tables = enumerate_functions(2, 2)
-    matrix = [[scenario_coefficient(t, s) for t in tables] for s in BINARY_SCENARIOS]
-    matrix.append([Fraction(1)] * len(tables))
-    rhs = [Fraction(c00), Fraction(c01), Fraction(bell), Fraction(1)]
-    solution = solve_unique(matrix, rhs)
-    if solution is None:
-        raise InternalCheckError("the binary identification matrix is singular")
-    tol = Fraction(1, 10**9)
-    low = min(solution)
-    high = max(solution)
-    residual = max(Fraction(0) - low, high - 1, Fraction(0))
-    if residual > tol:
+    statistics = [_as_fraction(v) for v in (c00, c01, bell)]
+    inverse, inv_den = _binary_inverse()
+    rhs, den = int_row(statistics + [Fraction(1)])
+    # component i of the solution is nums[i] / scale
+    scale = den * inv_den
+    nums = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    if max(-min(nums), max(nums) - scale, 0) * 10**9 > scale:
+        low, high = Fraction(min(nums), scale), Fraction(max(nums), scale)
+        residual = max(Fraction(0) - low, high - 1, Fraction(0))
         raise MeasurementInconsistencyError(
             "measured statistics admit no distribution: component range "
             f"[{low}, {high}] exceeds [0, 1] by {residual}",
             residual=residual,
         )
-    clamped = [min(max(v, Fraction(0)), Fraction(1)) for v in solution]
+    clamped = [min(max(v, 0), scale) for v in nums]
     total = sum(clamped)
-    return FunctionDistribution.from_vector(2, 2, [v / total for v in clamped])
+    return FunctionDistribution.from_vector(
+        2, 2, [Fraction(v, total) for v in clamped]
+    )
 
 
 def tomography_sweep(

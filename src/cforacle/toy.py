@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import FunctionDistribution, FunctionTable
+from .core import FunctionDistribution, FunctionTable, _as_fraction
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
 from .quantum import BINARY_SCENARIOS, scenario_probability_exact
@@ -51,7 +51,7 @@ class ToyEpistemicState:
                 raise ValidationError(f"non-integer ontic state {state!r}") from exc
             if len(state) != 4 or any(b not in (0, 1) for b in state):
                 raise ValidationError(f"bad ontic state {state}")
-            p = Fraction(p)
+            p = _as_fraction(p)
             if p < 0:
                 raise ValidationError(f"negative probability at {state}")
             if p > 0:
@@ -167,9 +167,10 @@ def apply_oracle_mixture(
         raise UnsupportedTableError("toy oracle mixtures require a 2 -> 2 model")
     out: dict[OnticState, Fraction] = {}
     for table, w in pF.weights.items():
-        image = toy_oracle(table).apply(state)
-        for s, p in image.probs.items():
-            out[s] = out.get(s, Fraction(0)) + w * p
+        mapping = toy_oracle(table).mapping
+        for s, p in state.probs.items():
+            image = mapping[s]
+            out[image] = out.get(image, Fraction(0)) + w * p
     return ToyEpistemicState(out)
 
 

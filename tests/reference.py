@@ -1,12 +1,23 @@
-"""Exact references for the LP tests, independent of :mod:`cforacle.lp`:
-brute-force vertex enumeration, and the ``Fraction`` tableau that the
-fraction-free kernel replaced (every entry a ``Fraction``, every row update
-a ``Fraction`` Gauss-Jordan step, with the library's pricing rule)."""
+"""Exact references that faster library routes are checked against.
+
+For the LP tests, independent of :mod:`cforacle.lp`: brute-force vertex
+enumeration, and the ``Fraction`` tableau that the fraction-free kernel
+replaced (every entry a ``Fraction``, every row update a ``Fraction``
+Gauss-Jordan step, with the library's pricing rule).  For the binary probe
+solve: the elimination on the 4x4 scenario matrix that its cached inverse
+replaced."""
 
 from fractions import Fraction
 from itertools import combinations
 
-from cforacle import InfeasibleSystemError, UnboundedProgramError
+from cforacle import (
+    FunctionDistribution,
+    InfeasibleSystemError,
+    MeasurementInconsistencyError,
+    UnboundedProgramError,
+    enumerate_functions,
+)
+from cforacle.quantum import BINARY_SCENARIOS, scenario_coefficient
 from cforacle.rational import rref, solve_unique
 
 F = Fraction
@@ -148,3 +159,29 @@ def fraction_face_walk(tableau, basis, n):
             eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
     values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
     return [values.get(j, F(0)) for j in range(n)], basis
+
+
+def binary_matrix():
+    """The binary identification matrix: one row of table coefficients per
+    probe scenario, then the all-ones normalization row."""
+    tables = enumerate_functions(2, 2)
+    matrix = [[scenario_coefficient(t, s) for t in tables] for s in BINARY_SCENARIOS]
+    matrix.append([F(1)] * len(tables))
+    return matrix
+
+
+def binary_solve_by_elimination(c00, c01, bell):
+    """``solve_binary_pF`` by one ``solve_unique`` elimination per call,
+    with the residual test and the clamp done in ``Fraction``."""
+    solution = solve_unique(binary_matrix(), [F(c00), F(c01), F(bell), F(1)])
+    low, high = min(solution), max(solution)
+    residual = max(F(0) - low, high - 1, F(0))
+    if residual > F(1, 10**9):
+        raise MeasurementInconsistencyError(
+            "measured statistics admit no distribution: component range "
+            f"[{low}, {high}] exceeds [0, 1] by {residual}",
+            residual=residual,
+        )
+    clamped = [min(max(v, F(0)), F(1)) for v in solution]
+    total = sum(clamped)
+    return FunctionDistribution.from_vector(2, 2, [v / total for v in clamped])

@@ -94,6 +94,14 @@ class TestReproduce:
         assert report["passed"] is True
         assert all(claim["pass"] for claim in report["claims"])
 
+    def test_binary_stdout_matches_the_recorded_digest(self, capsys):
+        # recorded before the binary solve used a cached exact inverse
+        code, out, _ = run_cli(capsys, "reproduce", "binary")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2a81cfb7b613348e57511f3519f14c1fd6420ddb96883dd2136a28c1c88ad5db"
+        )
+
     @pytest.mark.parametrize(
         "example",
         ["appendix_b", "model_ab", "appendix_e", "appendix_e_general", "toy"],
@@ -319,6 +327,14 @@ class TestToyCheck:
         assert all(row["equal"] for row in rows)
         assert all(row["quantum"] == row["toy"] for row in rows)
 
+    def test_stdout_matches_the_recorded_digest(self, capsys):
+        # recorded before toy mixtures skipped the per-table intermediate states
+        code, out, _ = run_cli(capsys, "toy-check")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bc67744ab2485df421e72aca8da85672a19b7ee17ebd6b4b9c5dbc74f458402d"
+        )
+
 
 class TestErrorHandling:
     def test_missing_model_file(self, capsys):
@@ -428,6 +444,19 @@ class TestErrorHandling:
             "--target", "0:1",
         )
         assert "duplicate" in err and "'00|01'" in err
+
+    @pytest.mark.parametrize("field, key, other", [
+        ("pF", "01", "10"), ("joint", "0|01", "1|10"),
+    ])
+    def test_repeated_key_in_the_model_file(self, capsys, tmp_path, field, key, other):
+        model = tmp_path / "dupkey.json"
+        model.write_text(f'{{"n_x": 2, "n_y": 2, "{field}": {{"{key}": "1/2", '
+                         f'"{key}": "1/2", "{other}": "1/2"}}}}')
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:1",
+        )
+        assert f"repeats the key '{key}'" in err
 
     def test_joint_key_with_a_non_integer_input(self, capsys, tmp_path):
         model = tmp_path / "joint.json"

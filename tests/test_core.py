@@ -164,6 +164,16 @@ class TestDistribution:
         with pytest.raises(ValidationError, match="cardinalities"):
             FunctionDistribution(2, 2, {FunctionTable.identity(3): F(1)})
 
+    @pytest.mark.parametrize(
+        "weight",
+        [float("nan"), float("inf"), "nan", "abc", "1/0", "9" * 5000],
+        ids=["float nan", "float inf", "str nan", "abc", "1/0", "5000 digits"],
+    )
+    def test_unreadable_weight_is_a_validation_error(self, weight):
+        # Fraction() itself raises ValueError, OverflowError or ZeroDivisionError
+        with pytest.raises(ValidationError, match="exact rational"):
+            FunctionDistribution(2, 2, {IDENTITY: weight})
+
     def test_duplicate_entry_rejected_even_at_weight_zero(self):
         with pytest.raises(ValidationError, match="duplicate"):
             FunctionDistribution(2, 2, {(0, 1): F(0), IDENTITY: F(1)})

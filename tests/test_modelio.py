@@ -1,5 +1,6 @@
 """Model JSON schema round trips and validation messages."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,6 +119,25 @@ def test_rational_text_is_bounded_before_parsing():
     assert tiny == F(1, 10**MAX_RATIONAL_EXPONENT)
     with pytest.raises(ValidationError, match="exponent"):
         parse_rational(f"1e-{MAX_RATIONAL_EXPONENT + 1}")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"n_x": 2, "n_y": 2, "pF": {"01": "1/2", "01": "1/2", "10": "1/2"}}', "01"),
+        ('{"n_x": 2, "n_y": 2, "joint": {"0|01": "1/2", "0|01": "1/2", '
+         '"1|10": "1/2"}}', "0|01"),
+        ('{"n_x": 3, "n_x": 2, "n_y": 2, "pF": {"01": "1"}}', "n_x"),
+    ],
+    ids=["pF", "joint", "top level"],
+)
+def test_repeated_json_key_is_rejected(tmp_path, text, key):
+    # json.load alone keeps the last value, so the first two load with
+    # weights that sum to 1 although 3/2 is written
+    path = tmp_path / "dupkey.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"repeats the key '{re.escape(key)}'"):
+        load_model(path)
 
 
 def test_bundled_reference_models():

@@ -1,7 +1,9 @@
 """Density-matrix oracle simulation and the binary identification solve."""
 
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +32,14 @@ from cforacle import (
     solve_binary_pF,
     tomography_sweep,
 )
+from cforacle import ConfoundedModel, core, load_model, quantum, rational, toy
 from cforacle.reproduce import uniform_ternary_model
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
+from reference import binary_matrix, binary_solve_by_elimination
 
 F = Fraction
 INV_SQRT2 = 1 / math.sqrt(2)
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "cforacle" / "data"
 
 
 class TestApplyOracle:
@@ -151,6 +156,29 @@ class TestBuildRho:
         assert data["dim"] == 4
         back = DensityMatrix.from_json_dict(data)
         assert np.allclose(back.entries, rho.entries, atol=0)
+
+    # sha256 of the matrix bytes under the uniform probe, recorded before
+    # the weights and outputs were converted without per-entry float() and
+    # np.array; the tomography output is printed from these bytes
+    @pytest.mark.parametrize("model, digest", [
+        ((6, 4), "51adcb8e37f5485881de520affd0373d594289777c093b71771c1413a0db639b"),
+        ((8, 3), "c31109809645ccb3bc333f72fe8ea514f1b65a14b8009ec661306e999bd814c5"),
+        ("appE.json",
+         "5eb227b7b3b0c7a1e47fea4338aa2afddafd8c4937c516ade780f7ef59859308"),
+        ("modelA.json",
+         "8eb296bb13d2e8cf42271b200a8d7e5a3258cbb288673f17085509368f819b95"),
+        ("modelB.json",
+         "c9aecb3645544ed6b08647f04a103a7f23d0fb6c6bcf10959a0772caf756bae6"),
+    ], ids=["uniform 6x4", "uniform 8x3", "appE", "modelA", "modelB"])
+    def test_matrix_bytes_match_the_recorded_digest(self, model, digest):
+        if isinstance(model, tuple):
+            model = FunctionDistribution.uniform(*model)
+        else:
+            model = load_model(DATA_DIR / model)
+            if isinstance(model, ConfoundedModel):
+                model = model.response_marginal()
+        rho = build_rho_xy(model, Amplitudes.uniform(model.n_x))
+        assert hashlib.sha256(rho.entries.tobytes()).hexdigest() == digest
 
 
 class TestExtraction:
@@ -314,3 +342,88 @@ class TestSolveBinary:
         pf = solve_binary_pF(0.5, 0.5, 0.375)
         for table in uniform_binary.support():
             assert abs(float(pf.probability(table)) - 0.25) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, None, "abc", "1/0"])
+    def test_unreadable_statistic_is_a_validation_error(self, bad):
+        with pytest.raises(ValidationError, match="exact rational"):
+            solve_binary_pF(bad, 0, 0)
+
+
+def _solve_outcome(solve, statistics):
+    """A solve's distribution, or its error message and residual."""
+    try:
+        return solve(*statistics)
+    except MeasurementInconsistencyError as exc:
+        return str(exc), exc.residual
+
+
+class TestSolveBinaryAgainstElimination:
+    """The cached-inverse solve against the per-call elimination it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, toy.GRID_SEED])
+    def test_equivalence_grid_exact_and_as_floats(self, seed):
+        for model in toy.equivalence_grid(196, seed):
+            exact = binary_forward_measurements(model)
+            for statistics in (exact, [float(v) for v in exact]):
+                got = _solve_outcome(solve_binary_pF, statistics)
+                assert got == _solve_outcome(binary_solve_by_elimination, statistics)
+            assert solve_binary_pF(*exact) == model
+
+    @pytest.mark.parametrize("statistics", [(1, 1, 1), (0, 0, 0), (F(1, 2), 0, 1)])
+    def test_same_error_on_inconsistent_statistics(self, statistics):
+        got = _solve_outcome(solve_binary_pF, statistics)
+        assert isinstance(got, tuple) and got[1] > F(1, 10**9)
+        assert got == _solve_outcome(binary_solve_by_elimination, statistics)
+
+    @pytest.mark.parametrize("excess", [F(1, 10**9), F(1, 10**9) + F(1, 10**30)])
+    @pytest.mark.parametrize("shape", ["below 0", "above 1"])
+    def test_both_sides_of_the_tolerance(self, excess, shape):
+        # a solution vector with one component at -excess (and, for
+        # "above 1", one at 1 + excess), pushed forward to its statistics
+        if shape == "below 0":
+            vector = [-excess, F(1, 2) + excess, F(1, 2), F(0)]
+        else:
+            vector = [1 + excess, -excess, F(0), F(0)]
+        statistics = [
+            sum(a * v for a, v in zip(row, vector)) for row in binary_matrix()[:3]
+        ]
+        got = _solve_outcome(solve_binary_pF, statistics)
+        assert got == _solve_outcome(binary_solve_by_elimination, statistics)
+        rejected = excess > F(1, 10**9)
+        assert isinstance(got, tuple) == rejected
+        if rejected:
+            assert got[1] == excess
+
+    def test_cached_inverse_is_exact(self):
+        rows, den = quantum._binary_inverse()
+        columns = list(zip(*binary_matrix()))
+        product = [
+            [sum(F(a, den) * b for a, b in zip(row, column)) for column in columns]
+            for row in rows
+        ]
+        assert product == [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def test_no_elimination_or_enumeration_after_the_first_call(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        uniform = FunctionDistribution.uniform(2, 2)
+        monkeypatch.setattr(rational, "rref", counting("rref", rational.rref))
+        counted = counting("enumerate_functions", core.enumerate_functions)
+        for module in (core, quantum):
+            monkeypatch.setattr(module, "enumerate_functions", counted)
+        quantum._binary_rows.cache_clear()
+        quantum._binary_inverse.cache_clear()
+        statistics = (F(1, 2), F(1, 2), F(3, 8))
+        solve_binary_pF(*statistics)
+        assert "rref" in calls and "enumerate_functions" in calls
+        calls.clear()
+        for _ in range(3):
+            assert solve_binary_pF(*statistics) == uniform
+        assert calls == []

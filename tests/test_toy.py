@@ -140,6 +140,13 @@ class TestEquivalence:
         with pytest.raises(ValidationError):
             ToyEpistemicState({(0, 0, 0, 0): F(1, 2)})
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), None, "abc", "1/0"])
+    def test_unreadable_probability_is_a_validation_error(self, p):
+        from cforacle import ValidationError
+
+        with pytest.raises(ValidationError, match="exact rational"):
+            ToyEpistemicState({(0, 0, 0, 0): p})
+
     def test_state_bits_rejected_not_truncated(self):
         from cforacle import ValidationError
 
