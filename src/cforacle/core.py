@@ -11,8 +11,11 @@ computed in exact rational arithmetic so that identifiability questions
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Iterable, Mapping, Sequence
@@ -55,17 +58,41 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+# Text is refused unparsed past this length or decimal exponent:
+# ``Fraction("1e10000000")`` builds a ten-million-digit integer.
+MAX_RATIONAL_CHARS = 1000
+MAX_RATIONAL_EXPONENT = 1000
+
+
 def _as_fraction(value) -> Fraction:
+    """The one conversion of a caller's number to a ``Fraction``: whatever
+    ``Fraction(value)`` takes (a ``numbers.Rational``, ``float``, ``Decimal``
+    or ``str``), text bounded as above; else :class:`ValidationError`."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, float)):
-        try:
-            return Fraction(value)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ValidationError(
-                f"cannot interpret {value!r} as an exact rational"
-            ) from exc
-    raise ValidationError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, Decimal):
+        value = str(value)
+    try:
+        if isinstance(value, str):
+            if len(value) > MAX_RATIONAL_CHARS:
+                raise ValidationError(
+                    f"cannot interpret text of {len(value)} characters as an exact "
+                    f"rational: the limit is {MAX_RATIONAL_CHARS} characters"
+                )
+            exponent = value.lower().partition("e")[2]  # no int: no rational
+            if exponent and abs(int(exponent)) > MAX_RATIONAL_EXPONENT:
+                raise ValidationError(
+                    f"cannot interpret {reprlib.repr(value)} as an exact rational: "
+                    f"its exponent is beyond +-{MAX_RATIONAL_EXPONENT}"
+                )
+        elif not isinstance(value, (numbers.Rational, float)):
+            raise TypeError(value)
+        return Fraction(value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        # a container is named by its type: its repr may hold a huge int
+        plain = isinstance(value, (str, float, type(None)))
+        shown = reprlib.repr(value) if plain else f"a {type(value).__name__}"
+        raise ValidationError(f"cannot interpret {shown} as an exact rational") from exc
 
 
 @dataclass(frozen=True)

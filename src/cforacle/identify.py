@@ -23,6 +23,8 @@ from .core import (
     CounterfactualQuery,
     FunctionDistribution,
     FunctionTable,
+    _as_fraction,
+    _describe_rational,
     conditional,
     event_indicator,
     joint_counterfactual,
@@ -35,10 +37,11 @@ _ZERO = Fraction(0)
 
 
 def _exact(coeffs) -> tuple:
-    """Keep ``int`` and ``Fraction`` entries; convert others with ``Fraction``."""
+    """Keep ``int`` and ``Fraction`` entries; convert others with ``_as_fraction``."""
+    coeffs = tuple(coeffs)
     if set(map(type, coeffs)) <= {int, Fraction}:
-        return tuple(coeffs)
-    return tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs)
+        return coeffs
+    return tuple(c if type(c) in (int, Fraction) else _as_fraction(c) for c in coeffs)
 
 
 class ConstraintLevel(enum.Enum):
@@ -79,7 +82,7 @@ class ConstraintSystem:
         ones = 0
         for coeffs, rhs in self.rows:
             coeffs = _exact(coeffs)
-            rhs = Fraction(rhs)
+            rhs = _as_fraction(rhs)
             if len(coeffs) != dim:
                 raise ValidationError(
                     f"coefficient vector has {len(coeffs)} entries, expected {dim}"
@@ -88,7 +91,8 @@ class ConstraintSystem:
                 ones += 1
                 if rhs != 1:
                     raise ValidationError(
-                        f"normalization row must have right-hand side 1, got {rhs}"
+                        "normalization row must have right-hand side 1, got "
+                        + _describe_rational(rhs)
                     )
             normalized_rows.append((coeffs, rhs))
         if ones != 1 and not (dim == 1 and ones >= 1):
@@ -128,6 +132,11 @@ class LinearTarget:
         return cls(event_indicator(n_x, n_y, query.pairs))
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
+        if len(self.coefficients) != pF.n_y**pF.n_x:
+            raise ValidationError(
+                f"target has {len(self.coefficients)} coefficients, the model "
+                f"{pF.n_y}^{pF.n_x} tables"
+            )
         return sum(
             (self.coefficients[t.index] * w for t, w in pF.weights.items()),
             _ZERO,
@@ -142,11 +151,12 @@ class Bounds:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", _as_fraction(self.lo))
+        object.__setattr__(self, "hi", _as_fraction(self.hi))
         if not (0 <= self.lo <= self.hi <= 1):
             raise ValidationError(
-                f"bounds must satisfy 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]"
+                "bounds must satisfy 0 <= lo <= hi <= 1, got "
+                f"[{_describe_rational(self.lo)}, {_describe_rational(self.hi)}]"
             )
 
     @property
@@ -215,16 +225,11 @@ def lp_bounds_with_witnesses(
     if len(target.coefficients) != system.dimension:
         raise ValidationError("target dimension does not match the system")
     a, b = system.matrix()
-    c = list(target.coefficients)
-    lo_vertex, hi_vertex = lp.lexmin_optimal_range(c, a, b)
-    return (
-        Bounds(
-            sum(ci * xi for ci, xi in zip(c, lo_vertex)),
-            sum(ci * xi for ci, xi in zip(c, hi_vertex)),
-        ),
-        FunctionDistribution.from_vector(system.n_x, system.n_y, lo_vertex),
-        FunctionDistribution.from_vector(system.n_x, system.n_y, hi_vertex),
+    w_lo, w_hi = (
+        FunctionDistribution.from_vector(system.n_x, system.n_y, vertex)
+        for vertex in lp.lexmin_optimal_range(list(target.coefficients), a, b)
     )
+    return Bounds(target.value_on(w_lo), target.value_on(w_hi)), w_lo, w_hi
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import _describe_rational
 from .errors import (
     InfeasibleSystemError,
     InternalCheckError,
@@ -165,7 +166,8 @@ def _phase1(
         ]
         _check_certificate(certificate, a, b)
         raise InfeasibleSystemError(
-            f"constraint system is infeasible (phase-1 residual {value1})",
+            "constraint system is infeasible (phase-1 residual "
+            f"{_describe_rational(value1)})",
             residual=value1,
             certificate=certificate,
         )

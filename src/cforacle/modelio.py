@@ -16,39 +16,18 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .core import ConfoundedModel, FunctionDistribution, FunctionTable, _is_digits
+from .core import (
+    ConfoundedModel, FunctionDistribution, FunctionTable, _as_fraction, _is_digits,
+)
 from .errors import ValidationError
 
 
-# Bounds checked before ``Fraction`` parses a rational: its text length,
-# and the size of a decimal exponent (``Fraction("1e10000000")`` builds a
-# ten-million-digit integer).
-MAX_RATIONAL_CHARS = 1000
-MAX_RATIONAL_EXPONENT = 1000
-
-
-def parse_rational(text) -> Fraction:
-    text = str(text)
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValidationError(
-            f"rational of {len(text)} characters exceeds the limit of "
-            f"{MAX_RATIONAL_CHARS}"
-        )
-    _, has_exponent, exponent = text.lower().partition("e")
-    if has_exponent:
-        try:
-            too_large = abs(int(exponent)) > MAX_RATIONAL_EXPONENT
-        except ValueError:
-            too_large = False  # not a number: Fraction rejects the text below
-        if too_large:
-            raise ValidationError(
-                f"rational {text!r} has an exponent beyond "
-                f"+-{MAX_RATIONAL_EXPONENT}"
-            )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse rational {text!r}") from exc
+def _json_rational(value) -> Fraction:
+    """A weight as model JSON gives it: a float is read from its text, so
+    ``0.1`` is the decimal 1/10, and ``true`` and ``false`` are refused."""
+    if isinstance(value, bool):
+        raise ValidationError(f"cannot interpret {value} as an exact rational")
+    return _as_fraction(str(value) if isinstance(value, float) else value)
 
 
 def table_to_digits(table: FunctionTable) -> str:
@@ -107,7 +86,7 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
             raise ValidationError(f"model field {field!r} must be a JSON object")
     if "pF" in data:
         weights = {
-            table_from_digits(key, n_x, n_y): parse_rational(value)
+            table_from_digits(key, n_x, n_y): _json_rational(value)
             for key, value in data["pF"].items()
         }
         return FunctionDistribution(n_x, n_y, weights)
@@ -126,7 +105,7 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
             entry = (r_x, table_from_digits(digits, n_x, n_y))
             if entry in joint:  # "0|01" and "00|01" name one entry
                 raise ValidationError(f"duplicate weight entry for joint key {key!r}")
-            joint[entry] = parse_rational(value)
+            joint[entry] = _json_rational(value)
         return ConfoundedModel(n_x, n_y, joint)
     raise ValidationError("model JSON needs a 'pF' or 'joint' mapping")
 

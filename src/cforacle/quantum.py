@@ -24,6 +24,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _describe_rational,
     enumerate_functions,
 )
 from .errors import (
@@ -416,7 +417,8 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
         residual = max(Fraction(0) - low, high - 1, Fraction(0))
         raise MeasurementInconsistencyError(
             "measured statistics admit no distribution: component range "
-            f"[{low}, {high}] exceeds [0, 1] by {residual}",
+            f"[{_describe_rational(low)}, {_describe_rational(high)}] exceeds "
+            f"[0, 1] by {_describe_rational(residual)}",
             residual=residual,
         )
     clamped = [min(max(v, 0), scale) for v in nums]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import FunctionDistribution, FunctionTable, _as_fraction
+from .core import FunctionDistribution, FunctionTable, _checked_weights
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
 from .quantum import BINARY_SCENARIOS, scenario_probability_exact
@@ -36,6 +36,17 @@ MEASUREMENT_SETTINGS = ("y_computational", "bell_parity")
 GRID_SEED = 1148
 
 
+def _ontic(state) -> OnticState:
+    """``state`` as a tuple of four bits."""
+    try:
+        state = tuple(map(operator.index, state))
+    except TypeError as exc:
+        raise ValidationError(f"non-integer ontic state {state!r}") from exc
+    if len(state) != 4 or any(b not in (0, 1) for b in state):
+        raise ValidationError(f"bad ontic state {state}")
+    return state
+
+
 @dataclass(frozen=True)
 class ToyEpistemicState:
     """A probability distribution over the 16 ontic states."""
@@ -43,22 +54,12 @@ class ToyEpistemicState:
     probs: dict[OnticState, Fraction]
 
     def __post_init__(self):
-        cleaned: dict[OnticState, Fraction] = {}
-        for state, p in self.probs.items():
-            try:
-                state = tuple(map(operator.index, state))
-            except TypeError as exc:
-                raise ValidationError(f"non-integer ontic state {state!r}") from exc
-            if len(state) != 4 or any(b not in (0, 1) for b in state):
-                raise ValidationError(f"bad ontic state {state}")
-            p = _as_fraction(p)
-            if p < 0:
-                raise ValidationError(f"negative probability at {state}")
-            if p > 0:
-                cleaned[state] = p
-        if sum(cleaned.values(), Fraction(0)) != 1:
-            raise ValidationError("ontic probabilities must sum to exactly 1")
-        object.__setattr__(self, "probs", dict(sorted(cleaned.items())))
+        probs = _checked_weights(
+            ((_ontic(state), p) for state, p in self.probs.items()),
+            "ontic probabilities",
+            order=lambda state: state,
+        )
+        object.__setattr__(self, "probs", probs)
 
     def support(self) -> tuple[OnticState, ...]:
         return tuple(self.probs.keys())
@@ -68,18 +69,12 @@ def is_valid_epistemic_state(state: ToyEpistemicState) -> bool:
     """Maximal-knowledge validity: uniform over a 4-element affine
     subspace of (Z_2)^4 (closed under triple XOR)."""
     support = state.support()
-    if len(support) != 4:
+    if len(support) != 4 or any(p != Fraction(1, 4) for p in state.probs.values()):
         return False
-    if any(p != Fraction(1, 4) for p in state.probs.values()):
-        return False
-    points = {s for s in support}
-    for a in support:
-        for b in support:
-            for c in support:
-                xor = tuple(ai ^ bi ^ ci for ai, bi, ci in zip(a, b, c))
-                if xor not in points:
-                    return False
-    return True
+    return all(
+        tuple(ai ^ bi ^ ci for ai, bi, ci in zip(a, b, c)) in state.probs
+        for a, b, c in product(support, repeat=3)
+    )
 
 
 def toy_prepare(x_prep: str) -> ToyEpistemicState:
@@ -123,14 +118,12 @@ class ToyOraclePermutation:
         return ToyEpistemicState(out)
 
 
-def _cnot(s: OnticState) -> OnticState:
+def _toy_image(outputs: tuple[int, ...], s: OnticState) -> OnticState:
+    """Where the oracle of the binary table ``outputs`` sends ``s``: z2
+    takes f(z1), and x1 takes x2 when f is balanced."""
     z1, x1, z2, x2 = s
-    return (z1, x1 ^ x2, z2 ^ z1, x2)
-
-
-def _flip_z2(s: OnticState) -> OnticState:
-    z1, x1, z2, x2 = s
-    return (z1, x1, z2 ^ 1, x2)
+    balanced = outputs[0] ^ outputs[1]
+    return (z1, x1 ^ (balanced & x2), z2 ^ outputs[z1], x2)
 
 
 def toy_oracle(f: FunctionTable) -> ToyOraclePermutation:
@@ -145,18 +138,8 @@ def toy_oracle(f: FunctionTable) -> ToyOraclePermutation:
             f"toy oracles are defined for 2 -> 2 tables only, got"
             f" {f.n_x} -> {f.n_y}"
         )
-    ident = FunctionTable.identity(2).outputs
-    flip = FunctionTable.flip().outputs
-    const0 = FunctionTable.constant(2, 2, 0).outputs
-    if f.outputs == ident:
-        update = _cnot
-    elif f.outputs == const0:
-        update = lambda s: s
-    elif f.outputs == flip:
-        update = lambda s: _flip_z2(_cnot(s))
-    else:  # constant-1
-        update = _flip_z2
-    return ToyOraclePermutation(f, {s: update(s) for s in ALL_ONTIC_STATES})
+    mapping = {s: _toy_image(f.outputs, s) for s in ALL_ONTIC_STATES}
+    return ToyOraclePermutation(f, mapping)
 
 
 def apply_oracle_mixture(
@@ -167,9 +150,8 @@ def apply_oracle_mixture(
         raise UnsupportedTableError("toy oracle mixtures require a 2 -> 2 model")
     out: dict[OnticState, Fraction] = {}
     for table, w in pF.weights.items():
-        mapping = toy_oracle(table).mapping
         for s, p in state.probs.items():
-            image = mapping[s]
+            image = _toy_image(table.outputs, s)
             out[image] = out.get(image, Fraction(0)) + w * p
     return ToyEpistemicState(out)
 
@@ -183,10 +165,7 @@ def toy_measure(state: ToyEpistemicState, setting: str):
     projection.
     """
     if setting == "y_computational":
-        p0 = sum(
-            (p for (z1, x1, z2, x2), p in state.probs.items() if z2 == 0),
-            Fraction(0),
-        )
+        p0 = sum((p for s, p in state.probs.items() if s[2] == 0), Fraction(0))
         return (p0, 1 - p0)
     if setting == "bell_parity":
         outcomes = {

@@ -15,11 +15,9 @@ from cforacle import (
     parse_model,
     save_model,
 )
+from cforacle.core import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT, _as_fraction
 from cforacle.modelio import (
-    MAX_RATIONAL_CHARS,
-    MAX_RATIONAL_EXPONENT,
     distribution_to_json_dict,
-    parse_rational,
     table_from_digits,
     table_to_digits,
 )
@@ -112,13 +110,14 @@ def test_model_keys_must_be_ascii_digits(model):
 
 
 def test_rational_text_is_bounded_before_parsing():
-    assert parse_rational("1" * MAX_RATIONAL_CHARS) == int("1" * MAX_RATIONAL_CHARS)
+    # model JSON and library calls share the one conversion
+    assert _as_fraction("1" * MAX_RATIONAL_CHARS) == int("1" * MAX_RATIONAL_CHARS)
     with pytest.raises(ValidationError, match="characters"):
-        parse_rational("1" * (MAX_RATIONAL_CHARS + 1))
-    tiny = parse_rational(f"1e-{MAX_RATIONAL_EXPONENT}")
+        _as_fraction("1" * (MAX_RATIONAL_CHARS + 1))
+    tiny = _as_fraction(f"1e-{MAX_RATIONAL_EXPONENT}")
     assert tiny == F(1, 10**MAX_RATIONAL_EXPONENT)
     with pytest.raises(ValidationError, match="exponent"):
-        parse_rational(f"1e-{MAX_RATIONAL_EXPONENT + 1}")
+        _as_fraction(f"1e-{MAX_RATIONAL_EXPONENT + 1}")
 
 
 @pytest.mark.parametrize(

@@ -67,6 +67,38 @@ class TestOraclePermutations:
             z1, x1, z2, x2 = cnot[s]
             assert flip_perm[s] == (z1, x1, z2 ^ 1, x2)
 
+    def test_each_table_acts_as_its_gate_on_every_state(self):
+        def cnot(s):
+            return (s[0], s[1] ^ s[3], s[2] ^ s[0], s[3])
+
+        def flip_z2(s):
+            return (s[0], s[1], s[2] ^ 1, s[3])
+
+        gates = {
+            CONST0: lambda s: s,
+            IDENTITY: cnot,
+            FLIP: lambda s: flip_z2(cnot(s)),
+            CONST1: flip_z2,
+        }
+        for table, gate in gates.items():
+            assert toy_oracle(table).mapping == {s: gate(s) for s in ALL_ONTIC_STATES}
+
+    def test_each_call_builds_its_own_mapping(self):
+        first, second = toy_oracle(IDENTITY), toy_oracle(IDENTITY)
+        assert first.mapping == second.mapping
+        assert first.mapping is not second.mapping
+
+    def test_mixture_averages_the_permutations(self):
+        for pf in equivalence_grid(num_mixtures=10):
+            for prep in ("z0", "z1", "plus"):
+                state = toy_prepare(prep)
+                expected = {}
+                for table, w in pf.weights.items():
+                    for s, p in toy_oracle(table).apply(state).probs.items():
+                        expected[s] = expected.get(s, 0) + w * p
+                mixed = apply_oracle_mixture(state, pf).probs
+                assert mixed == dict(sorted(expected.items()))
+
     def test_oracles_preserve_epistemic_validity(self):
         for prep in ("z0", "z1", "plus"):
             state = toy_prepare(prep)
@@ -146,6 +178,13 @@ class TestEquivalence:
 
         with pytest.raises(ValidationError, match="exact rational"):
             ToyEpistemicState({(0, 0, 0, 0): p})
+
+    def test_state_given_twice_is_rejected(self):
+        from cforacle import ValidationError
+
+        # the bytes key is a second, distinct name for the state (0, 0, 0, 0)
+        with pytest.raises(ValidationError, match="duplicate"):
+            ToyEpistemicState({(0, 0, 0, 0): F(1), bytes(4): F(1)})
 
     def test_state_bits_rejected_not_truncated(self):
         from cforacle import ValidationError
