@@ -52,6 +52,18 @@ def _describe_rational(value: Fraction) -> str:
     return f"a rational {size} ({num_bits}-bit numerator, {den_bits}-bit denominator)"
 
 
+def _check_size(count: int, what: str) -> None:
+    """The one enumeration guard: raise :class:`EnumerationCapError` when
+    ``count`` (of ``what``) exceeds ``DEFAULT_ENUMERATION_CAP``, read at
+    call time."""
+    if count > DEFAULT_ENUMERATION_CAP:
+        bits = count.bit_length()
+        shown = count if bits <= _SHOWN_BITS else f"2^{bits - 1} or more"
+        raise EnumerationCapError(
+            f"{what}: {shown} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
+
+
 def _is_digits(text: str) -> bool:
     """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
     ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
@@ -168,21 +180,15 @@ class FunctionTable:
         return f"FunctionTable({self.n_x}->{self.n_y}, {list(self.outputs)})"
 
 
-def enumerate_functions(
-    n_x: int, n_y: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[FunctionTable]:
+def enumerate_functions(n_x: int, n_y: int) -> list[FunctionTable]:
     """All n_y**n_x tables, exactly once, in lexicographic output order.
 
     Lexicographic order coincides with canonical-index order.  Raises
-    :class:`EnumerationCapError` if the count would exceed ``cap``.
+    :class:`EnumerationCapError` if the count would exceed the cap.
     """
     if n_x < 1 or n_y < 1:
         raise ValidationError("cardinalities must be positive integers")
-    count = n_y**n_x
-    if count > cap:
-        raise EnumerationCapError(
-            f"{n_y}^{n_x} = {count} function tables exceeds the enumeration cap {cap}"
-        )
+    _check_size(n_y**n_x, f"{n_y}^{n_x} function tables")
     return [
         FunctionTable(n_x, n_y, outs)
         for outs in itertools.product(range(n_y), repeat=n_x)
@@ -281,16 +287,18 @@ class FunctionDistribution:
     def from_vector(
         cls, n_x: int, n_y: int, vector: Sequence
     ) -> "FunctionDistribution":
-        """Weight ``vector[k]`` on the table of canonical index k."""
+        """Weight ``vector[k]`` on the table of canonical index k, for all k."""
+        if len(vector) != n_y**n_x:
+            raise ValidationError(
+                f"vector has {len(vector)} entries, expected {n_y}^{n_x}"
+            )
         return cls(n_x, n_y, {
             FunctionTable.from_index(n_x, n_y, k): w for k, w in enumerate(vector) if w
         })
 
     @classmethod
-    def uniform(
-        cls, n_x: int, n_y: int, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> "FunctionDistribution":
-        tables = enumerate_functions(n_x, n_y, cap=cap)
+    def uniform(cls, n_x: int, n_y: int) -> "FunctionDistribution":
+        tables = enumerate_functions(n_x, n_y)
         w = Fraction(1, len(tables))
         return cls(n_x, n_y, {t: w for t in tables})
 
@@ -327,8 +335,10 @@ class CounterfactualQuery:
     def __post_init__(self):
         try:
             pairs = tuple((operator.index(x), operator.index(y)) for x, y in self.pairs)
-        except TypeError as exc:
-            raise ContractViolationError(f"pairs must be integers: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # ValueError: not a pair
+            raise ContractViolationError(
+                f"pairs must be two integers each: {exc}"
+            ) from exc
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ContractViolationError("query needs at least one (x, y) pair")
@@ -470,12 +480,14 @@ class ConfoundedModel:
     def _entries(self):
         """The ``((r_x, table), weight)`` pairs, each key checked and made
         canonical."""
-        for (r_x, table), w in self.joint_weights.items():
+        for key, w in self.joint_weights.items():
             try:
+                r_x, table = key
                 r_x = operator.index(r_x)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:  # ValueError: not a pair
                 raise ValidationError(
-                    f"input settings must be integers: {exc}"
+                    "joint keys must be (input setting, table) pairs, settings "
+                    f"integers: {exc}"
                 ) from exc
             if not 0 <= r_x < self.n_x:
                 raise ValidationError(f"input setting {r_x} out of range")

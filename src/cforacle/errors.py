@@ -22,7 +22,7 @@ class UndefinedConditionalError(CfOracleError):
 
 
 class EnumerationCapError(CfOracleError):
-    """A full function-table enumeration would exceed the configured cap."""
+    """A full enumeration would exceed ``core.DEFAULT_ENUMERATION_CAP``."""
 
 
 class ExtractionError(CfOracleError):

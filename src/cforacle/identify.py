@@ -19,17 +19,17 @@ from itertools import combinations, permutations, product
 
 from . import lp
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
     CounterfactualQuery,
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _check_size,
     _describe_rational,
     conditional,
     event_indicator,
     joint_counterfactual,
 )
-from .errors import EnumerationCapError, ValidationError
+from .errors import ValidationError
 from .rational import nullspace
 from .report import ReproductionReport
 
@@ -38,7 +38,10 @@ _ZERO = Fraction(0)
 
 def _exact(coeffs) -> tuple:
     """Keep ``int`` and ``Fraction`` entries; convert others with ``_as_fraction``."""
-    coeffs = tuple(coeffs)
+    try:
+        coeffs = tuple(coeffs)
+    except TypeError as exc:
+        raise ValidationError(f"coefficients must be a sequence: {exc}") from exc
     if set(map(type, coeffs)) <= {int, Fraction}:
         return coeffs
     return tuple(c if type(c) in (int, Fraction) else _as_fraction(c) for c in coeffs)
@@ -51,7 +54,12 @@ class ConstraintLevel(enum.Enum):
     TWO_WAY = "two_way"
 
     @classmethod
-    def parse(cls, token: str) -> "ConstraintLevel":
+    def parse(cls, token: "ConstraintLevel | str") -> "ConstraintLevel":
+        if isinstance(token, cls):
+            return token
+        if not isinstance(token, str):
+            kind = type(token).__name__
+            raise ValidationError(f"constraint level must be a string, got a {kind}")
         normalized = token.strip().lower().replace("-", "_")
         for level in cls:
             if level.value == normalized:
@@ -78,9 +86,15 @@ class ConstraintSystem:
 
     def __post_init__(self):
         dim = self.n_y**self.n_x
+        try:
+            rows = [(coeffs, rhs) for coeffs, rhs in self.rows]
+        except (TypeError, ValueError) as exc:  # ValueError: not a pair
+            raise ValidationError(
+                f"rows must be (coefficients, rhs) pairs: {exc}"
+            ) from exc
         normalized_rows = []
         ones = 0
-        for coeffs, rhs in self.rows:
+        for coeffs, rhs in rows:
             coeffs = _exact(coeffs)
             rhs = _as_fraction(rhs)
             if len(coeffs) != dim:
@@ -122,13 +136,11 @@ class LinearTarget:
 
     @classmethod
     def from_query(
-        cls, query: CounterfactualQuery, n_x: int, n_y: int,
-        cap: int = DEFAULT_ENUMERATION_CAP,
+        cls, query: CounterfactualQuery, n_x: int, n_y: int
     ) -> "LinearTarget":
         """Indicator coefficients of a joint counterfactual event."""
         query.validate_for(n_x, n_y)
-        if n_y**n_x > cap:
-            raise EnumerationCapError(f"{n_y}^{n_x} tables exceed the cap {cap}")
+        _check_size(n_y**n_x, f"{n_y}^{n_x} target coefficients")
         return cls(event_indicator(n_x, n_y, query.pairs))
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
@@ -167,7 +179,6 @@ class Bounds:
 def build_constraints(
     pF_true: FunctionDistribution,
     level: ConstraintLevel | str,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConstraintSystem:
     """The affine system an experiment at ``level`` reveals about pF_true.
 
@@ -176,17 +187,13 @@ def build_constraints(
     one-way system as a subset of rows.  Rows are ``int`` 0/1 event
     indicators; right-hand sides are their exact dot products with
     ``pF_true``, and the normalization row is appended last.  Raises
-    :class:`EnumerationCapError` when rows times tables would exceed ``cap``.
+    :class:`EnumerationCapError` when rows times tables would exceed the cap.
     """
-    if isinstance(level, str):
-        level = ConstraintLevel.parse(level)
+    level = ConstraintLevel.parse(level)
     n_x, n_y = pF_true.n_x, pF_true.n_y
     two_way = level is ConstraintLevel.TWO_WAY
     n_rows = n_x * n_y + (math.comb(n_x, 2) * n_y**2 if two_way else 0) + 1
-    if n_rows * n_y**n_x > cap:
-        raise EnumerationCapError(
-            f"{n_rows} rows over {n_y}^{n_x} tables exceeds the enumeration cap {cap}"
-        )
+    _check_size(n_rows * n_y**n_x, f"cells of {n_rows} rows over {n_y}^{n_x} tables")
     events = [((x, y),) for x in range(n_x) for y in range(n_y)]
     if two_way:
         events += [
@@ -274,9 +281,7 @@ def constant_mixture(n: int) -> FunctionDistribution:
     return FunctionDistribution.uniform_over(tables)
 
 
-def reproduce_appendix_b(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ReproductionReport:
+def reproduce_appendix_b(n: int) -> ReproductionReport:
     """Permutation versus constant mixtures of cardinality n.
 
     Both agree on every conditional (all equal 1/n), yet assign 0 versus
@@ -285,11 +290,7 @@ def reproduce_appendix_b(
     """
     if n < 2:
         raise ValidationError("needs n >= 2")
-    if math.factorial(n) > cap or n**n > cap:
-        raise EnumerationCapError(
-            f"n={n} needs {math.factorial(n)} permutations and {n**n} tables, "
-            f"exceeding the cap {cap}"
-        )
+    _check_size(n**n, f"{n}^{n} tables")
     report = ReproductionReport(f"appendix_b[n={n}]")
     perms = permutation_mixture(n)
     consts = constant_mixture(n)
@@ -353,7 +354,7 @@ def restricted_tail_model(n: int, fixed_tail: tuple[int, ...]) -> FunctionDistri
 
 
 def reproduce_appendix_e_general(
-    n: int, fixed_tail: tuple[int, ...], cap: int = DEFAULT_ENUMERATION_CAP
+    n: int, fixed_tail: tuple[int, ...]
 ) -> ReproductionReport:
     """Single-query versus coherent-query bounds on an n-way joint.
 
@@ -366,11 +367,9 @@ def reproduce_appendix_e_general(
     pairs = [(0, 1), (1, 1), (2, 1)] + [
         (3 + i, v) for i, v in enumerate(fixed_tail)
     ]
-    target = LinearTarget.from_query(
-        CounterfactualQuery(tuple(pairs)), n, 2, cap=cap
-    )
-    classical = build_constraints(model, ConstraintLevel.ONE_WAY, cap=cap)
-    quantum = build_constraints(model, ConstraintLevel.TWO_WAY, cap=cap)
+    target = LinearTarget.from_query(CounterfactualQuery(tuple(pairs)), n, 2)
+    classical = build_constraints(model, ConstraintLevel.ONE_WAY)
+    quantum = build_constraints(model, ConstraintLevel.TWO_WAY)
     classical_bounds = lp_bounds(target, classical)
     quantum_bounds = lp_bounds(target, quantum)
     report.check(

@@ -84,6 +84,8 @@ def parse_model(data: dict) -> FunctionDistribution | ConfoundedModel:
     for field in ("pF", "joint"):
         if field in data and not isinstance(data[field], dict):
             raise ValidationError(f"model field {field!r} must be a JSON object")
+    if "pF" in data and "joint" in data:
+        raise ValidationError("model JSON has both 'pF' and 'joint'; give one")
     if "pF" in data:
         weights = {
             table_from_digits(key, n_x, n_y): _json_rational(value)

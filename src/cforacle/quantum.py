@@ -20,16 +20,15 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _check_size,
     _describe_rational,
     enumerate_functions,
 )
 from .errors import (
     DomainError,
-    EnumerationCapError,
     ExtractionError,
     InternalCheckError,
     MeasurementInconsistencyError,
@@ -181,17 +180,14 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     Matrix element <x, y| rho |x', y'> equals
     alpha_x * conj(alpha_x') * p(f(x)=y, f(x')=y').  Raises
     :class:`EnumerationCapError`, before allocating, when the matrix would
-    have more than ``DEFAULT_ENUMERATION_CAP`` entries.
+    have more entries than the enumeration cap.
     """
     if alpha.n_x != pF.n_x:
         raise ValidationError(
             f"amplitude vector has {alpha.n_x} entries, model expects {pF.n_x}"
         )
     dim = pF.n_x * pF.n_y
-    if dim * dim > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"a {dim} x {dim} density matrix exceeds {DEFAULT_ENUMERATION_CAP} entries"
-        )
+    _check_size(dim * dim, f"entries of a {dim} x {dim} density matrix")
     psi = _oracle_states(pF.support(), alpha)
     # float(Fraction) is this same correctly rounded int true division
     weights = np.array([w.numerator / w.denominator for w in pF.weights.values()])
@@ -290,20 +286,9 @@ def computational_effect(n_x: int, n_y: int, y: int) -> MeasurementEffect:
     return MeasurementEffect(op)
 
 
-_BELL_VECTORS = {
-    "phi_plus": ((1, 0, 0, 1), np.sqrt(0.5)),
-    "phi_minus": ((1, 0, 0, -1), np.sqrt(0.5)),
-    "psi_plus": ((0, 1, 1, 0), np.sqrt(0.5)),
-    "psi_minus": ((0, 1, -1, 0), np.sqrt(0.5)),
-}
-
-
-def bell_effect(which: str = "phi_plus") -> MeasurementEffect:
-    """Rank-one projector onto one of the four Bell states (dim 4)."""
-    if which not in _BELL_VECTORS:
-        raise DomainError(f"unknown Bell state {which!r}")
-    pattern, scale = _BELL_VECTORS[which]
-    vec = scale * np.array(pattern, dtype=complex)
+def bell_effect() -> MeasurementEffect:
+    """Rank-one projector onto the Bell state (|00> + |11>)/sqrt(2) (dim 4)."""
+    vec = np.sqrt(0.5) * np.array((1, 0, 0, 1), dtype=complex)
     return MeasurementEffect(np.outer(vec, vec.conj()))
 
 
@@ -384,7 +369,7 @@ def scenario_probability_simulated(
         return measure(rho, computational_effect(2, 2, 0))
     if scenario == "plus_bell":
         rho = build_rho_xy(pF, Amplitudes.uniform(2))
-        return measure(rho, bell_effect("phi_plus"))
+        return measure(rho, bell_effect())
     raise DomainError(f"unknown scenario {scenario!r}")
 
 

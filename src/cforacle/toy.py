@@ -248,14 +248,12 @@ def equivalence_grid(num_mixtures: int = 10, seed: int = GRID_SEED):
     return grid
 
 
-def verify_binary_equivalence(
-    num_mixtures: int = 10, seed: int = GRID_SEED
-) -> ToyEquivalenceReport:
+def verify_binary_equivalence() -> ToyEquivalenceReport:
     """Compare toy against exact coherent-probe probabilities on the full
     grid x scenario matrix.  Every comparison is an exact rational
     equality; mismatches are collected, never swallowed."""
     comparisons = []
-    for pF in equivalence_grid(num_mixtures=num_mixtures, seed=seed):
+    for pF in equivalence_grid():
         for scenario in BINARY_SCENARIOS:
             comparisons.append(
                 ToyComparison(

@@ -485,6 +485,18 @@ class TestErrorHandling:
         )
         assert "UTF-8" in err
 
+    def test_model_with_both_pF_and_joint(self, capsys, tmp_path):
+        model = tmp_path / "both.json"
+        model.write_text(json.dumps({
+            "n_x": 2, "n_y": 2, "pF": {"01": "1/2", "10": "1/2"},
+            "joint": {"0|01": "1"},
+        }))
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert "ValidationError" in err and "'joint'" in err
+
     def test_tomography_above_the_matrix_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(quantum, "_oracle_states", None)  # never reached
         model = tmp_path / "wide.json"

@@ -28,6 +28,7 @@ from cforacle import (
     joint_counterfactual,
     observational_joint,
 )
+from cforacle import core, identify, quantum
 from cforacle.core import event_indicator
 from conftest import (
     CONST0,
@@ -150,9 +151,47 @@ class TestEnumeration:
         assert tables[-1].outputs == (1, 1, 1)
         assert [t.outputs for t in tables] == sorted(t.outputs for t in tables)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 100)
         with pytest.raises(EnumerationCapError, match="100"):
-            enumerate_functions(10, 10, cap=100)
+            enumerate_functions(10, 10)
+
+
+# Each size check, its count, and a call that reaches it.
+SIZE_CHECKS = {
+    "enumerate_functions: n_y**n_x": (8, lambda: enumerate_functions(3, 2)),
+    "from_query: n_y**n_x": (8, lambda: identify.LinearTarget.from_query(
+        CounterfactualQuery(((0, 1), (2, 0))), 3, 2)),
+    "build_constraints: rows x tables": (19 * 8, lambda: identify.build_constraints(
+        identify.restricted_tail_model(3, ()), "two-way")),
+    "reproduce_appendix_b: n**n": (27, lambda: identify.reproduce_appendix_b(3)),
+    "build_rho_xy: dim**2": (16, lambda: quantum.build_rho_xy(
+        FunctionDistribution.uniform(2, 2), quantum.Amplitudes.uniform(2))),
+}
+
+
+@pytest.mark.parametrize("check", SIZE_CHECKS)
+def test_each_size_check_passes_at_the_cap_and_refuses_one_above(check, monkeypatch):
+    count, call = SIZE_CHECKS[check]
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", count)
+    call()
+    monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", count - 1)
+    with pytest.raises(EnumerationCapError) as excinfo:
+        call()
+    assert f"{count} exceeds the enumeration cap {count - 1}" in str(excinfo.value)
+
+
+def test_the_cap_is_ten_to_the_sixth():
+    query = CounterfactualQuery(((0, 0),))
+    assert len(identify.LinearTarget.from_query(query, 6, 10).coefficients) == 10**6
+    with pytest.raises(EnumerationCapError, match="1048576 exceeds"):
+        identify.LinearTarget.from_query(query, 20, 2)
+
+
+def test_a_count_too_long_to_print_is_shown_by_its_size():
+    # 2^15000 has 4516 digits, past what str() of an int allows
+    with pytest.raises(EnumerationCapError, match=r"2\^15000 or more exceeds"):
+        enumerate_functions(15000, 2)
 
 
 class TestDistribution:
@@ -182,6 +221,11 @@ class TestDistribution:
         pf = binary_distribution(0, 1, 0, 0)
         assert pf.support() == (IDENTITY,)
         assert pf.probability(FLIP) == 0
+
+    @pytest.mark.parametrize("vector", [[1, 0, 0], [1, 0, 0, 0, 0]])
+    def test_from_vector_needs_one_entry_per_table(self, vector):
+        with pytest.raises(ValidationError, match=f"{len(vector)} entries"):
+            FunctionDistribution.from_vector(2, 2, vector)
 
     def test_uniform(self):
         pf = FunctionDistribution.uniform(3, 3)

@@ -16,6 +16,8 @@ from cforacle import (
     CfOracleError,
     ConfoundedModel,
     ConstraintSystem,
+    ContractViolationError,
+    CounterfactualQuery,
     FunctionDistribution,
     FunctionTable,
     InfeasibleSystemError,
@@ -126,6 +128,25 @@ def test_messages_describe_rationals_too_long_to_print(call, error, shown):
 )
 def test_unreadable_system_entries_are_validation_errors(call):
     with pytest.raises(ValidationError, match="exact rational"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: LinearTarget(5), ValidationError),
+        (lambda: ConstraintSystem(1, 2, ((1, 1),)), ValidationError),
+        (lambda: ConstraintSystem(1, 2, 5), ValidationError),
+        (lambda: ConstraintSystem(1, 2, (((1, 1), 1, 0),)), ValidationError),
+        (lambda: ConfoundedModel(2, 2, {5: 1}), ValidationError),
+        (lambda: ConfoundedModel(2, 2, {(0, ONE, 1): 1}), ValidationError),
+        (lambda: CounterfactualQuery(((0, 1, 2),)), ContractViolationError),
+    ],
+    ids=["target int", "row not a pair", "rows int", "row triple",
+         "joint key int", "joint key triple", "query triple"],
+)
+def test_malformed_structures_are_package_errors(call, error):
+    with pytest.raises(error):
         call()
 
 

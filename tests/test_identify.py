@@ -91,14 +91,16 @@ class TestBuildConstraints:
     def test_cap_bounds_rows_times_tables_before_enumerating(self, monkeypatch):
         # binary n_x = 3, two-way: 6 + 3 * 4 + 1 = 19 rows over 8 tables
         model = restricted_tail_model(3, ())
-        assert len(build_constraints(model, "two-way", cap=19 * 8).rows) == 19
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 19 * 8)
+        assert len(build_constraints(model, "two-way").rows) == 19
 
         def enumerate_nothing(*args, **kwargs):
             raise RuntimeError("tables enumerated before the cap check")
 
         monkeypatch.setattr(core, "enumerate_functions", enumerate_nothing)
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 19 * 8 - 1)
         with pytest.raises(EnumerationCapError):
-            build_constraints(model, "two-way", cap=19 * 8 - 1)
+            build_constraints(model, "two-way")
 
     def test_from_query_cap_and_no_table_enumerated(self, monkeypatch):
         model = restricted_tail_model(3, ())
@@ -108,10 +110,20 @@ class TestBuildConstraints:
             raise RuntimeError("tables enumerated")
 
         monkeypatch.setattr(core, "enumerate_functions", enumerate_nothing)
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 7)
         with pytest.raises(EnumerationCapError):
-            LinearTarget.from_query(query, 3, 2, cap=7)
-        assert len(LinearTarget.from_query(query, 3, 2, cap=8).coefficients) == 8
-        assert len(build_constraints(model, "two-way", cap=19 * 8).rows) == 19
+            LinearTarget.from_query(query, 3, 2)
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 8)
+        assert len(LinearTarget.from_query(query, 3, 2).coefficients) == 8
+        monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 19 * 8)
+        assert len(build_constraints(model, "two-way").rows) == 19
+
+    @pytest.mark.parametrize("level", [5, None, b"one-way"])
+    def test_level_of_another_type_is_refused(self, level):
+        with pytest.raises(ValidationError, match="constraint level"):
+            ConstraintLevel.parse(level)
+        with pytest.raises(ValidationError, match="constraint level"):
+            build_constraints(FunctionDistribution.uniform(2, 2), level)
 
     @pytest.mark.parametrize(
         "n_x, n_y", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]

@@ -70,6 +70,14 @@ def test_parse_validation_messages():
         parse_model({"n_x": 2, "n_y": 2, "joint": {"00": "1"}})
 
 
+def test_model_with_both_pF_and_joint_is_rejected():
+    with pytest.raises(ValidationError, match="both 'pF' and 'joint'"):
+        parse_model({
+            "n_x": 2, "n_y": 2, "pF": {"01": "1/2", "10": "1/2"},
+            "joint": {"0|01": "1"},
+        })
+
+
 @pytest.mark.parametrize(
     "model",
     [
