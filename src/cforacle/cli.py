@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -174,7 +175,10 @@ def cmd_toy_check(args) -> int:
     return 0 if report.all_equal else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every :func:`main` call, built on the first: its
+    program name is fixed and parsing does not change it."""
     from .reproduce import SCENARIOS
 
     parser = argparse.ArgumentParser(

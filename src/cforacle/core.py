@@ -64,6 +64,21 @@ def _check_size(count: int, what: str) -> None:
         )
 
 
+def _cardinalities(n_x, n_y) -> tuple[int, int]:
+    """The one check of a caller's n_x and n_y: positive integers (whatever
+    ``operator.index`` takes), returned as ``int``; else
+    :class:`ValidationError`."""
+    try:
+        n_x, n_y = operator.index(n_x), operator.index(n_y)
+    except TypeError as exc:
+        raise ValidationError(
+            f"cardinalities must be positive integers: {exc}"
+        ) from exc
+    if n_x < 1 or n_y < 1:
+        raise ValidationError("cardinalities must be positive integers")
+    return n_x, n_y
+
+
 def _is_digits(text: str) -> bool:
     """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
     ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
@@ -120,15 +135,14 @@ class FunctionTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
+        n_x, n_y = _cardinalities(self.n_x, self.n_y)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
         try:
-            for name in ("n_x", "n_y"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
             outputs = tuple(map(operator.index, self.outputs))
-            object.__setattr__(self, "outputs", outputs)
         except TypeError as exc:
             raise ValidationError(f"table entries must be integers: {exc}") from exc
-        if self.n_x < 1 or self.n_y < 1:
-            raise ValidationError("cardinalities must be positive integers")
+        object.__setattr__(self, "outputs", outputs)
         if len(self.outputs) != self.n_x:
             raise ValidationError(
                 f"outputs has {len(self.outputs)} entries, expected n_x={self.n_x}"
@@ -155,6 +169,7 @@ class FunctionTable:
 
     @classmethod
     def from_index(cls, n_x: int, n_y: int, index: int) -> "FunctionTable":
+        n_x, n_y = _cardinalities(n_x, n_y)
         if not 0 <= index < n_y**n_x:
             raise DomainError(f"index {index} outside range [0, {n_y}^{n_x})")
         digits = []
@@ -186,8 +201,7 @@ def enumerate_functions(n_x: int, n_y: int) -> list[FunctionTable]:
     Lexicographic order coincides with canonical-index order.  Raises
     :class:`EnumerationCapError` if the count would exceed the cap.
     """
-    if n_x < 1 or n_y < 1:
-        raise ValidationError("cardinalities must be positive integers")
+    n_x, n_y = _cardinalities(n_x, n_y)
     _check_size(n_y**n_x, f"{n_y}^{n_x} function tables")
     return [
         FunctionTable(n_x, n_y, outs)
@@ -202,6 +216,7 @@ def event_indicator(
     and 0 otherwise.  f_k(x) is digit x of k in base n_y, most significant
     first, so ``{f(x) = y}`` is a run of n_y**(n_x-1-x) ones at offset y in
     each block of n_y**(n_x-x) tables: no table is built."""
+    n_x, n_y = _cardinalities(n_x, n_y)
     runs = []
     for x, y in pairs:
         if not (0 <= x < n_x and 0 <= y < n_y):
@@ -223,13 +238,18 @@ def _as_table(n_x: int, n_y: int, table) -> FunctionTable:
     return table
 
 
-def _checked_weights(entries: Iterable[tuple], what: str, order) -> dict:
-    """``{key: weight}`` from canonical ``(key, weight)`` pairs, zero
-    weights dropped, keys sorted by ``order``.  Raises unless every weight
-    is a nonnegative rational, no key comes twice and the ``what`` sum to
-    exactly 1."""
+def _checked_weights(weights: Mapping, what: str, canonical, order) -> dict:
+    """``{canonical(key): weight}`` from a mapping, zero weights dropped,
+    keys sorted by ``order``.  Raises unless ``weights`` is a mapping, every
+    weight is a nonnegative rational, no key comes twice and the ``what``
+    sum to exactly 1."""
+    if not isinstance(weights, Mapping):
+        raise ValidationError(
+            f"{what} must be a mapping, got a {type(weights).__name__}"
+        )
     cleaned = {}
-    for key, w in entries:
+    for key, w in weights.items():
+        key = canonical(key)
         w = _as_fraction(w)
         if w < 0:
             raise ValidationError(
@@ -247,21 +267,6 @@ def _checked_weights(entries: Iterable[tuple], what: str, order) -> dict:
     return dict(sorted(kept, key=lambda kv: order(kv[0])))
 
 
-def _normalize_weights(
-    n_x: int, n_y: int, weights: Mapping
-) -> dict[FunctionTable, Fraction]:
-    """Validate and canonicalize a table->probability mapping.
-
-    Zero-weight entries are dropped; the result iterates in canonical
-    index order.
-    """
-    return _checked_weights(
-        ((_as_table(n_x, n_y, table), w) for table, w in weights.items()),
-        "weights",
-        lambda table: table.index,
-    )
-
-
 @dataclass(frozen=True)
 class FunctionDistribution:
     """An exact probability distribution over function tables.
@@ -275,9 +280,15 @@ class FunctionDistribution:
     weights: Mapping[FunctionTable, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", _normalize_weights(self.n_x, self.n_y, self.weights)
+        n_x, n_y = _cardinalities(self.n_x, self.n_y)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
+        # zero weights dropped, tables in canonical index order
+        weights = _checked_weights(
+            self.weights, "weights", partial(_as_table, n_x, n_y),
+            operator.attrgetter("index"),
         )
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def point_mass(cls, table: FunctionTable) -> "FunctionDistribution":
@@ -288,6 +299,7 @@ class FunctionDistribution:
         cls, n_x: int, n_y: int, vector: Sequence
     ) -> "FunctionDistribution":
         """Weight ``vector[k]`` on the table of canonical index k, for all k."""
+        n_x, n_y = _cardinalities(n_x, n_y)
         if len(vector) != n_y**n_x:
             raise ValidationError(
                 f"vector has {len(vector)} entries, expected {n_y}^{n_x}"
@@ -366,6 +378,7 @@ class CounterfactualQuery:
         return cls(tuple(pairs))
 
     def validate_for(self, n_x: int, n_y: int) -> None:
+        n_x, n_y = _cardinalities(n_x, n_y)
         for x, y in self.pairs:
             if not 0 <= x < n_x:
                 raise DomainError(f"antecedent {x} outside range [0, {n_x})")
@@ -472,26 +485,28 @@ class ConfoundedModel:
     joint_weights: Mapping[tuple[int, FunctionTable], Fraction]
 
     def __post_init__(self):
+        n_x, n_y = _cardinalities(self.n_x, self.n_y)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
         ordered = _checked_weights(
-            self._entries(), "joint weights", lambda key: (key[0], key[1].index)
+            self.joint_weights, "joint weights", self._key,
+            lambda key: (key[0], key[1].index),
         )
         object.__setattr__(self, "joint_weights", ordered)
 
-    def _entries(self):
-        """The ``((r_x, table), weight)`` pairs, each key checked and made
-        canonical."""
-        for key, w in self.joint_weights.items():
-            try:
-                r_x, table = key
-                r_x = operator.index(r_x)
-            except (TypeError, ValueError) as exc:  # ValueError: not a pair
-                raise ValidationError(
-                    "joint keys must be (input setting, table) pairs, settings "
-                    f"integers: {exc}"
-                ) from exc
-            if not 0 <= r_x < self.n_x:
-                raise ValidationError(f"input setting {r_x} out of range")
-            yield (r_x, _as_table(self.n_x, self.n_y, table)), w
+    def _key(self, key) -> tuple[int, FunctionTable]:
+        """A joint key ``(r_x, table)``, checked and made canonical."""
+        try:
+            r_x, table = key
+            r_x = operator.index(r_x)
+        except (TypeError, ValueError) as exc:  # ValueError: not a pair
+            raise ValidationError(
+                "joint keys must be (input setting, table) pairs, settings "
+                f"integers: {exc}"
+            ) from exc
+        if not 0 <= r_x < self.n_x:
+            raise ValidationError(f"input setting {r_x} out of range")
+        return r_x, _as_table(self.n_x, self.n_y, table)
 
     @classmethod
     def product(

@@ -23,6 +23,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _cardinalities,
     _check_size,
     _describe_rational,
     conditional,
@@ -75,9 +76,11 @@ class ConstraintSystem:
 
     Coefficient vectors run over all n_y**n_x tables in canonical order.
     The all-ones normalization row must appear exactly once; duplicate or
-    linearly dependent data rows are kept as given.  (In the degenerate
-    one-table case every marginal row is syntactically all-ones, so the
-    uniqueness check is waived there and only consistency is enforced.)
+    linearly dependent data rows are kept as given, and the LP drops the
+    redundant ones itself.  (:func:`build_constraints` emits a basis of
+    its event rows plus every zero event.)  In the degenerate one-table
+    case every marginal row is syntactically all-ones, so the uniqueness
+    check is waived there and only consistency is enforced.
     """
 
     n_x: int
@@ -85,7 +88,10 @@ class ConstraintSystem:
     rows: tuple[tuple[tuple[int | Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
-        dim = self.n_y**self.n_x
+        n_x, n_y = _cardinalities(self.n_x, self.n_y)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
+        dim = n_y**n_x
         try:
             rows = [(coeffs, rhs) for coeffs, rhs in self.rows]
         except (TypeError, ValueError) as exc:  # ValueError: not a pair
@@ -183,30 +189,56 @@ def build_constraints(
     """The affine system an experiment at ``level`` reveals about pF_true.
 
     ONE_WAY fixes every p(f(x)=y); TWO_WAY additionally fixes every
-    p(f(x)=y, f(x')=y') for x != x', so the two-way system contains the
-    one-way system as a subset of rows.  Rows are ``int`` 0/1 event
-    indicators; right-hand sides are their exact dot products with
-    ``pF_true``, and the normalization row is appended last.  Raises
-    :class:`EnumerationCapError` when rows times tables would exceed the cap.
+    p(f(x)=y, f(x')=y') for x != x'.  Not every such event is emitted,
+    only a basis of their span plus every event of probability 0.  For
+    each x the reference output r(x) is the last y with p(f(x)=y) > 0.
+    The rows, in event order, are the one-way events with y != r(x), the
+    two-way events with y != r(x) and y' != r(x'), and every other
+    two-way event of probability 0; the normalization row is last.  Each
+    dropped event is a signed sum of kept ones, e.g. [f(x)=r(x)] = 1 -
+    sum over y != r(x) of [f(x)=y], and all right-hand sides come from
+    ``pF_true``, so the solution set is that of the full event system;
+    keeping the zero events lets :mod:`lp` presolve pin the same columns.
+    The two-way system contains the one-way system as a subset of rows.
+
+    Rows are ``int`` 0/1 event indicators; right-hand sides are their
+    exact dot products with ``pF_true``.  Raises
+    :class:`EnumerationCapError`, before anything is built, when the
+    full event count (plus one) times the tables would exceed the cap.
     """
     level = ConstraintLevel.parse(level)
     n_x, n_y = pF_true.n_x, pF_true.n_y
     two_way = level is ConstraintLevel.TWO_WAY
-    n_rows = n_x * n_y + (math.comb(n_x, 2) * n_y**2 if two_way else 0) + 1
+    input_pairs = list(combinations(range(n_x), 2)) if two_way else []
+    n_rows = n_x * n_y + len(input_pairs) * n_y**2 + 1
     _check_size(n_rows * n_y**n_x, f"cells of {n_rows} rows over {n_y}^{n_x} tables")
-    events = [((x, y),) for x in range(n_x) for y in range(n_y)]
-    if two_way:
-        events += [
-            ((x, y), (x_prime, y_prime))
-            for x, x_prime in combinations(range(n_x), 2)
-            for y in range(n_y)
-            for y_prime in range(n_y)
-        ]
-    weights = [(t.index, w) for t, w in pF_true.weights.items()]
-    rows = []
-    for pairs in events:
-        row = event_indicator(n_x, n_y, pairs)
-        rows.append((row, sum((w for k, w in weights if row[k]), _ZERO)))
+    # Every marginal in one pass over the support, as integer counts over
+    # the weights' common denominator.
+    den = math.lcm(*(w.denominator for w in pF_true.weights.values()))
+    one = [[0] * n_y for _ in range(n_x)]
+    two = [[[0] * n_y for _ in range(n_y)] for _ in input_pairs]
+    for table, w in pF_true.weights.items():
+        count = w.numerator * (den // w.denominator)
+        outs = table.outputs
+        for x, y in enumerate(outs):
+            one[x][y] += count
+        for cell, (x, x_prime) in zip(two, input_pairs):
+            cell[outs[x]][outs[x_prime]] += count
+    ref = [max(y for y in range(n_y) if counts[y]) for counts in one]
+    events = [
+        (((x, y),), one[x][y]) for x in range(n_x) for y in range(n_y) if y != ref[x]
+    ]
+    events += [
+        (((x, y), (x_prime, y_prime)), cell[y][y_prime])
+        for cell, (x, x_prime) in zip(two, input_pairs)
+        for y in range(n_y)
+        for y_prime in range(n_y)
+        if (y != ref[x] and y_prime != ref[x_prime]) or not cell[y][y_prime]
+    ]
+    rows = [
+        (event_indicator(n_x, n_y, pairs), Fraction(count, den))
+        for pairs, count in events
+    ]
     rows.append(((1,) * n_y**n_x, Fraction(1)))
     return ConstraintSystem(n_x, n_y, tuple(rows))
 

@@ -369,7 +369,8 @@ def lexmin_optimal_vertex(c: Vector, a: Matrix, b: Vector) -> Vector:
     on the optimal face (complementary slackness), so it may no longer
     enter.  Coordinates are then minimized in index order from the current
     basis, shutting out each column whose reduced cost turns positive,
-    until every eligible column is basic.  The result is a vertex.  The
+    until every eligible column is basic; a nonbasic coordinate is already
+    at its minimum 0 and is shut out unpriced.  The result is a vertex.  The
     search runs on the presolved system, whose columns keep their order,
     and writes zeros back into the dropped columns.
     """
@@ -401,15 +402,24 @@ def _face_walk(
     _iterate(rows, dens, basis, n)
     optimum = _optimum(rows, dens)
     eligible = [d == 0 for d in rows[-1][:n]]
+    count, basic = sum(eligible), set(basis)
     for j in range(n):
-        if sum(eligible) == len(basis):
+        if count == len(basis):
             break
-        if eligible[j]:
-            rows[-1] = [int(k == j) for k in range(n + 1)]
-            dens[-1] = 1
-            _price(rows, dens, basis)
-            _iterate(rows, dens, basis, n, eligible)
-            eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
+        if not eligible[j]:
+            continue
+        if j not in basic:
+            # 0 at the current vertex, which is on the face: its cost row
+            # e_j is already priced and optimal, so only j drops out
+            eligible[j] = False
+            count -= 1
+            continue
+        rows[-1] = [int(k == j) for k in range(n + 1)]
+        dens[-1] = 1
+        _price(rows, dens, basis)
+        _iterate(rows, dens, basis, n, eligible)
+        eligible = [e and d == 0 for e, d in zip(eligible, rows[-1])]
+        count, basic = sum(eligible), set(basis)
     x = [_ZERO] * len(c)
     for j, v in zip(cols, _basic_solution(rows, dens, basis, n)):
         x[j] = v

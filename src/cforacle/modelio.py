@@ -17,7 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
-    ConfoundedModel, FunctionDistribution, FunctionTable, _as_fraction, _is_digits,
+    ConfoundedModel,
+    FunctionDistribution,
+    FunctionTable,
+    _as_fraction,
+    _cardinalities,
+    _is_digits,
 )
 from .errors import ValidationError
 
@@ -40,6 +45,7 @@ def table_to_digits(table: FunctionTable) -> str:
 
 
 def table_from_digits(digits: str, n_x: int, n_y: int) -> FunctionTable:
+    n_x, n_y = _cardinalities(n_x, n_y)
     if n_y > 10:
         raise ValidationError(
             "digit-string serialization requires n_y <= 10; "

@@ -23,6 +23,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _cardinalities,
     _check_size,
     _describe_rational,
     enumerate_functions,
@@ -278,6 +279,7 @@ def measure_shots(
 
 def computational_effect(n_x: int, n_y: int, y: int) -> MeasurementEffect:
     """Project the output register onto |y>, ignoring the input register."""
+    n_x, n_y = _cardinalities(n_x, n_y)
     if not 0 <= y < n_y:
         raise DomainError(f"outcome {y} outside range [0, {n_y})")
     op = np.zeros((n_x * n_y, n_x * n_y), dtype=complex)

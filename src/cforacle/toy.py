@@ -55,9 +55,7 @@ class ToyEpistemicState:
 
     def __post_init__(self):
         probs = _checked_weights(
-            ((_ontic(state), p) for state, p in self.probs.items()),
-            "ontic probabilities",
-            order=lambda state: state,
+            self.probs, "ontic probabilities", _ontic, order=lambda state: state
         )
         object.__setattr__(self, "probs", probs)
 

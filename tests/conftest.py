@@ -12,6 +12,20 @@ IDENTITY = FunctionTable.identity(2)
 FLIP = FunctionTable.flip()
 
 
+def random_distribution(rng, n_x, n_y):
+    """Weights 0-9 drawn per table, normalized (at least one nonzero)."""
+    tables = [
+        FunctionTable.from_index(n_x, n_y, i) for i in range(n_y**n_x)
+    ]
+    raw = [rng.randint(0, 9) for _ in tables]
+    if sum(raw) == 0:
+        raw[0] = 1
+    total = sum(raw)
+    return FunctionDistribution(
+        n_x, n_y, {t: Fraction(k, total) for t, k in zip(tables, raw) if k}
+    )
+
+
 def binary_distribution(p_const0, p_identity, p_flip, p_const1):
     weights = {
         CONST0: Fraction(p_const0),

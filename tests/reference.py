@@ -3,20 +3,28 @@
 For the LP tests, independent of :mod:`cforacle.lp`: brute-force vertex
 enumeration, and the ``Fraction`` tableau that the fraction-free kernel
 replaced (every entry a ``Fraction``, every row update a ``Fraction``
-Gauss-Jordan step, with the library's pricing rule).  For the binary probe
-solve: the elimination on the 4x4 scenario matrix that its cached inverse
+Gauss-Jordan step, with the library's pricing rule).  For the event
+systems: every one-way and two-way event, of which ``build_constraints``
+emits a basis plus the zero events.  For the binary probe solve: the
+elimination on the 4x4 scenario matrix that its cached inverse
 replaced."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from cforacle import (
+    ConstraintLevel,
+    ConstraintSystem,
+    CounterfactualQuery,
     FunctionDistribution,
     InfeasibleSystemError,
     MeasurementInconsistencyError,
     UnboundedProgramError,
+    conditional,
     enumerate_functions,
+    joint_counterfactual,
 )
+from cforacle.core import event_indicator
 from cforacle.quantum import BINARY_SCENARIOS, scenario_coefficient
 from cforacle.rational import rref, solve_unique
 
@@ -159,6 +167,61 @@ def fraction_face_walk(tableau, basis, n):
             eligible = [e and d == 0 for e, d in zip(eligible, tableau[-1])]
     values = {bvar: row[-1] for bvar, row in zip(basis, tableau)}
     return [values.get(j, F(0)) for j in range(n)], basis
+
+
+def events(n_x, n_y, level):
+    """Every event of ``level`` as its ``(x, y)`` pairs: the one-way events
+    by x then y, then for two-way the two-way events by (x, x') then
+    (y, y')."""
+    found = [((x, y),) for x in range(n_x) for y in range(n_y)]
+    if ConstraintLevel.parse(level) is ConstraintLevel.TWO_WAY:
+        found += [
+            ((x, y), (x_prime, y_prime))
+            for x, x_prime in combinations(range(n_x), 2)
+            for y in range(n_y)
+            for y_prime in range(n_y)
+        ]
+    return found
+
+
+def full_event_system(pF, level):
+    """A row for every event, its right-hand side from
+    ``joint_counterfactual``, then the normalization row."""
+    rows = [
+        (
+            event_indicator(pF.n_x, pF.n_y, pairs),
+            joint_counterfactual(pF, CounterfactualQuery(pairs)),
+        )
+        for pairs in events(pF.n_x, pF.n_y, level)
+    ]
+    rows.append(((1,) * pF.n_y**pF.n_x, F(1)))
+    return ConstraintSystem(pF.n_x, pF.n_y, tuple(rows))
+
+
+def basis_events(pF, level):
+    """The events ``build_constraints`` keeps, in order: with r(x) the last
+    y of positive p(f(x)=y), those with y != r(x) on each of their inputs,
+    and the rest of probability 0."""
+    ref = [
+        max(y for y, p in enumerate(conditional(pF, x)) if p) for x in range(pF.n_x)
+    ]
+    return [
+        pairs
+        for pairs in events(pF.n_x, pF.n_y, level)
+        if all(y != ref[x] for x, y in pairs)
+        or joint_counterfactual(pF, CounterfactualQuery(pairs)) == 0
+    ]
+
+
+def row_event(tables, coeffs):
+    """The pairs of an event row: the inputs on which every table with
+    coefficient 1 agrees, with their common output."""
+    members = [t.outputs for t, c in zip(tables, coeffs) if c == 1]
+    return tuple(
+        (x, members[0][x])
+        for x in range(len(members[0]))
+        if len({outs[x] for outs in members}) == 1
+    )
 
 
 def binary_matrix():

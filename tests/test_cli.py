@@ -587,6 +587,30 @@ def test_exact_result_longer_than_the_int_to_str_limit(capsys, tmp_path):
             sys.set_int_max_str_digits(limit)
 
 
+def test_one_parser_serves_successive_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    appe = ["bounds", "--model", "appE.json", "--level", "two-way"]
+    appe += ["--target", "0:1,1:1,2:1"]
+    binary = ["reproduce", "binary"]
+    outputs = {}
+    for argv in (appe, binary, appe, binary):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.setdefault(argv[0], set()).add(hashlib.sha256(out.encode()).hexdigest())
+    assert outputs == {
+        "bounds": {hashlib.sha256(GOLDEN_APPE_TWO_WAY["bounds"].encode()).hexdigest()},
+        "reproduce": {"2a81cfb7b613348e57511f3519f14c1fd6420ddb96883dd2136a28c1c88ad5db"},
+    }
+    usage_errors = (["bogus"], ["bounds", "--model", "appE.json"], ["reproduce", "x"])
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cforacle")
+    code, out, _ = run_cli(capsys, *appe)
+    assert (code, out) == (0, GOLDEN_APPE_TWO_WAY["bounds"])
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "cforacle.cli", "reproduce", "binary"],

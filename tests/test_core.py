@@ -28,7 +28,7 @@ from cforacle import (
     joint_counterfactual,
     observational_joint,
 )
-from cforacle import core, identify, quantum
+from cforacle import core, identify, modelio, quantum
 from cforacle.core import event_indicator
 from conftest import (
     CONST0,
@@ -186,6 +186,58 @@ def test_the_cap_is_ten_to_the_sixth():
     assert len(identify.LinearTarget.from_query(query, 6, 10).coefficients) == 10**6
     with pytest.raises(EnumerationCapError, match="1048576 exceeds"):
         identify.LinearTarget.from_query(query, 20, 2)
+
+
+# Entries that take n_x and n_y, each called with a cardinality that is not
+# a positive integer; all go through ``core._cardinalities``.
+BAD_CARDINALITIES = {
+    "enumerate_functions": lambda n: enumerate_functions(n, 2),
+    "ConstraintSystem": lambda n: identify.ConstraintSystem(n, 2, ()),
+    "FunctionTable": lambda n: FunctionTable(n, 2, ()),
+    "FunctionTable.from_index": lambda n: FunctionTable.from_index(2, n, 0),
+    "FunctionDistribution": lambda n: FunctionDistribution(n, 2, {}),
+    "FunctionDistribution.from_vector": lambda n: FunctionDistribution.from_vector(
+        2, n, [1]
+    ),
+    "ConfoundedModel": lambda n: ConfoundedModel(2, n, {}),
+    "event_indicator": lambda n: event_indicator(n, 2, ()),
+    "CounterfactualQuery.validate_for": lambda n: CounterfactualQuery(
+        ((0, 0),)
+    ).validate_for(2, n),
+    "LinearTarget.from_query": lambda n: identify.LinearTarget.from_query(
+        CounterfactualQuery(((0, 0),)), n, 2
+    ),
+    "table_from_digits": lambda n: modelio.table_from_digits("01", 2, n),
+    "computational_effect": lambda n: quantum.computational_effect(n, 2, 0),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_CARDINALITIES)
+@pytest.mark.parametrize("n", ["a", 2.0, None, 0, -1], ids=repr)
+def test_every_entry_refuses_a_bad_cardinality(entry, n):
+    with pytest.raises(ValidationError, match="cardinalities must be positive"):
+        BAD_CARDINALITIES[entry](n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FunctionDistribution(2, 2, 5),
+        lambda: FunctionDistribution(2, 2, [(IDENTITY, 1)]),
+        lambda: ConfoundedModel(2, 2, 5),
+        lambda: ConfoundedModel(2, 2, [((0, IDENTITY), 1)]),
+    ],
+    ids=["distribution int", "distribution list", "joint int", "joint list"],
+)
+def test_weights_that_are_not_a_mapping_are_refused(call):
+    with pytest.raises(ValidationError, match="must be a mapping, got a (int|list)"):
+        call()
+
+
+def test_cardinalities_are_made_ints():
+    pf = FunctionDistribution(np.int64(2), np.uint8(2), {IDENTITY: 1})
+    system = identify.ConstraintSystem(np.int64(1), True, (((1,), 1),))
+    assert {type(v) for v in (pf.n_x, pf.n_y, system.n_x, system.n_y)} == {int}
 
 
 def test_a_count_too_long_to_print_is_shown_by_its_size():

@@ -1,6 +1,5 @@
 """Constraint systems, partial-identification bounds, identifiability."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -38,23 +37,10 @@ from cforacle.reproduce import (
     model_satisfies,
     uniform_ternary_model,
 )
-from conftest import binary_distribution
-from reference import vertex_range
+from conftest import binary_distribution, random_distribution
+from reference import basis_events, row_event, vertex_range
 
 F = Fraction
-
-
-def random_distribution(rng, n_x, n_y):
-    tables = [
-        FunctionTable.from_index(n_x, n_y, i) for i in range(n_y**n_x)
-    ]
-    raw = [rng.randint(0, 9) for _ in tables]
-    if sum(raw) == 0:
-        raw[0] = 1
-    total = sum(raw)
-    return FunctionDistribution(
-        n_x, n_y, {t: F(k, total) for t, k in zip(tables, raw) if k}
-    )
 
 
 class TestBuildConstraints:
@@ -65,7 +51,8 @@ class TestBuildConstraints:
         assert rows[(1, 1, 0, 0)] == F(1, 2)  # p(f(0)=0)
         assert rows[(1, 0, 1, 0)] == F(1, 2)  # p(f(1)=0)
         assert rows[(1, 1, 1, 1)] == 1
-        assert len(system.rows) == 5
+        # p(f(x)=1) > 0, so r(x) = 1 and the f(x)=1 rows are implied
+        assert len(system.rows) == 3
 
     def test_two_way_contains_one_way(self):
         pf = random_distribution(random.Random(3), 3, 2)
@@ -80,7 +67,9 @@ class TestBuildConstraints:
             for coeffs, rhs in system.rows
             if sum(coeffs) == 2  # exactly two tables satisfy a pair pattern
         ]
-        assert len(pair_rows) == 12
+        # no pair has probability 0, so only the 3 with both outputs below
+        # the reference output 1 are kept
+        assert len(pair_rows) == 3
         assert all(rhs == F(1, 4) for _, rhs in pair_rows)
 
     def test_single_value_cardinalities(self):
@@ -89,10 +78,11 @@ class TestBuildConstraints:
         assert all(rhs == 1 for _, rhs in system.rows)
 
     def test_cap_bounds_rows_times_tables_before_enumerating(self, monkeypatch):
-        # binary n_x = 3, two-way: 6 + 3 * 4 + 1 = 19 rows over 8 tables
+        # binary n_x = 3, two-way: 6 + 3 * 4 + 1 = 19 events over 8 tables
+        # are counted, though only the basis of 3 + 3 + 1 rows is built
         model = restricted_tail_model(3, ())
         monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 19 * 8)
-        assert len(build_constraints(model, "two-way").rows) == 19
+        assert len(build_constraints(model, "two-way").rows) == 7
 
         def enumerate_nothing(*args, **kwargs):
             raise RuntimeError("tables enumerated before the cap check")
@@ -116,7 +106,7 @@ class TestBuildConstraints:
         monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 8)
         assert len(LinearTarget.from_query(query, 3, 2).coefficients) == 8
         monkeypatch.setattr(core, "DEFAULT_ENUMERATION_CAP", 19 * 8)
-        assert len(build_constraints(model, "two-way").rows) == 19
+        assert len(build_constraints(model, "two-way").rows) == 7
 
     @pytest.mark.parametrize("level", [5, None, b"one-way"])
     def test_level_of_another_type_is_refused(self, level):
@@ -133,20 +123,11 @@ class TestBuildConstraints:
         tables = enumerate_functions(n_x, n_y)
         for level in ConstraintLevel:
             system = build_constraints(pf, level)
-            n_events = n_x * n_y
-            if level is ConstraintLevel.TWO_WAY:
-                n_events += math.comb(n_x, 2) * n_y**2
-            assert len(system.rows) == n_events + 1
-            seen = set()
+            seen = []
             for coeffs, rhs in system.rows:
                 assert set(map(type, coeffs)) == {int}
                 # the event's pairs are the inputs on which its members agree
-                members = [t.outputs for t, c in zip(tables, coeffs) if c == 1]
-                pairs = tuple(
-                    (x, members[0][x])
-                    for x in range(n_x)
-                    if len({outs[x] for outs in members}) == 1
-                )
+                pairs = row_event(tables, coeffs)
                 assert coeffs == tuple(
                     int(all(t.outputs[x] == y for x, y in pairs)) for t in tables
                 )
@@ -154,8 +135,10 @@ class TestBuildConstraints:
                     assert rhs == joint_counterfactual(pf, CounterfactualQuery(pairs))
                 else:
                     assert coeffs == (1,) * len(tables) and rhs == 1
-                seen.add(pairs)
-            assert len(seen) == len(system.rows)
+                seen.append(pairs)
+            # the basis plus the zero events, in event order, then normalization
+            assert seen == basis_events(pf, level) + [()]
+            assert len(set(seen)) == len(system.rows)
 
     def test_from_query_coefficients_are_ints(self):
         for n_x, n_y, pairs in ((2, 2, ((1, 0),)), (3, 3, ((0, 2), (2, 1)))):

@@ -1,11 +1,13 @@
 """Exact simplex solver, checked against the references in ``reference.py``."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from cforacle import (
+    Bounds,
     FunctionDistribution,
     ConstraintLevel,
     CounterfactualQuery,
@@ -14,27 +16,36 @@ from cforacle import (
     LinearTarget,
     UnboundedProgramError,
     build_constraints,
+    enumerate_functions,
+    joint_counterfactual,
     lp,
+    lp_bounds,
+    lp_bounds_with_witnesses,
     rational,
     restricted_tail_model,
 )
+from cforacle.core import event_indicator
 from cforacle.lp import (
     lexmin_optimal_range,
     lexmin_optimal_vertex,
     objective_range,
     simplex_minimize,
 )
-from cforacle.rational import solve_unique
+from cforacle.rational import rref, solve_unique
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
     uniform_ternary_model,
 )
+from conftest import random_distribution
 from reference import (
+    basis_events,
     fraction_face_walk,
     fraction_iterate,
     fraction_phase1,
+    full_event_system,
     lexmin_by_enumeration,
+    row_event,
     vertex_range,
     vertices,
 )
@@ -303,6 +314,19 @@ def test_lexmin_matches_restart_algorithm_on_witness_systems(c, a, b):
     assert list(lexmin_optimal_range(c, a, b)) == expected
 
 
+def test_uniform_10x2_one_way_witnesses_are_pinned():
+    # recorded while the face walk still priced every eligible column
+    model = FunctionDistribution.uniform(10, 2)
+    query = CounterfactualQuery(tuple((x, x % 2) for x in range(10)))
+    bounds, w_lo, w_hi = lp_bounds_with_witnesses(
+        LinearTarget.from_query(query, 10, 2), build_constraints(model, "one-way")
+    )
+    assert bounds == Bounds(0, F(1, 2))
+    assert hashlib.sha256(repr((w_lo, w_hi)).encode()).hexdigest() == (
+        "dacc806f16bbec553105b0f2bfc7ae84d21ad1680a462b62bd400cb52bc697bc"
+    )
+
+
 def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
     monkeypatch.setattr(lp, "_basic_solution", lambda *_: [F(0), F(0), F(1)])
     a = frac_rows([[1, 1, 1]])
@@ -518,14 +542,85 @@ def test_presolve_and_pricing_match_bland_on_the_ladder(model, level, pairs):
     assert assert_matches_full_system(c, a, b) == "solved"
 
 
+def _basis_cases():
+    for name, *case in _ladder():
+        yield pytest.param(*case, id=name)
+    for n_x, n_y in ((1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
+        rng = random.Random(10 * n_x + n_y)
+        tables = enumerate_functions(n_x, n_y)
+        models = {
+            "random": random_distribution(rng, n_x, n_y),
+            "sparse": FunctionDistribution.uniform_over(rng.sample(tables, 3)),
+        }
+        pairs = tuple((x, x % n_y) for x in range(n_x))
+        for kind, model in models.items():
+            for level in ("one-way", "two-way"):
+                name = f"{kind} {n_x}x{n_y} {level}"
+                yield pytest.param(model, level, pairs, id=name)
+
+
+@pytest.mark.parametrize("model, level, pairs", list(_basis_cases()))
+def test_event_basis_has_the_solutions_of_every_event(model, level, pairs):
+    system = build_constraints(model, level)
+    full = full_event_system(model, level)
+    tables = enumerate_functions(model.n_x, model.n_y)
+    seen = []
+    for coeffs, rhs in system.rows[:-1]:
+        pairs_of_row = row_event(tables, coeffs)
+        assert set(map(type, coeffs)) == {int}
+        assert coeffs == event_indicator(model.n_x, model.n_y, pairs_of_row)
+        assert rhs == joint_counterfactual(model, CounterfactualQuery(pairs_of_row))
+        seen.append(pairs_of_row)
+    assert system.rows[-1] == ((1,) * len(tables), 1)
+    assert seen == basis_events(model, level)
+    assert len(set(seen)) == len(seen)
+    assert set(build_constraints(model, "one-way").rows) <= set(system.rows)
+    (a, b), (full_a, full_b) = system.matrix(), full.matrix()
+    assert rref([row + [v] for row, v in zip(a, b)]) == rref(
+        [row + [v] for row, v in zip(full_a, full_b)]
+    )
+    assert lp._presolve(a, b)[0] == lp._presolve(full_a, full_b)[0]
+    target = LinearTarget.from_query(CounterfactualQuery(pairs), model.n_x, model.n_y)
+    assert lp_bounds_with_witnesses(target, system) == lp_bounds_with_witnesses(
+        target, full
+    )
+
+
+def test_tail_two_way_bounds_take_few_pivots(monkeypatch):
+    # guards presolve strength: with every event row (no basis) these took
+    # 54, 54 and 64 pivots
+    pivots = 0
+    real_pivot = lp.pivot
+
+    def counting_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        return real_pivot(*args)
+
+    monkeypatch.setattr(lp, "pivot", counting_pivot)
+    for tail in ((0, 0, 0), (1, 1, 1), (0, 1, 0, 1)):
+        n = 3 + len(tail)
+        model = restricted_tail_model(n, tail)
+        query = CounterfactualQuery(
+            ((0, 1), (1, 1), (2, 1)) + tuple((3 + i, v) for i, v in enumerate(tail))
+        )
+        system = build_constraints(model, "two-way")
+        pivots = 0
+        assert lp_bounds(LinearTarget.from_query(query, n, 2), system) == Bounds(
+            0, F(1, 4)
+        )
+        assert pivots <= 18, (tail, pivots)
+
+
 def test_presolve_drops_forced_zero_columns_of_a_tail_model():
     system = build_constraints(
         restricted_tail_model(7, (0, 1, 0, 1)), ConstraintLevel.parse("two-way")
     )
     a, b = system.matrix()
-    assert (len(a), len(a[0])) == (99, 128)
+    # the 99 events hold 45 of probability 0 and span 7 + 29 dimensions
+    assert (len(a), len(a[0])) == (53, 128)
     cols, rows, _ = lp._presolve(a, b)
-    assert (len(rows), len(cols)) == (53, 8)
+    assert (len(rows), len(cols)) == (7, 8)
 
 
 def test_presolve_pins_with_negative_coefficients():
