@@ -79,6 +79,15 @@ def _cardinalities(n_x, n_y) -> tuple[int, int]:
     return n_x, n_y
 
 
+def _set_cardinalities(obj) -> tuple[int, int]:
+    """:func:`_cardinalities` of a frozen dataclass's ``n_x`` and ``n_y``,
+    written back into it and returned."""
+    n_x, n_y = _cardinalities(obj.n_x, obj.n_y)
+    object.__setattr__(obj, "n_x", n_x)
+    object.__setattr__(obj, "n_y", n_y)
+    return n_x, n_y
+
+
 def _is_digits(text: str) -> bool:
     """ASCII ``0-9`` only: ``str.isdigit`` also accepts ``"²"`` and
     ``"١"``, and ``int`` also ``" 0"``, ``"+0"`` and ``"1_0"``."""
@@ -135,9 +144,7 @@ class FunctionTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        n_x, n_y = _cardinalities(self.n_x, self.n_y)
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
+        _set_cardinalities(self)
         try:
             outputs = tuple(map(operator.index, self.outputs))
         except TypeError as exc:
@@ -280,9 +287,7 @@ class FunctionDistribution:
     weights: Mapping[FunctionTable, Fraction]
 
     def __post_init__(self):
-        n_x, n_y = _cardinalities(self.n_x, self.n_y)
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
+        n_x, n_y = _set_cardinalities(self)
         # zero weights dropped, tables in canonical index order
         weights = _checked_weights(
             self.weights, "weights", partial(_as_table, n_x, n_y),
@@ -485,9 +490,7 @@ class ConfoundedModel:
     joint_weights: Mapping[tuple[int, FunctionTable], Fraction]
 
     def __post_init__(self):
-        n_x, n_y = _cardinalities(self.n_x, self.n_y)
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
+        _set_cardinalities(self)
         ordered = _checked_weights(
             self.joint_weights, "joint weights", self._key,
             lambda key: (key[0], key[1].index),

@@ -23,9 +23,9 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
-    _cardinalities,
     _check_size,
     _describe_rational,
+    _set_cardinalities,
     conditional,
     event_indicator,
     joint_counterfactual,
@@ -88,9 +88,7 @@ class ConstraintSystem:
     rows: tuple[tuple[tuple[int | Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
-        n_x, n_y = _cardinalities(self.n_x, self.n_y)
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
+        n_x, n_y = _set_cardinalities(self)
         dim = n_y**n_x
         try:
             rows = [(coeffs, rhs) for coeffs, rhs in self.rows]
@@ -209,9 +207,9 @@ def build_constraints(
     level = ConstraintLevel.parse(level)
     n_x, n_y = pF_true.n_x, pF_true.n_y
     two_way = level is ConstraintLevel.TWO_WAY
-    input_pairs = list(combinations(range(n_x), 2)) if two_way else []
-    n_rows = n_x * n_y + len(input_pairs) * n_y**2 + 1
+    n_rows = n_x * n_y + (math.comb(n_x, 2) * n_y**2 if two_way else 0) + 1
     _check_size(n_rows * n_y**n_x, f"cells of {n_rows} rows over {n_y}^{n_x} tables")
+    input_pairs = list(combinations(range(n_x), 2)) if two_way else []
     # Every marginal in one pass over the support, as integer counts over
     # the weights' common denominator.
     den = math.lcm(*(w.denominator for w in pF_true.weights.values()))

@@ -9,6 +9,7 @@ emits a basis plus the zero events.  For the binary probe solve: the
 elimination on the 4x4 scenario matrix that its cached inverse
 replaced."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,10 +24,13 @@ from cforacle import (
     conditional,
     enumerate_functions,
     joint_counterfactual,
+    restricted_tail_model,
 )
 from cforacle.core import event_indicator
 from cforacle.quantum import BINARY_SCENARIOS, scenario_coefficient
 from cforacle.rational import rref, solve_unique
+from cforacle.reproduce import affine_ternary_model, uniform_ternary_model
+from conftest import random_distribution
 
 F = Fraction
 
@@ -222,6 +226,38 @@ def row_event(tables, coeffs):
         for x in range(len(members[0]))
         if len({outs[x] for outs in members}) == 1
     )
+
+
+def ladder():
+    """``(name, model, level, pairs)``: the binary tail models of 5 to 8
+    inputs at both levels with their all-ones-then-tail target, then
+    ternary two-way models with a diagonal target."""
+    tails = {5: (0, 1), 6: (1, 1, 1), 7: (0, 1, 0, 1), 8: (1, 0, 1, 0, 1)}
+    for n, tail in tails.items():
+        for level in ("one-way", "two-way"):
+            pairs = ((0, 1), (1, 1), (2, 1)) + tuple(
+                (3 + i, v) for i, v in enumerate(tail)
+            )
+            yield f"tail-{n} {level}", restricted_tail_model(n, tail), level, pairs
+    diagonal = ((0, 0), (1, 1), (2, 2))
+    yield "affine 3x3 two-way", affine_ternary_model(), "two-way", diagonal
+    yield "uniform 3x3 two-way", uniform_ternary_model(), "two-way", diagonal
+    yield (
+        "uniform 4x3 two-way", FunctionDistribution.uniform(4, 3), "two-way",
+        diagonal + ((3, 0),),
+    )
+
+
+RANDOM_SIZES = ((1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3))
+
+
+def random_and_sparse(n_x, n_y):
+    """A dense random model (seed ``10 * n_x + n_y``) and, from the same
+    generator, the uniform mixture of three random tables."""
+    rng = random.Random(10 * n_x + n_y)
+    dense = random_distribution(rng, n_x, n_y)
+    tables = enumerate_functions(n_x, n_y)
+    return dense, FunctionDistribution.uniform_over(rng.sample(tables, 3))
 
 
 def binary_matrix():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cforacle import cli, quantum
+from cforacle import cli, identify, quantum
 from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
@@ -503,6 +503,20 @@ class TestErrorHandling:
         model.write_text(json.dumps({"n_x": 1001, "n_y": 1, "pF": {"0" * 1001: "1"}}))
         err = self.one_line_usage_error(capsys, "tomography", "--model", str(model))
         assert "EnumerationCapError" in err
+
+    def test_two_way_with_many_inputs_is_refused_before_building(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 2-way over 30000 binary inputs counts 4.5e8 input pairs: refused
+        # from the count, before any pair is built
+        monkeypatch.setattr(identify, "combinations", None)  # never reached
+        model = tmp_path / "many.json"
+        model.write_text(json.dumps({"n_x": 30000, "n_y": 2, "pF": {"0" * 30000: "1"}}))
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "two-way",
+            "--target", "0:0",
+        )
+        assert "EnumerationCapError" in err and "1800000001 rows" in err
 
     @pytest.mark.parametrize(
         "weights",

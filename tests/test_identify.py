@@ -28,7 +28,7 @@ from cforacle import (
     restricted_tail_model,
     solution_family_direction,
 )
-from cforacle import core
+from cforacle import core, identify
 from cforacle.rational import is_scalar_multiple
 from cforacle.reproduce import (
     affine_ternary_model,
@@ -38,9 +38,25 @@ from cforacle.reproduce import (
     uniform_ternary_model,
 )
 from conftest import binary_distribution, random_distribution
-from reference import basis_events, row_event, vertex_range
+from reference import (
+    RANDOM_SIZES,
+    basis_events,
+    ladder,
+    random_and_sparse,
+    row_event,
+    vertex_range,
+)
 
 F = Fraction
+
+
+def _event_row_models():
+    # dense and sparse random models by size, then each ladder model once
+    for n_x, n_y in RANDOM_SIZES:
+        yield pytest.param(random_and_sparse(n_x, n_y), id=f"{n_x}-{n_y}")
+    for name, model, level, _ in ladder():
+        if level == "two-way":
+            yield pytest.param((model,), id=name.removesuffix(" two-way"))
 
 
 class TestBuildConstraints:
@@ -92,6 +108,18 @@ class TestBuildConstraints:
         with pytest.raises(EnumerationCapError):
             build_constraints(model, "two-way")
 
+    @pytest.mark.parametrize("n_x, n_y", [(30000, 2), (10**5, 1)])
+    def test_cap_refuses_many_inputs_before_building(self, monkeypatch, n_x, n_y):
+        # C(n_x, 2) input pairs are counted, never listed, before the check
+        pf = FunctionDistribution.point_mass(FunctionTable(n_x, n_y, (0,) * n_x))
+
+        def build_nothing(*args):
+            raise RuntimeError("input pairs built before the cap check")
+
+        monkeypatch.setattr(identify, "combinations", build_nothing)
+        with pytest.raises(EnumerationCapError, match="exceeds the enumeration cap"):
+            build_constraints(pf, "two-way")
+
     def test_from_query_cap_and_no_table_enumerated(self, monkeypatch):
         model = restricted_tail_model(3, ())
         query = CounterfactualQuery(((0, 1), (2, 0)))
@@ -115,30 +143,32 @@ class TestBuildConstraints:
         with pytest.raises(ValidationError, match="constraint level"):
             build_constraints(FunctionDistribution.uniform(2, 2), level)
 
-    @pytest.mark.parametrize(
-        "n_x, n_y", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
-    )
-    def test_rows_are_int_events_with_joint_right_hand_sides(self, n_x, n_y):
-        pf = random_distribution(random.Random(10 * n_x + n_y), n_x, n_y)
-        tables = enumerate_functions(n_x, n_y)
-        for level in ConstraintLevel:
-            system = build_constraints(pf, level)
-            seen = []
-            for coeffs, rhs in system.rows:
-                assert set(map(type, coeffs)) == {int}
-                # the event's pairs are the inputs on which its members agree
-                pairs = row_event(tables, coeffs)
-                assert coeffs == tuple(
-                    int(all(t.outputs[x] == y for x, y in pairs)) for t in tables
-                )
-                if pairs:
-                    assert rhs == joint_counterfactual(pf, CounterfactualQuery(pairs))
-                else:
-                    assert coeffs == (1,) * len(tables) and rhs == 1
-                seen.append(pairs)
-            # the basis plus the zero events, in event order, then normalization
-            assert seen == basis_events(pf, level) + [()]
-            assert len(set(seen)) == len(system.rows)
+    @pytest.mark.parametrize("models", list(_event_row_models()))
+    def test_rows_are_int_events_with_joint_right_hand_sides(self, models):
+        for pf in models:
+            tables = enumerate_functions(pf.n_x, pf.n_y)
+            for level in ConstraintLevel:
+                system = build_constraints(pf, level)
+                seen = []
+                for coeffs, rhs in system.rows:
+                    assert set(map(type, coeffs)) == {int}
+                    # the event's pairs are the inputs on which its members agree
+                    pairs = row_event(tables, coeffs)
+                    assert coeffs == tuple(
+                        int(all(t.outputs[x] == y for x, y in pairs)) for t in tables
+                    )
+                    if pairs:
+                        assert rhs == joint_counterfactual(
+                            pf, CounterfactualQuery(pairs)
+                        )
+                    else:
+                        assert coeffs == (1,) * len(tables) and rhs == 1
+                    seen.append(pairs)
+                # the basis plus the zero events, in event order, then normalization
+                assert seen == basis_events(pf, level) + [()]
+                assert len(set(seen)) == len(system.rows)
+            one_way = build_constraints(pf, "one-way").rows
+            assert set(one_way) <= set(build_constraints(pf, "two-way").rows)
 
     def test_from_query_coefficients_are_ints(self):
         for n_x, n_y, pairs in ((2, 2, ((1, 0),)), (3, 3, ((0, 2), (2, 1)))):

@@ -16,15 +16,12 @@ from cforacle import (
     LinearTarget,
     UnboundedProgramError,
     build_constraints,
-    enumerate_functions,
-    joint_counterfactual,
     lp,
     lp_bounds,
     lp_bounds_with_witnesses,
     rational,
     restricted_tail_model,
 )
-from cforacle.core import event_indicator
 from cforacle.lp import (
     lexmin_optimal_range,
     lexmin_optimal_vertex,
@@ -37,15 +34,15 @@ from cforacle.reproduce import (
     mix_identity_flip,
     uniform_ternary_model,
 )
-from conftest import random_distribution
 from reference import (
-    basis_events,
+    RANDOM_SIZES,
     fraction_face_walk,
     fraction_iterate,
     fraction_phase1,
     full_event_system,
+    ladder,
     lexmin_by_enumeration,
-    row_event,
+    random_and_sparse,
     vertex_range,
     vertices,
 )
@@ -512,25 +509,8 @@ def test_presolve_and_pricing_match_bland_on_random_systems():
     assert dropped >= 100
 
 
-def _ladder():
-    tails = {5: (0, 1), 6: (1, 1, 1), 7: (0, 1, 0, 1), 8: (1, 0, 1, 0, 1)}
-    for n, tail in tails.items():
-        for level in ("one-way", "two-way"):
-            pairs = ((0, 1), (1, 1), (2, 1)) + tuple(
-                (3 + i, v) for i, v in enumerate(tail)
-            )
-            yield f"tail-{n} {level}", restricted_tail_model(n, tail), level, pairs
-    diagonal = ((0, 0), (1, 1), (2, 2))
-    yield "affine 3x3 two-way", affine_ternary_model(), "two-way", diagonal
-    yield "uniform 3x3 two-way", uniform_ternary_model(), "two-way", diagonal
-    yield (
-        "uniform 4x3 two-way", FunctionDistribution.uniform(4, 3), "two-way",
-        diagonal + ((3, 0),),
-    )
-
-
 @pytest.mark.parametrize(
-    "model, level, pairs", [pytest.param(*case[1:], id=case[0]) for case in _ladder()]
+    "model, level, pairs", [pytest.param(*case[1:], id=case[0]) for case in ladder()]
 )
 def test_presolve_and_pricing_match_bland_on_the_ladder(model, level, pairs):
     system = build_constraints(model, ConstraintLevel.parse(level))
@@ -543,17 +523,11 @@ def test_presolve_and_pricing_match_bland_on_the_ladder(model, level, pairs):
 
 
 def _basis_cases():
-    for name, *case in _ladder():
+    for name, *case in ladder():
         yield pytest.param(*case, id=name)
-    for n_x, n_y in ((1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
-        rng = random.Random(10 * n_x + n_y)
-        tables = enumerate_functions(n_x, n_y)
-        models = {
-            "random": random_distribution(rng, n_x, n_y),
-            "sparse": FunctionDistribution.uniform_over(rng.sample(tables, 3)),
-        }
+    for n_x, n_y in RANDOM_SIZES:
         pairs = tuple((x, x % n_y) for x in range(n_x))
-        for kind, model in models.items():
+        for kind, model in zip(("random", "sparse"), random_and_sparse(n_x, n_y)):
             for level in ("one-way", "two-way"):
                 name = f"{kind} {n_x}x{n_y} {level}"
                 yield pytest.param(model, level, pairs, id=name)
@@ -561,20 +535,8 @@ def _basis_cases():
 
 @pytest.mark.parametrize("model, level, pairs", list(_basis_cases()))
 def test_event_basis_has_the_solutions_of_every_event(model, level, pairs):
-    system = build_constraints(model, level)
-    full = full_event_system(model, level)
-    tables = enumerate_functions(model.n_x, model.n_y)
-    seen = []
-    for coeffs, rhs in system.rows[:-1]:
-        pairs_of_row = row_event(tables, coeffs)
-        assert set(map(type, coeffs)) == {int}
-        assert coeffs == event_indicator(model.n_x, model.n_y, pairs_of_row)
-        assert rhs == joint_counterfactual(model, CounterfactualQuery(pairs_of_row))
-        seen.append(pairs_of_row)
-    assert system.rows[-1] == ((1,) * len(tables), 1)
-    assert seen == basis_events(model, level)
-    assert len(set(seen)) == len(seen)
-    assert set(build_constraints(model, "one-way").rows) <= set(system.rows)
+    # the rows themselves are checked in test_identify
+    system, full = build_constraints(model, level), full_event_system(model, level)
     (a, b), (full_a, full_b) = system.matrix(), full.matrix()
     assert rref([row + [v] for row, v in zip(a, b)]) == rref(
         [row + [v] for row, v in zip(full_a, full_b)]
