@@ -79,6 +79,21 @@ def _cardinalities(n_x, n_y) -> tuple[int, int]:
     return n_x, n_y
 
 
+def _as_index(value, what: str, bound: int | None = None) -> int:
+    """The one read of a caller's input or output value: an integer
+    (whatever ``operator.index`` takes), returned as ``int``, else
+    :class:`ValidationError`; with ``bound``, also in ``[0, bound)``, else
+    :class:`DomainError`."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        kind = type(value).__name__
+        raise ValidationError(f"{what} must be an integer, got a {kind}") from exc
+    if bound is not None and not 0 <= value < bound:
+        raise DomainError(f"{what} {value} outside range [0, {bound})")
+    return value
+
+
 def _set_cardinalities(obj) -> tuple[int, int]:
     """:func:`_cardinalities` of a frozen dataclass's ``n_x`` and ``n_y``,
     written back into it and returned."""
@@ -161,9 +176,7 @@ class FunctionTable:
                 )
 
     def __call__(self, x: int) -> int:
-        if not 0 <= x < self.n_x:
-            raise DomainError(f"input {x} outside range [0, {self.n_x})")
-        return self.outputs[x]
+        return self.outputs[_as_index(x, "input", self.n_x)]
 
     @property
     def index(self) -> int:
@@ -398,6 +411,16 @@ class Evidence:
     x_obs: int
     y_obs: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "x_obs", _as_index(self.x_obs, "observed input"))
+        object.__setattr__(self, "y_obs", _as_index(self.y_obs, "observed output"))
+
+
+def _check_evidence(pF: FunctionDistribution, evidence: Evidence) -> None:
+    """Raise :class:`DomainError` unless the evidence lies in pF's ranges."""
+    _as_index(evidence.x_obs, "observed input", pF.n_x)
+    _as_index(evidence.y_obs, "observed output", pF.n_y)
+
 
 def conditional(pF: FunctionDistribution, x: int) -> tuple[Fraction, ...]:
     """p(Y=y | X=x) for every y, as an exact probability vector.
@@ -406,8 +429,7 @@ def conditional(pF: FunctionDistribution, x: int) -> tuple[Fraction, ...]:
     conditional, the do-conditional, and the one-way counterfactual
     p(Y_x = y).
     """
-    if not 0 <= x < pF.n_x:
-        raise DomainError(f"input {x} outside range [0, {pF.n_x})")
+    x = _as_index(x, "input", pF.n_x)
     vec = [Fraction(0)] * pF.n_y
     for table, w in pF.weights.items():
         vec[table.outputs[x]] += w
@@ -433,10 +455,9 @@ def conditional_counterfactual(
     the counterfactual input equals the observed one the answer is the
     degenerate indicator of y_cf == y_obs.
     """
-    if not 0 <= evidence.x_obs < pF.n_x or not 0 <= evidence.y_obs < pF.n_y:
-        raise DomainError(f"evidence {evidence} out of range")
-    if not 0 <= x_cf < pF.n_x or not 0 <= y_cf < pF.n_y:
-        raise DomainError(f"counterfactual pair ({x_cf}, {y_cf}) out of range")
+    _check_evidence(pF, evidence)
+    x_cf = _as_index(x_cf, "counterfactual input", pF.n_x)
+    y_cf = _as_index(y_cf, "counterfactual output", pF.n_y)
     denom = conditional(pF, evidence.x_obs)[evidence.y_obs]
     if denom == 0:
         raise UndefinedConditionalError(
@@ -460,10 +481,8 @@ def abduct_act_predict(
     Action: set X to x_cf.  Prediction: push the posterior through the
     table.  Agrees entry-wise with :func:`conditional_counterfactual`.
     """
-    if not 0 <= evidence.x_obs < pF.n_x or not 0 <= evidence.y_obs < pF.n_y:
-        raise DomainError(f"evidence {evidence} out of range")
-    if not 0 <= x_cf < pF.n_x:
-        raise DomainError(f"input {x_cf} outside range [0, {pF.n_x})")
+    _check_evidence(pF, evidence)
+    x_cf = _as_index(x_cf, "counterfactual input", pF.n_x)
     x_obs, y_obs = evidence.x_obs, evidence.y_obs
     posterior = {t: w for t, w in pF.weights.items() if t.outputs[x_obs] == y_obs}
     norm = sum(posterior.values(), Fraction(0))

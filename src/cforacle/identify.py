@@ -241,11 +241,90 @@ def build_constraints(
     return ConstraintSystem(n_x, n_y, tuple(rows))
 
 
+def _one_way_event(n_x: int, n_y: int, coeffs: tuple) -> tuple | None:
+    """The pairs of the conjunction over distinct inputs whose
+    ``event_indicator`` ``coeffs`` is, read off its first and last 1 (the
+    digits they share), or None.  Needs n_y >= 2: the first 1 has digit 0
+    and the last digit n_y - 1 at every input not in the conjunction."""
+    try:
+        first = coeffs.index(1)
+    except ValueError:
+        return None
+    last = len(coeffs) - 1 - coeffs[::-1].index(1)
+    places = [n_y ** (n_x - 1 - x) for x in range(n_x)]
+    pairs = tuple(
+        (x, first // place % n_y)
+        for x, place in enumerate(places)
+        if first // place % n_y == last // place % n_y
+    )
+    if pairs and coeffs == event_indicator(n_x, n_y, pairs):
+        return pairs
+    return None
+
+
+def _frechet_bounds(coeffs: tuple, system: ConstraintSystem) -> Bounds | None:
+    """The one-way bounds in closed form, or None when they do not apply.
+
+    They apply when every row is the normalization row or a distinct
+    one-way event {f(x)=y}, the rows pin every p(f(x)=y) (all n_y rows of
+    an input, or n_y - 1 of them and the last 1 minus their sum) to a
+    feasible point (all >= 0, each input's summing to 1), and ``coeffs``
+    is the indicator of a conjunction {f(x_i)=y_i} over distinct inputs.
+    The feasible set is then every coupling of those marginals, so with
+    p_i = p(f(x_i)=y_i) the target ranges exactly over the Frechet bounds
+    [max(0, sum p_i - (k-1)), min p_i].  Everything is read off the
+    values: a row is decoded like a target and confirmed by equality.
+    """
+    n_x, n_y, dim = system.n_x, system.n_y, system.dimension
+    if n_y < 2:
+        return None
+    # counts first: a two-way row (dim / n_y**2 ones) refuses the system
+    # before any row is decoded
+    run = dim // n_y
+    if any(row.count(1) not in (run, dim) for row, _ in system.rows):
+        return None
+    query = _one_way_event(n_x, n_y, coeffs)
+    if query is None:
+        return None
+    marginals: list[dict[int, Fraction]] = [{} for _ in range(n_x)]
+    for row, rhs in system.rows:
+        if row.count(1) == dim:
+            continue
+        pairs = _one_way_event(n_x, n_y, row)
+        if pairs is None:
+            return None
+        ((x, y),) = pairs  # a count of dim / n_y ones leaves one pair
+        if y in marginals[x]:
+            return None
+        marginals[x][y] = rhs
+    for pinned in marginals:
+        if len(pinned) == n_y - 1:
+            missing = next(y for y in range(n_y) if y not in pinned)
+            pinned[missing] = 1 - sum(pinned.values())
+        elif len(pinned) != n_y or sum(pinned.values()) != 1:
+            return None
+        if any(p < 0 for p in pinned.values()):
+            return None
+    p = [marginals[x][y] for x, y in query]
+    return Bounds(max(_ZERO, sum(p) - (len(p) - 1)), min(p))
+
+
 def lp_bounds(target: LinearTarget, system: ConstraintSystem) -> Bounds:
     """Exact min and max of the target over all distributions satisfying
-    the system.  Raises :class:`InfeasibleSystemError` when empty."""
+    the system.  Raises :class:`InfeasibleSystemError` when empty.
+
+    A one-way system with a conjunction target is answered in closed form:
+    one-way data fixes only the marginals p(f(x)=y), which is the paper's
+    classical-oracle limit, so the bounds are the Frechet bounds of the
+    queried marginals (see :func:`_frechet_bounds`).  Every other case,
+    and every witness (:func:`lp_bounds_with_witnesses`), comes from the
+    LP.
+    """
     if len(target.coefficients) != system.dimension:
         raise ValidationError("target dimension does not match the system")
+    bounds = _frechet_bounds(target.coefficients, system)
+    if bounds is not None:
+        return bounds
     a, b = system.matrix()
     lo, hi = lp.objective_range(list(target.coefficients), a, b)
     return Bounds(lo, hi)

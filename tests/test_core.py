@@ -234,6 +234,41 @@ def test_weights_that_are_not_a_mapping_are_refused(call):
         call()
 
 
+UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
+
+
+# Inputs and outputs that are not integers; all go through ``core._as_index``.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conditional(UNIFORM_2X2, "a"),
+        lambda: conditional(UNIFORM_2X2, 1.5),
+        lambda: conditional_counterfactual(UNIFORM_2X2, Evidence("a", 0), 1, 0),
+        lambda: conditional_counterfactual(UNIFORM_2X2, Evidence(0, 0.5), 1, 0),
+        lambda: conditional_counterfactual(UNIFORM_2X2, Evidence(0, 0), None, 0),
+        lambda: abduct_act_predict(UNIFORM_2X2, Evidence(0, 0), "b"),
+        lambda: FunctionTable(2, 2, (0, 1))(1.5),
+    ],
+    ids=[
+        "conditional str", "conditional float", "evidence input str",
+        "evidence output float", "counterfactual input None",
+        "abduct_act_predict str", "FunctionTable call float",
+    ],
+)
+def test_inputs_and_outputs_that_are_not_integers_are_refused(call):
+    with pytest.raises(ValidationError, match="must be an integer, got a"):
+        call()
+
+
+def test_inputs_and_outputs_are_made_ints():
+    evidence = Evidence(np.int64(0), True)
+    assert (type(evidence.x_obs), type(evidence.y_obs)) == (int, int)
+    assert conditional_counterfactual(UNIFORM_2X2, evidence, np.uint8(1), 1) == F(1, 2)
+    assert FunctionTable(2, 2, (0, 1))(np.int64(1)) == 1
+    with pytest.raises(DomainError, match=r"counterfactual output 2 outside range"):
+        conditional_counterfactual(UNIFORM_2X2, evidence, 1, 2)
+
+
 def test_cardinalities_are_made_ints():
     pf = FunctionDistribution(np.int64(2), np.uint8(2), {IDENTITY: 1})
     system = identify.ConstraintSystem(np.int64(1), True, (((1,), 1),))

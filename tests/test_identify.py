@@ -13,6 +13,7 @@ from cforacle import (
     EnumerationCapError,
     FunctionDistribution,
     FunctionTable,
+    InfeasibleSystemError,
     LinearTarget,
     ValidationError,
     build_constraints,
@@ -28,7 +29,8 @@ from cforacle import (
     restricted_tail_model,
     solution_family_direction,
 )
-from cforacle import core, identify
+from cforacle import core, identify, lp
+from cforacle.core import event_indicator
 from cforacle.rational import is_scalar_multiple
 from cforacle.reproduce import (
     affine_ternary_model,
@@ -41,6 +43,7 @@ from conftest import binary_distribution, random_distribution
 from reference import (
     RANDOM_SIZES,
     basis_events,
+    full_event_system,
     ladder,
     random_and_sparse,
     row_event,
@@ -257,6 +260,80 @@ class TestBounds:
                     assert lp_bounds(LinearTarget(coeffs), system) == Bounds(
                         *vertex_range(coeffs, a, b)
                     )
+
+
+MODEL_2X3 = random_distribution(random.Random(31), 2, 3)
+TARGET_2X3 = LinearTarget.from_query(CounterfactualQuery(((0, 1), (1, 2))), 2, 3)
+ONE_WAY_2X3 = build_constraints(MODEL_2X3, "one-way")
+# every one-way event, x = 0 then x = 1, then the normalization row
+FULL_2X3 = full_event_system(MODEL_2X3, "one-way").rows
+
+
+def _with_row(system, row):
+    return ConstraintSystem(system.n_x, system.n_y, (row, *system.rows))
+
+
+# (target, system) pairs that the one-way closed form must leave to the LP
+DECLINED = {
+    "two-way system": (TARGET_2X3, build_constraints(MODEL_2X3, "two-way")),
+    "duplicated row": (TARGET_2X3, _with_row(ONE_WAY_2X3, ONE_WAY_2X3.rows[0])),
+    "queried input without rows": (
+        TARGET_2X3, ConstraintSystem(2, 3, (*FULL_2X3[3:5], FULL_2X3[-1]))
+    ),
+    "0/1 row that is not an event": (
+        # as many ones as an event row, so only decoding can refuse it
+        LinearTarget.from_query(CounterfactualQuery(((0, 0),)), 2, 2),
+        _with_row(
+            build_constraints(FunctionDistribution.uniform(2, 2), "one-way"),
+            ((1, 0, 0, 1), F(1, 2)),
+        ),
+    ),
+    "twice an indicator": (
+        LinearTarget([2 * c for c in TARGET_2X3.coefficients]), ONE_WAY_2X3
+    ),
+    "sum of two indicators": (
+        LinearTarget([
+            p + q for p, q in zip(
+                event_indicator(2, 3, ((0, 1),)), event_indicator(2, 3, ((1, 2),))
+            )
+        ]),
+        ONE_WAY_2X3,
+    ),
+    "all ones": (LinearTarget((1,) * 9), ONE_WAY_2X3),
+}
+
+
+class TestOneWayClosedForm:
+    @pytest.mark.parametrize("case", DECLINED)
+    def test_declines_and_the_lp_answers(self, case, monkeypatch):
+        target, system = DECLINED[case]
+        a, b = system.matrix()
+        real, calls = lp.objective_range, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp, "objective_range", counted)
+        assert identify._frechet_bounds(target.coefficients, system) is None
+        expected = Bounds(*real(list(target.coefficients), a, b))
+        assert lp_bounds(target, system) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "rhs", [(F(1, 2), F(3, 4)), (F(3, 2),), (F(-1, 4), F(1, 4))],
+        ids=["sum above 1", "missing value negative", "negative value"],
+    )
+    def test_infeasible_marginals_still_raise_with_a_checked_certificate(self, rhs):
+        rows = [(event_indicator(2, 2, ((0, y),)), v) for y, v in enumerate(rhs)]
+        rows += [(event_indicator(2, 2, ((1, 0),)), F(1, 2)), ((1,) * 4, 1)]
+        system = ConstraintSystem(2, 2, tuple(rows))
+        target = LinearTarget.from_query(CounterfactualQuery(((0, 0), (1, 0))), 2, 2)
+        assert identify._frechet_bounds(target.coefficients, system) is None
+        with pytest.raises(InfeasibleSystemError) as excinfo:
+            lp_bounds(target, system)
+        a, b = system.matrix()
+        lp._check_certificate(excinfo.value.certificate, a, b)
 
 
 class TestIdentifiability:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +30,9 @@ from cforacle import (
     solve_binary_pF,
     binary_forward_measurements,
 )
+from cforacle import lp
 from conftest import brute_force_joint
-from reference import vertex_range
+from reference import full_event_system, vertex_range
 
 F = Fraction
 
@@ -237,6 +239,47 @@ def test_simplex_agrees_with_vertex_oracle(pf_and_query, level):
     target = LinearTarget.from_query(query, pf.n_x, pf.n_y)
     a, b = system.matrix()
     assert lp_bounds(target, system) == Bounds(*vertex_range(target.coefficients, a, b))
+
+
+@st.composite
+def one_way_cases(draw):
+    """A model with n_x, n_y <= 4 on a dense or a sparse (1-6 table)
+    support, weights over mixed denominators, and a conjunction over 1 to
+    n_x distinct inputs."""
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    dim = n_y**n_x
+    dense = draw(st.booleans())
+    indices = range(dim) if dense else draw(
+        st.lists(st.integers(0, dim - 1), min_size=1, max_size=6, unique=True)
+    )
+    weight = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7, 12]))
+    raw = {i: draw(weight) for i in indices}
+    total = sum(raw.values())
+    pf = FunctionDistribution(n_x, n_y, {
+        FunctionTable.from_index(n_x, n_y, i): w / total for i, w in raw.items()
+    })
+    xs = draw(st.permutations(range(n_x)))[: draw(st.integers(1, n_x))]
+    ys = [draw(st.integers(0, n_y - 1)) for _ in xs]
+    return pf, CounterfactualQuery(tuple(zip(xs, ys)))
+
+
+@given(one_way_cases(), st.booleans())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_one_way_closed_form_equals_the_lp(case, full):
+    # the built system (n_y - 1 rows per input) and the one with every
+    # one-way event row both take the closed form; the LP is never reached
+    pf, query = case
+    system = (full_event_system if full else build_constraints)(pf, "one-way")
+    target = LinearTarget.from_query(query, pf.n_x, pf.n_y)
+    a, b = system.matrix()
+    expected = Bounds(*lp.objective_range(list(target.coefficients), a, b))
+
+    def unreachable(*args):
+        raise AssertionError("the LP ran on a one-way conjunction target")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "objective_range", unreachable)
+        assert lp_bounds(target, system) == expected
 
 
 @given(distributions([(2, 2)]))
