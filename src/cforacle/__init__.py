@@ -16,15 +16,14 @@ _EXPORTS = {
     name: module
     for module, names in {
         "classical": (
-            "ClassicalQueryRecord", "ConditionalEstimates", "SampleLog",
-            "estimate_conditionals", "make_rng", "query", "simulate_log",
+            "ConditionalEstimates", "SampleLog", "estimate_conditionals",
+            "make_rng", "simulate_log",
         ),
         "core": (
             "DEFAULT_ENUMERATION_CAP", "ConfoundedModel", "CounterfactualQuery",
-            "Evidence", "FunctionDistribution", "FunctionTable",
-            "abduct_act_predict", "conditional", "conditional_counterfactual",
-            "do_conditional", "embed_square", "enumerate_functions",
-            "joint_counterfactual", "observational_joint",
+            "Evidence", "FunctionDistribution", "FunctionTable", "conditional",
+            "conditional_counterfactual", "enumerate_functions",
+            "joint_counterfactual",
         ),
         "errors": (
             "CfOracleError", "ContractViolationError", "DomainError",
@@ -44,17 +43,15 @@ _EXPORTS = {
         "modelio": ("load_model", "parse_model", "save_model"),
         "quantum": (
             "Amplitudes", "BINARY_SCENARIOS", "DensityMatrix",
-            "MeasurementEffect", "apply_oracle", "bell_effect",
-            "binary_forward_measurements", "build_rho_xy",
-            "computational_effect", "extract_two_way", "measure",
-            "measure_shots", "scenario_probability_exact",
+            "MeasurementEffect", "bell_effect", "binary_forward_measurements",
+            "build_rho_xy", "computational_effect", "extract_two_way",
+            "measure", "scenario_probability_exact",
             "scenario_probability_simulated", "solve_binary_pF",
             "tomography_sweep",
         ),
         "report": ("Claim", "ReproductionReport"),
         "toy": (
-            "ToyEpistemicState", "ToyOraclePermutation", "apply_oracle_mixture",
-            "is_valid_epistemic_state", "toy_measure", "toy_oracle",
+            "ToyEpistemicState", "apply_oracle_mixture", "toy_measure",
             "toy_prepare", "toy_scenario_probability",
             "verify_binary_equivalence",
         ),

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FunctionDistribution
+from .core import FunctionDistribution, _as_index
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
@@ -44,19 +44,10 @@ _CSV_HEADER = "x_in,x_out,y_out,query_index\n"
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based deterministic generator for a seed in [0, 2**128)."""
+    seed = _as_index(seed, "seed")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-@dataclass(frozen=True)
-class ClassicalQueryRecord:
-    """One oracle round trip, as :func:`query` returns it.  x_out always
-    equals x_in; the only payload is y_out = f(x_in)."""
-
-    x_in: int
-    x_out: int
-    y_out: int
 
 
 @dataclass(eq=False)
@@ -186,16 +177,6 @@ class TableSampler:
         return self.outputs.ravel()[self.draw_indices(rng, len(x_in)) * n_x + x_in]
 
 
-def query(
-    pF: FunctionDistribution, x: int, rng: np.random.Generator
-) -> ClassicalQueryRecord:
-    """One oracle query at input x with a fresh table draw."""
-    if not 0 <= x < pF.n_x:
-        raise DomainError(f"input {x} outside range [0, {pF.n_x})")
-    y_out = TableSampler(pF).draw_outputs(rng, np.array([x]))
-    return ClassicalQueryRecord(x, x, int(y_out[0]))
-
-
 def simulate_log(
     pF: FunctionDistribution, inputs: Sequence[int], seed: int
 ) -> SampleLog:
@@ -228,6 +209,7 @@ def estimate_conditionals(
 ) -> ConditionalEstimates:
     """Query the oracle ``queries_per_x`` times at each input and tabulate
     the observed output frequencies."""
+    queries_per_x = _as_index(queries_per_x, "queries_per_x")
     if queries_per_x < 1:
         raise DomainError("queries_per_x must be at least 1")
     sampler = TableSampler(pF)

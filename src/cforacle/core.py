@@ -416,12 +416,6 @@ class Evidence:
         object.__setattr__(self, "y_obs", _as_index(self.y_obs, "observed output"))
 
 
-def _check_evidence(pF: FunctionDistribution, evidence: Evidence) -> None:
-    """Raise :class:`DomainError` unless the evidence lies in pF's ranges."""
-    _as_index(evidence.x_obs, "observed input", pF.n_x)
-    _as_index(evidence.y_obs, "observed output", pF.n_y)
-
-
 def conditional(pF: FunctionDistribution, x: int) -> tuple[Fraction, ...]:
     """p(Y=y | X=x) for every y, as an exact probability vector.
 
@@ -455,7 +449,9 @@ def conditional_counterfactual(
     the counterfactual input equals the observed one the answer is the
     degenerate indicator of y_cf == y_obs.
     """
-    _check_evidence(pF, evidence)
+    # the evidence must lie in pF's ranges
+    _as_index(evidence.x_obs, "observed input", pF.n_x)
+    _as_index(evidence.y_obs, "observed output", pF.n_y)
     x_cf = _as_index(x_cf, "counterfactual input", pF.n_x)
     y_cf = _as_index(y_cf, "counterfactual output", pF.n_y)
     denom = conditional(pF, evidence.x_obs)[evidence.y_obs]
@@ -470,30 +466,6 @@ def conditional_counterfactual(
         CounterfactualQuery(((evidence.x_obs, evidence.y_obs), (x_cf, y_cf))),
     )
     return num / denom
-
-
-def abduct_act_predict(
-    pF: FunctionDistribution, evidence: Evidence, x_cf: int
-) -> tuple[Fraction, ...]:
-    """Three-step counterfactual estimation.
-
-    Abduction: condition the table distribution on the evidence.
-    Action: set X to x_cf.  Prediction: push the posterior through the
-    table.  Agrees entry-wise with :func:`conditional_counterfactual`.
-    """
-    _check_evidence(pF, evidence)
-    x_cf = _as_index(x_cf, "counterfactual input", pF.n_x)
-    x_obs, y_obs = evidence.x_obs, evidence.y_obs
-    posterior = {t: w for t, w in pF.weights.items() if t.outputs[x_obs] == y_obs}
-    norm = sum(posterior.values(), Fraction(0))
-    if norm == 0:
-        raise UndefinedConditionalError(
-            f"evidence (X={evidence.x_obs}, Y={evidence.y_obs}) has probability zero"
-        )
-    vec = [Fraction(0)] * pF.n_y
-    for table, w in posterior.items():
-        vec[table.outputs[x_cf]] += w / norm
-    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -530,64 +502,9 @@ class ConfoundedModel:
             raise ValidationError(f"input setting {r_x} out of range")
         return r_x, _as_table(self.n_x, self.n_y, table)
 
-    @classmethod
-    def product(
-        cls, p_x: Sequence, pF: FunctionDistribution
-    ) -> "ConfoundedModel":
-        """Unconfounded model with independent input setting and table."""
-        p_x = [_as_fraction(p) for p in p_x]
-        if len(p_x) != pF.n_x:
-            raise ValidationError("p_x length must equal n_x")
-        joint = {
-            (r_x, table): px * w
-            for r_x, px in enumerate(p_x)
-            for table, w in pF.weights.items()
-        }
-        return cls(pF.n_x, pF.n_y, joint)
-
     def response_marginal(self) -> FunctionDistribution:
         """Marginalize out the input setting."""
         weights: dict[FunctionTable, Fraction] = {}
         for (_, table), w in self.joint_weights.items():
             weights[table] = weights.get(table, Fraction(0)) + w
         return FunctionDistribution(self.n_x, self.n_y, weights)
-
-    def input_marginal(self) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * self.n_x
-        for (r_x, _), w in self.joint_weights.items():
-            vec[r_x] += w
-        return tuple(vec)
-
-
-def observational_joint(m: ConfoundedModel) -> tuple[tuple[Fraction, ...], ...]:
-    """p(X=x, Y=y) table; row index x, column index y."""
-    table = [[Fraction(0)] * m.n_y for _ in range(m.n_x)]
-    for (r_x, f), w in m.joint_weights.items():
-        table[r_x][f.outputs[r_x]] += w
-    return tuple(tuple(row) for row in table)
-
-
-def do_conditional(m: ConfoundedModel, x: int) -> tuple[Fraction, ...]:
-    """p(Y=y | do(X=x)): marginalize out the input setting, then evaluate.
-
-    For product models this equals the observational conditional.
-    """
-    return conditional(m.response_marginal(), x)
-
-
-def embed_square(pF: FunctionDistribution) -> FunctionDistribution:
-    """Embed a model with unequal cardinalities into the square one with
-    n = max(n_x, n_y) on both sides.
-
-    Extra inputs are mapped to f(0)'s column by extending each table with
-    output 0; extra output values simply receive probability zero.  All
-    counterfactual quantities over the original ranges are unchanged.
-    """
-    n = max(pF.n_x, pF.n_y)
-    if n == pF.n_x == pF.n_y:
-        return pF
-    weights = {}
-    for table, w in pF.weights.items():
-        outputs = table.outputs + (0,) * (n - pF.n_x)
-        weights[FunctionTable(n, n, outputs)] = w
-    return FunctionDistribution(n, n, weights)

@@ -23,6 +23,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _cardinalities,
     _check_size,
     _describe_rational,
     _set_cardinalities,
@@ -380,12 +381,14 @@ def solution_family_direction(system: ConstraintSystem) -> list[list[Fraction]]:
 
 def permutation_mixture(n: int) -> FunctionDistribution:
     """Equal mixture of all n! bijections of {0..n-1}."""
+    n, _ = _cardinalities(n, n)
     tables = [FunctionTable(n, n, perm) for perm in permutations(range(n))]
     return FunctionDistribution.uniform_over(tables)
 
 
 def constant_mixture(n: int) -> FunctionDistribution:
     """Equal mixture of the n input-discarding constant maps."""
+    n, _ = _cardinalities(n, n)
     tables = [FunctionTable.constant(n, n, y) for y in range(n)]
     return FunctionDistribution.uniform_over(tables)
 
@@ -397,6 +400,7 @@ def reproduce_appendix_b(n: int) -> ReproductionReport:
     1/n to every repeated-outcome pair p(Y_x = y, Y_x' = y) with x != x',
     so those joints cannot be told apart by single-query statistics.
     """
+    n, _ = _cardinalities(n, n)
     if n < 2:
         raise ValidationError("needs n >= 2")
     _check_size(n**n, f"{n}^{n} tables")
@@ -447,6 +451,7 @@ def restricted_tail_model(n: int, fixed_tail: tuple[int, ...]) -> FunctionDistri
     Support: the 8 tables with (f(0), f(1), f(2)) free in {0,1}^3 and
     f(3+i) pinned to fixed_tail[i].
     """
+    n, _ = _cardinalities(n, 2)
     if n < 3:
         raise ValidationError("needs n >= 3")
     if len(fixed_tail) != n - 3:

@@ -23,6 +23,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _as_index,
     _cardinalities,
     _check_size,
     _describe_rational,
@@ -64,12 +65,14 @@ class Amplitudes:
 
     @classmethod
     def uniform(cls, n_x: int) -> "Amplitudes":
+        n_x, _ = _cardinalities(n_x, 1)  # an input register only
         return cls(np.full(n_x, 1.0 / np.sqrt(n_x), dtype=complex))
 
     @classmethod
     def basis(cls, n_x: int, x: int) -> "Amplitudes":
+        n_x, _ = _cardinalities(n_x, 1)
         vec = np.zeros(n_x, dtype=complex)
-        vec[x] = 1.0
+        vec[_as_index(x, "input", n_x)] = 1.0
         return cls(vec)
 
     @property
@@ -103,30 +106,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": np.real(self.entries).tolist(),
-            "im": np.imag(self.entries).tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        missing = [key for key in ("dim", "re", "im") if key not in data]
-        if missing:
-            raise ValidationError(f"density matrix JSON lacks {', '.join(missing)}")
-        dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValidationError(f"dim must be an integer, got {dim!r}")
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValidationError("re/im blocks must be dim x dim")
-        return cls(re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -164,15 +143,6 @@ def _oracle_states(tables: tuple[FunctionTable, ...], alpha: Amplitudes) -> np.n
     psi = np.zeros((k, n_x * n_y), dtype=complex)
     psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
     return psi
-
-
-def apply_oracle(f: FunctionTable, alpha: Amplitudes) -> np.ndarray:
-    """The post-oracle pure state sum_x alpha_x |x>|f(x)> as a flat vector."""
-    if alpha.n_x != f.n_x:
-        raise ValidationError(
-            f"amplitude vector has {alpha.n_x} entries, table expects {f.n_x}"
-        )
-    return _oracle_states((f,), alpha)[0]
 
 
 def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
@@ -215,14 +185,8 @@ def extract_two_way(
     n_y = rho.dim // n_x
     if n_x * n_y != rho.dim:
         raise ValidationError("amplitude count does not divide the matrix dimension")
-    for name, value, bound in (
-        ("x", x, n_x),
-        ("x_prime", x_prime, n_x),
-        ("y", y, n_y),
-        ("y_prime", y_prime, n_y),
-    ):
-        if not 0 <= value < bound:
-            raise DomainError(f"{name}={value} outside range [0, {bound})")
+    x, x_prime = _as_index(x, "x", n_x), _as_index(x_prime, "x_prime", n_x)
+    y, y_prime = _as_index(y, "y", n_y), _as_index(y_prime, "y_prime", n_y)
     a_x = complex(alpha.alpha[x])
     a_xp = complex(alpha.alpha[x_prime])
     if abs(a_x) < 1e-12 or abs(a_xp) < 1e-12:
@@ -263,25 +227,10 @@ def measure(rho: DensityMatrix, effect: MeasurementEffect) -> float:
     return min(1.0, max(0.0, value.real))
 
 
-def measure_shots(
-    rho: DensityMatrix,
-    effect: MeasurementEffect,
-    shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """Finite-statistics variant: the frequency of ``shots`` Bernoulli
-    trials at the exact Born probability."""
-    if shots < 1:
-        raise DomainError("shots must be at least 1")
-    p = measure(rho, effect)
-    return float(rng.binomial(shots, p)) / shots
-
-
 def computational_effect(n_x: int, n_y: int, y: int) -> MeasurementEffect:
     """Project the output register onto |y>, ignoring the input register."""
     n_x, n_y = _cardinalities(n_x, n_y)
-    if not 0 <= y < n_y:
-        raise DomainError(f"outcome {y} outside range [0, {n_y})")
+    y = _as_index(y, "outcome", n_y)
     op = np.zeros((n_x * n_y, n_x * n_y), dtype=complex)
     for x in range(n_x):
         op[x * n_y + y, x * n_y + y] = 1.0

@@ -16,7 +16,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .core import FunctionDistribution, FunctionTable, _checked_weights
 from .errors import DomainError, UnsupportedTableError, ValidationError
@@ -26,8 +25,6 @@ from .quantum import BINARY_SCENARIOS, scenario_probability_exact
 #: Ontic state layout: (z1, x1, z2, x2).  Register 1 carries the input
 #: variable, register 2 the output ancilla (prepared at z2 = 0).
 OnticState = tuple[int, int, int, int]
-
-ALL_ONTIC_STATES: tuple[OnticState, ...] = tuple(product((0, 1), repeat=4))
 
 PREPARATIONS = ("z0", "z1", "plus")
 MEASUREMENT_SETTINGS = ("y_computational", "bell_parity")
@@ -63,18 +60,6 @@ class ToyEpistemicState:
         return tuple(self.probs.keys())
 
 
-def is_valid_epistemic_state(state: ToyEpistemicState) -> bool:
-    """Maximal-knowledge validity: uniform over a 4-element affine
-    subspace of (Z_2)^4 (closed under triple XOR)."""
-    support = state.support()
-    if len(support) != 4 or any(p != Fraction(1, 4) for p in state.probs.values()):
-        return False
-    return all(
-        tuple(ai ^ bi ^ ci for ai, bi, ci in zip(a, b, c)) in state.probs
-        for a, b, c in product(support, repeat=3)
-    )
-
-
 def toy_prepare(x_prep: str) -> ToyEpistemicState:
     """Joint preparation of the input register and the output ancilla.
 
@@ -95,49 +80,12 @@ def toy_prepare(x_prep: str) -> ToyEpistemicState:
     return ToyEpistemicState({s: quarter for s in states})
 
 
-@dataclass(frozen=True)
-class ToyOraclePermutation:
-    """A reversible update of the 16 ontic states, one per binary table."""
-
-    table: FunctionTable
-    mapping: dict[OnticState, OnticState]
-
-    def __post_init__(self):
-        if set(self.mapping.keys()) != set(ALL_ONTIC_STATES) or set(
-            self.mapping.values()
-        ) != set(ALL_ONTIC_STATES):
-            raise ValidationError("oracle update must permute all 16 ontic states")
-
-    def apply(self, state: ToyEpistemicState) -> ToyEpistemicState:
-        out: dict[OnticState, Fraction] = {}
-        for s, p in state.probs.items():
-            image = self.mapping[s]
-            out[image] = out.get(image, Fraction(0)) + p
-        return ToyEpistemicState(out)
-
-
 def _toy_image(outputs: tuple[int, ...], s: OnticState) -> OnticState:
     """Where the oracle of the binary table ``outputs`` sends ``s``: z2
     takes f(z1), and x1 takes x2 when f is balanced."""
     z1, x1, z2, x2 = s
     balanced = outputs[0] ^ outputs[1]
     return (z1, x1 ^ (balanced & x2), z2 ^ outputs[z1], x2)
-
-
-def toy_oracle(f: FunctionTable) -> ToyOraclePermutation:
-    """Phase-space action of a binary oracle.
-
-    The identity table acts as the bit-pair CNOT, the constant-0 table
-    does nothing, the constant-1 table flips z2, and the flip table is
-    the z2 flip composed after the CNOT.
-    """
-    if f.n_x != 2 or f.n_y != 2:
-        raise UnsupportedTableError(
-            f"toy oracles are defined for 2 -> 2 tables only, got"
-            f" {f.n_x} -> {f.n_y}"
-        )
-    mapping = {s: _toy_image(f.outputs, s) for s in ALL_ONTIC_STATES}
-    return ToyOraclePermutation(f, mapping)
 
 
 def apply_oracle_mixture(

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cforacle import FunctionDistribution, FunctionTable, enumerate_functions
+from cforacle import (
+    ConfoundedModel,
+    FunctionDistribution,
+    FunctionTable,
+    enumerate_functions,
+)
 
 CONST0 = FunctionTable.constant(2, 2, 0)
 CONST1 = FunctionTable.constant(2, 2, 1)
@@ -34,6 +39,17 @@ def binary_distribution(p_const0, p_identity, p_flip, p_const1):
         CONST1: Fraction(p_const1),
     }
     return FunctionDistribution(2, 2, weights)
+
+
+def product_model(p_x, pF):
+    """The unconfounded model: input setting r_x with probability
+    ``p_x[r_x]``, independent of the table."""
+    joint = {
+        (r_x, table): Fraction(px) * w
+        for r_x, px in enumerate(p_x)
+        for table, w in pF.weights.items()
+    }
+    return ConfoundedModel(pF.n_x, pF.n_y, joint)
 
 
 @pytest.fixture

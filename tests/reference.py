@@ -7,11 +7,13 @@ Gauss-Jordan step, with the library's pricing rule).  For the event
 systems: every one-way and two-way event, of which ``build_constraints``
 emits a basis plus the zero events.  For the binary probe solve: the
 elimination on the 4x4 scenario matrix that its cached inverse
-replaced."""
+replaced.  For the counterfactual core: the three-step
+abduction/action/prediction route, the observational side of a
+confounded model, and the validity test of a bit-pair epistemic state."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from cforacle import (
     ConstraintLevel,
@@ -21,6 +23,7 @@ from cforacle import (
     InfeasibleSystemError,
     MeasurementInconsistencyError,
     UnboundedProgramError,
+    UndefinedConditionalError,
     conditional,
     enumerate_functions,
     joint_counterfactual,
@@ -284,3 +287,48 @@ def binary_solve_by_elimination(c00, c01, bell):
     clamped = [min(max(v, F(0)), F(1)) for v in solution]
     total = sum(clamped)
     return FunctionDistribution.from_vector(2, 2, [v / total for v in clamped])
+
+
+def abduct_act_predict(pF, evidence, x_cf):
+    """p(Y would be y under do(X=x_cf) | evidence) for every y, in three
+    steps: condition the tables on the evidence (abduction), set X to
+    x_cf (action), push the posterior through the tables (prediction)."""
+    x_obs, y_obs = evidence.x_obs, evidence.y_obs
+    posterior = {t: w for t, w in pF.weights.items() if t.outputs[x_obs] == y_obs}
+    norm = sum(posterior.values(), F(0))
+    if norm == 0:
+        raise UndefinedConditionalError(
+            f"evidence (X={x_obs}, Y={y_obs}) has probability zero"
+        )
+    vec = [F(0)] * pF.n_y
+    for table, w in posterior.items():
+        vec[table.outputs[x_cf]] += w / norm
+    return tuple(vec)
+
+
+def observational_joint(model):
+    """p(X=x, Y=y) of a ``ConfoundedModel``; row index x, column index y."""
+    joint = [[F(0)] * model.n_y for _ in range(model.n_x)]
+    for (r_x, table), w in model.joint_weights.items():
+        joint[r_x][table.outputs[r_x]] += w
+    return tuple(map(tuple, joint))
+
+
+def input_marginal(model):
+    """p(X=x) of a ``ConfoundedModel``, for every x."""
+    vec = [F(0)] * model.n_x
+    for (r_x, _), w in model.joint_weights.items():
+        vec[r_x] += w
+    return tuple(vec)
+
+
+def is_valid_epistemic_state(state):
+    """Maximal-knowledge validity of a bit-pair state: uniform over a
+    4-element affine subspace of (Z_2)^4 (closed under triple XOR)."""
+    support = state.support()
+    if len(support) != 4 or any(p != F(1, 4) for p in state.probs.values()):
+        return False
+    return all(
+        tuple(ai ^ bi ^ ci for ai, bi, ci in zip(a, b, c)) in state.probs
+        for a, b, c in product(support, repeat=3)
+    )

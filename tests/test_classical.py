@@ -1,7 +1,6 @@
 """Classical oracle sampling: determinism, statistics, log format."""
 
 import csv
-import dataclasses
 import io
 import math
 import random
@@ -11,14 +10,12 @@ import numpy as np
 import pytest
 
 from cforacle import (
-    ClassicalQueryRecord,
     DomainError,
     FunctionDistribution,
     FunctionTable,
     conditional,
     estimate_conditionals,
     make_rng,
-    query,
     simulate_log,
 )
 from cforacle.classical import _CHUNK_ROWS, TableSampler, _put_digits
@@ -32,22 +29,17 @@ from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
 F = Fraction
 
 
-def test_record_carries_nothing_but_the_copy_and_the_output():
-    names = [f.name for f in dataclasses.fields(ClassicalQueryRecord)]
-    assert names == ["x_in", "x_out", "y_out"]
-
-
 def test_point_mass_flip():
     pf = FunctionDistribution.point_mass(FLIP)
-    record = query(pf, 0, make_rng(1))
-    assert (record.x_in, record.x_out, record.y_out) == (0, 0, 1)
+    log = simulate_log(pf, [0], seed=1)
+    assert log.to_csv() == "x_in,x_out,y_out,query_index\n0,0,1,0\n"
 
 
 def test_point_mass_const1_any_input():
     pf = FunctionDistribution.point_mass(CONST1)
     for x in range(2):
-        record = query(pf, x, make_rng(9))
-        assert record == ClassicalQueryRecord(x, x, 1)
+        log = simulate_log(pf, [x], seed=9)
+        assert (log.x_in.tolist(), log.y_out.tolist()) == ([x], [1])
 
 
 def test_copy_invariant_and_log_shape():
@@ -83,8 +75,6 @@ def test_csv_format():
 
 def test_out_of_range_input():
     pf = FunctionDistribution.uniform(2, 2)
-    with pytest.raises(DomainError):
-        query(pf, 5, make_rng(0))
     for inputs in ([0, 5], [-1], [0.5], [2**70], [True], [[0, 1]], ["1"]):
         with pytest.raises(DomainError):
             simulate_log(pf, inputs, seed=0)
@@ -181,15 +171,11 @@ def csv_by_records(pf, inputs, seed):
     ``csv.writer``, each output read off the drawn table itself."""
     support = pf.support()
     indices = TableSampler(pf).draw_indices(make_rng(seed), len(inputs))
-    records = [
-        ClassicalQueryRecord(x, x, support[k].outputs[x])
-        for x, k in zip(inputs, indices)
-    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["x_in", "x_out", "y_out", "query_index"])
-    for i, record in enumerate(records):
-        writer.writerow([record.x_in, record.x_out, record.y_out, i])
+    for i, (x, k) in enumerate(zip(inputs, indices)):
+        writer.writerow([x, x, support[k].outputs[x], i])
     return buffer.getvalue()
 
 

@@ -19,16 +19,12 @@ from cforacle import (
     FunctionTable,
     UndefinedConditionalError,
     ValidationError,
-    abduct_act_predict,
     conditional,
     conditional_counterfactual,
-    do_conditional,
-    embed_square,
     enumerate_functions,
     joint_counterfactual,
-    observational_joint,
 )
-from cforacle import core, identify, modelio, quantum
+from cforacle import classical, core, identify, modelio, quantum
 from cforacle.core import event_indicator
 from conftest import (
     CONST0,
@@ -37,7 +33,9 @@ from conftest import (
     IDENTITY,
     binary_distribution,
     brute_force_joint,
+    product_model,
 )
+from reference import abduct_act_predict, input_marginal, observational_joint
 
 F = Fraction
 
@@ -246,13 +244,12 @@ UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
         lambda: conditional_counterfactual(UNIFORM_2X2, Evidence("a", 0), 1, 0),
         lambda: conditional_counterfactual(UNIFORM_2X2, Evidence(0, 0.5), 1, 0),
         lambda: conditional_counterfactual(UNIFORM_2X2, Evidence(0, 0), None, 0),
-        lambda: abduct_act_predict(UNIFORM_2X2, Evidence(0, 0), "b"),
         lambda: FunctionTable(2, 2, (0, 1))(1.5),
     ],
     ids=[
         "conditional str", "conditional float", "evidence input str",
         "evidence output float", "counterfactual input None",
-        "abduct_act_predict str", "FunctionTable call float",
+        "FunctionTable call float",
     ],
 )
 def test_inputs_and_outputs_that_are_not_integers_are_refused(call):
@@ -267,6 +264,53 @@ def test_inputs_and_outputs_are_made_ints():
     assert FunctionTable(2, 2, (0, 1))(np.int64(1)) == 1
     with pytest.raises(DomainError, match=r"counterfactual output 2 outside range"):
         conditional_counterfactual(UNIFORM_2X2, evidence, 1, 2)
+
+
+RHO_2X2 = quantum.build_rho_xy(UNIFORM_2X2, quantum.Amplitudes.uniform(2))
+
+
+# Integer arguments of the numpy layers and of the model builders; all go
+# through ``core._as_index`` or ``core._cardinalities``.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: quantum.Amplitudes.basis(2, -1), DomainError, "input -1 outside"),
+        (lambda: quantum.Amplitudes.basis(2, 5), DomainError, "input 5 outside"),
+        (lambda: quantum.Amplitudes.basis(2, 1.0), ValidationError, "an integer"),
+        (lambda: quantum.Amplitudes.uniform("a"), ValidationError, "cardinalities"),
+        (lambda: quantum.Amplitudes.uniform(-1), ValidationError, "cardinalities"),
+        (lambda: quantum.computational_effect(2, 2, 1.5), ValidationError,
+         "outcome must be an integer"),
+        (lambda: quantum.extract_two_way(
+            RHO_2X2, quantum.Amplitudes.uniform(2), 0.5, 1, 0, 0
+        ), ValidationError, "x must be an integer"),
+        (lambda: classical.make_rng(1.5), ValidationError, "seed must be an integer"),
+        (lambda: classical.make_rng("1"), ValidationError, "seed must be an integer"),
+        (lambda: classical.simulate_log(UNIFORM_2X2, [0], seed=1.5), ValidationError,
+         "seed must be an integer"),
+        (lambda: classical.estimate_conditionals(UNIFORM_2X2, "a", 0),
+         ValidationError, "queries_per_x must be an integer"),
+        (lambda: classical.estimate_conditionals(UNIFORM_2X2, 1.5, 0),
+         ValidationError, "queries_per_x must be an integer"),
+        (lambda: identify.reproduce_appendix_b("3"), ValidationError, "cardinalities"),
+        (lambda: identify.reproduce_appendix_b(2.5), ValidationError, "cardinalities"),
+        (lambda: identify.permutation_mixture("a"), ValidationError, "cardinalities"),
+        (lambda: identify.constant_mixture("a"), ValidationError, "cardinalities"),
+        (lambda: identify.restricted_tail_model("a", ()), ValidationError,
+         "cardinalities"),
+    ],
+    ids=[
+        "basis -1", "basis 5", "basis float", "uniform str", "uniform -1",
+        "computational_effect float", "extract_two_way float", "make_rng float",
+        "make_rng str", "simulate_log seed float", "estimate_conditionals str",
+        "estimate_conditionals float", "appendix_b str", "appendix_b float",
+        "permutation_mixture str", "constant_mixture str",
+        "restricted_tail_model str",
+    ],
+)
+def test_integer_arguments_of_every_layer_are_checked(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_cardinalities_are_made_ints():
@@ -431,41 +475,51 @@ class TestConditionalCounterfactual:
             conditional_counterfactual(pf, Evidence(0, 1), 1, 0)
 
 
+def counterfactual_vector(pf, evidence, x_cf):
+    return tuple(
+        conditional_counterfactual(pf, evidence, x_cf, y) for y in range(pf.n_y)
+    )
+
+
 class TestAbductActPredict:
+    """The library's ratio route against the three-step reference."""
+
     def test_identity_const0_mixture(self):
         pf = binary_distribution(F(1, 2), F(1, 2), 0, 0)
-        assert abduct_act_predict(pf, Evidence(0, 0), 1) == (F(1, 2), F(1, 2))
+        expected = (F(1, 2), F(1, 2))
+        assert abduct_act_predict(pf, Evidence(0, 0), 1) == expected
+        assert counterfactual_vector(pf, Evidence(0, 0), 1) == expected
 
     def test_point_flip(self):
         pf = FunctionDistribution.point_mass(FLIP)
         assert abduct_act_predict(pf, Evidence(0, 1), 1) == (F(1), F(0))
+        assert counterfactual_vector(pf, Evidence(0, 1), 1) == (F(1), F(0))
 
     def test_uniform_posterior(self, uniform_binary):
-        assert abduct_act_predict(uniform_binary, Evidence(0, 0), 1) == (
-            F(1, 2),
-            F(1, 2),
-        )
+        expected = (F(1, 2), F(1, 2))
+        assert abduct_act_predict(uniform_binary, Evidence(0, 0), 1) == expected
+        assert counterfactual_vector(uniform_binary, Evidence(0, 0), 1) == expected
 
     def test_agrees_with_conditional_counterfactual(self):
         pf = binary_distribution(F(1, 6), F(1, 3), F(1, 4), F(1, 4))
         for x_obs in range(2):
             for y_obs in range(2):
                 evidence = Evidence(x_obs, y_obs)
-                vec = abduct_act_predict(pf, evidence, 1 - x_obs)
-                for y_cf in range(2):
-                    assert vec[y_cf] == conditional_counterfactual(
-                        pf, evidence, 1 - x_obs, y_cf
-                    )
+                assert abduct_act_predict(
+                    pf, evidence, 1 - x_obs
+                ) == counterfactual_vector(pf, evidence, 1 - x_obs)
 
     def test_zero_probability_evidence(self):
         pf = FunctionDistribution.point_mass(IDENTITY)
         with pytest.raises(UndefinedConditionalError):
             abduct_act_predict(pf, Evidence(0, 1), 1)
+        with pytest.raises(UndefinedConditionalError):
+            conditional_counterfactual(pf, Evidence(0, 1), 1, 0)
 
 
 class TestConfoundedModel:
     def test_product_model_observational_joint(self, mix_identity_flip):
-        model = ConfoundedModel.product([F(1, 2), F(1, 2)], mix_identity_flip)
+        model = product_model([F(1, 2), F(1, 2)], mix_identity_flip)
         joint = observational_joint(model)
         assert all(joint[x][y] == F(1, 4) for x in range(2) for y in range(2))
 
@@ -479,20 +533,20 @@ class TestConfoundedModel:
         assert joint[0][1] == joint[1][0] == 0
         # intervening severs the confounder: the response marginal is an
         # equal constants mixture, not the deterministic observational law
-        assert do_conditional(model, 0) == (F(1, 2), F(1, 2))
+        assert conditional(model.response_marginal(), 0) == (F(1, 2), F(1, 2))
 
     def test_point_mass(self):
         model = ConfoundedModel(2, 2, {(0, IDENTITY): F(1)})
         assert observational_joint(model)[0][0] == 1
-        assert do_conditional(model, 1) == (F(0), F(1))
+        assert conditional(model.response_marginal(), 1) == (F(0), F(1))
 
     def test_unconfounded_collapse(self, mix_identity_flip):
-        model = ConfoundedModel.product([F(1, 4), F(3, 4)], mix_identity_flip)
+        model = product_model([F(1, 4), F(3, 4)], mix_identity_flip)
         joint = observational_joint(model)
-        p_x = model.input_marginal()
+        p_x = input_marginal(model)
         for x in range(2):
             observational = tuple(joint[x][y] / p_x[x] for y in range(2))
-            assert do_conditional(model, x) == observational
+            assert conditional(model.response_marginal(), x) == observational
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="sum"):
@@ -518,15 +572,3 @@ class TestConfoundedModel:
         assert list(model.joint_weights) == [(0, IDENTITY), (1, CONST1)]
         assert {type(r_x) for r_x, _ in model.joint_weights} == {int}
 
-
-class TestEmbedding:
-    def test_square_passthrough(self, uniform_binary):
-        assert embed_square(uniform_binary) is uniform_binary
-
-    def test_rectangular_embedding_preserves_joints(self):
-        pf = FunctionDistribution.uniform(3, 2)
-        embedded = embed_square(pf)
-        assert embedded.n_x == embedded.n_y == 3
-        for pairs in (((0, 0),), ((0, 1), (2, 0))):
-            q = CounterfactualQuery(pairs)
-            assert joint_counterfactual(pf, q) == joint_counterfactual(embedded, q)

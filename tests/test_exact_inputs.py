@@ -47,9 +47,6 @@ ENTRY_POINTS = {
         lambda v: FunctionDistribution(1, 2, {ONE: v}), "sum to"),
     "ConfoundedModel": (
         lambda v: ConfoundedModel(1, 2, {(0, ONE): v}), "sum to"),
-    "ConfoundedModel.product": (
-        lambda v: ConfoundedModel.product([v], FunctionDistribution(1, 2, {ONE: 1})),
-        "sum to"),
     "ConstraintSystem coefficient": (
         lambda v: lp_bounds(
             LinearTarget((0, 0)),

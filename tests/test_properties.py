@@ -10,29 +10,30 @@ from hypothesis import strategies as st
 from cforacle import (
     Amplitudes,
     Bounds,
-    ConfoundedModel,
     ConstraintLevel,
     CounterfactualQuery,
     Evidence,
     FunctionDistribution,
     FunctionTable,
     LinearTarget,
-    abduct_act_predict,
     build_constraints,
     build_rho_xy,
     conditional,
     conditional_counterfactual,
-    do_conditional,
     extract_two_way,
     joint_counterfactual,
     lp_bounds,
-    observational_joint,
     solve_binary_pF,
     binary_forward_measurements,
 )
 from cforacle import lp
-from conftest import brute_force_joint
-from reference import full_event_system, vertex_range
+from conftest import brute_force_joint, product_model
+from reference import (
+    abduct_act_predict,
+    full_event_system,
+    observational_joint,
+    vertex_range,
+)
 
 F = Fraction
 
@@ -130,13 +131,13 @@ def test_unconfounded_models_collapse(pf, data):
         ).filter(lambda r: sum(r) > 0)
     )
     p_x = [F(k, sum(raw)) for k in raw]
-    model = ConfoundedModel.product(p_x, pf)
+    model = product_model(p_x, pf)
     joint = observational_joint(model)
     for x in range(pf.n_x):
         if p_x[x] == 0:
             continue
         observational = tuple(joint[x][y] / p_x[x] for y in range(pf.n_y))
-        assert do_conditional(model, x) == observational
+        assert conditional(model.response_marginal(), x) == observational
 
 
 @given(distributions(CARDS_MULTI_INPUT))

@@ -1,6 +1,7 @@
 """Bit-pair toy model: preparations, oracle permutations, equivalence."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,18 +11,23 @@ from cforacle import (
     FunctionTable,
     UnsupportedTableError,
     apply_oracle_mixture,
-    is_valid_epistemic_state,
     scenario_probability_exact,
     toy_measure,
-    toy_oracle,
     toy_prepare,
     toy_scenario_probability,
     verify_binary_equivalence,
 )
-from cforacle.toy import ALL_ONTIC_STATES, ToyEpistemicState, equivalence_grid
+from cforacle.toy import ToyEpistemicState, _toy_image, equivalence_grid
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
+from reference import is_valid_epistemic_state
 
 F = Fraction
+ALL_ONTIC_STATES = tuple(product((0, 1), repeat=4))
+
+
+def oracle_map(table):
+    """Where the toy oracle of a binary ``table`` sends each ontic state."""
+    return {s: _toy_image(table.outputs, s) for s in ALL_ONTIC_STATES}
 
 
 class TestPreparations:
@@ -49,20 +55,18 @@ class TestPreparations:
 
 class TestOraclePermutations:
     def test_identity_table_acts_as_cnot(self):
-        perm = toy_oracle(IDENTITY)
-        assert perm.mapping[(1, 0, 0, 1)] == (1, 1, 1, 1)
+        assert oracle_map(IDENTITY)[(1, 0, 0, 1)] == (1, 1, 1, 1)
 
     def test_const0_is_identity_permutation(self):
-        perm = toy_oracle(CONST0)
-        assert all(perm.mapping[s] == s for s in ALL_ONTIC_STATES)
+        mapping = oracle_map(CONST0)
+        assert all(mapping[s] == s for s in ALL_ONTIC_STATES)
 
     def test_const1_flips_z2(self):
-        perm = toy_oracle(CONST1)
-        assert perm.mapping[(0, 1, 0, 0)] == (0, 1, 1, 0)
+        assert oracle_map(CONST1)[(0, 1, 0, 0)] == (0, 1, 1, 0)
 
     def test_flip_is_z2_flip_after_cnot(self):
-        cnot = toy_oracle(IDENTITY).mapping
-        flip_perm = toy_oracle(FLIP).mapping
+        cnot = oracle_map(IDENTITY)
+        flip_perm = oracle_map(FLIP)
         for s in ALL_ONTIC_STATES:
             z1, x1, z2, x2 = cnot[s]
             assert flip_perm[s] == (z1, x1, z2 ^ 1, x2)
@@ -81,12 +85,9 @@ class TestOraclePermutations:
             CONST1: flip_z2,
         }
         for table, gate in gates.items():
-            assert toy_oracle(table).mapping == {s: gate(s) for s in ALL_ONTIC_STATES}
-
-    def test_each_call_builds_its_own_mapping(self):
-        first, second = toy_oracle(IDENTITY), toy_oracle(IDENTITY)
-        assert first.mapping == second.mapping
-        assert first.mapping is not second.mapping
+            mapping = oracle_map(table)
+            assert sorted(mapping.values()) == list(ALL_ONTIC_STATES)
+            assert mapping == {s: gate(s) for s in ALL_ONTIC_STATES}
 
     def test_mixture_averages_the_permutations(self):
         for pf in equivalence_grid(num_mixtures=10):
@@ -94,8 +95,9 @@ class TestOraclePermutations:
                 state = toy_prepare(prep)
                 expected = {}
                 for table, w in pf.weights.items():
-                    for s, p in toy_oracle(table).apply(state).probs.items():
-                        expected[s] = expected.get(s, 0) + w * p
+                    mapping = oracle_map(table)
+                    for s, p in state.probs.items():
+                        expected[mapping[s]] = expected.get(mapping[s], 0) + w * p
                 mixed = apply_oracle_mixture(state, pf).probs
                 assert mixed == dict(sorted(expected.items()))
 
@@ -104,12 +106,13 @@ class TestOraclePermutations:
             state = toy_prepare(prep)
             for index in range(4):
                 table = FunctionTable.from_index(2, 2, index)
-                image = toy_oracle(table).apply(state)
-                assert is_valid_epistemic_state(image)
+                pf = FunctionDistribution.point_mass(table)
+                assert is_valid_epistemic_state(apply_oracle_mixture(state, pf))
 
     def test_non_binary_table_rejected(self):
-        with pytest.raises(UnsupportedTableError):
-            toy_oracle(FunctionTable.identity(3))
+        pf = FunctionDistribution.point_mass(FunctionTable.identity(3))
+        with pytest.raises(UnsupportedTableError, match="2 -> 2 model"):
+            apply_oracle_mixture(toy_prepare("z0"), pf)
 
 
 class TestMeasurements:
