@@ -14,6 +14,14 @@ Chen and Asau 1974 and Devroye 1986, III.2), exact on integers: the top
 that no threshold splits holds a single table index, read straight off.
 Only draws in a split bucket (at most one bucket per threshold) are
 searched, so every draw gets the index a full binary search would give.
+
+Draws and the CSV are both made one ``_CHUNK_ROWS`` chunk at a time.  A
+chunk's CSV is one byte matrix per run of rows whose ``query_index`` has
+one width: its low four digits are a slice of a tiled digit table, the
+digits above them are constant over each block of 10**4 rows, and
+one-digit x and y are written as ``value + ord("0")``.  No padding is
+masked out unless an x or y field mixes widths (ten or more inputs or
+outputs).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FunctionDistribution, _as_index
+from .core import MAX_QUERIES, FunctionDistribution, _as_index, _describe_int
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
@@ -34,9 +42,11 @@ _SCALE = 1 << 64
 _BUCKET_BITS = 12
 _BUCKET_SHIFT = np.uint64(64 - _BUCKET_BITS)
 
-#: Rows per chunk, both for :meth:`SampleLog.csv_chunks` (one rendered
-#: string per chunk) and for the draws of :func:`estimate_conditionals`:
-#: scratch memory stays at one chunk however many queries there are.
+#: Rows per chunk, for :meth:`SampleLog.csv_chunks` (one rendered string
+#: per chunk), :meth:`TableSampler.draw_outputs` and the draws of
+#: :func:`estimate_conditionals`: every temporary of the draws and of the
+#: rendering is one chunk long, small enough to stay in cache, however
+#: many queries there are.
 _CHUNK_ROWS = 1 << 16
 
 _CSV_HEADER = "x_in,x_out,y_out,query_index\n"
@@ -46,7 +56,7 @@ def make_rng(seed: int) -> np.random.Generator:
     """Counter-based deterministic generator for a seed in [0, 2**128)."""
     seed = _as_index(seed, "seed")
     if not 0 <= seed < 2**128:
-        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+        raise ValidationError(f"seed must lie in [0, 2**128), got {_describe_int(seed)}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -60,48 +70,89 @@ class SampleLog:
     seed: int = 0
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows.
-
-        Each chunk is one ``(rows, width)`` byte matrix with every field
-        zero-padded to its widest value in the chunk, and a mask that
-        drops the padding."""
+        """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows."""
         yield _CSV_HEADER
         for start in range(0, len(self.x_in), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, len(self.x_in))
-            x = self.x_in[start:stop]
-            fields = (x, x, self.y_out[start:stop], np.arange(start, stop))
-            widths = [len(str(int(values.max()))) for values in fields]
-            chars = np.empty((stop - start, sum(widths) + len(fields)), dtype=np.uint8)
-            keep = np.ones(chars.shape, dtype=bool)
-            col = 0
-            for values, width in zip(fields, widths):
-                _put_digits(chars, keep, col, values, width)
-                col += width
-                chars[:, col] = ord(",")
-                col += 1
-            chars[:, -1] = ord("\n")
-            if not keep.all():
-                chars = chars[keep]
-            yield chars.tobytes().decode("ascii")
+            yield _csv_rows(self.x_in[start:stop], self.y_out[start:stop], start)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
 
+def _csv_rows(x: np.ndarray, y: np.ndarray, first: int) -> str:
+    """The CSV rows ``x[i],x[i],y[i],first + i``: one byte matrix per run
+    of rows whose query indices have one width, split at powers of ten."""
+    runs = []
+    start = 0
+    while start < len(x):
+        width = len(str(first + start))
+        stop = min(len(x), 10**width - first)
+        runs.append(_csv_run(x[start:stop], y[start:stop], first + start, width))
+        start = stop
+    return "".join(runs)
+
+
+def _csv_run(x: np.ndarray, y: np.ndarray, first: int, width: int) -> str:
+    """The rows of :func:`_csv_rows` for query indices ``first, first + 1,
+    ...``, all ``width`` digits long.  A mask drops leading zeros only in
+    an x or y field whose values have more than one width."""
+    rows = len(x)
+    x_width, y_width = (len(str(int(values.max()))) for values in (x, y))
+    y_col = 2 * x_width + 2
+    index_col = y_col + y_width + 1
+    chars = np.empty((rows, index_col + width + 1), dtype=np.uint8)
+    keep = None
+    for values, col, field_width in ((x, 0, x_width), (y, y_col, y_width)):
+        if field_width == 1:
+            np.add(values, ord("0"), out=chars[:, col], casting="unsafe")
+            continue
+        if keep is None and int(values.min()) < 10 ** (field_width - 1):
+            keep = np.ones(chars.shape, dtype=bool)
+        _put_digits(chars, keep, col, values, field_width)
+    # one byte column at a time: a 2-D slice, a broadcast row or a 2-byte
+    # item written down a column of odd stride is two to ten times slower
+    for col in range(x_width):
+        chars[:, x_width + 1 + col] = chars[:, col]
+    if keep is not None:
+        keep[:, x_width + 1 : y_col - 1] = keep[:, :x_width]
+    for col in (x_width, y_col - 1, index_col - 1):
+        chars[:, col] = ord(",")
+    chars[:, -1] = ord("\n")
+    if width < 4:  # the first 1000 rows of a log
+        _put_digits(chars, None, index_col, np.arange(first, first + rows), width)
+    else:
+        # the low four digits are a slice of the tiled table; the digits
+        # above them are constant over each aligned block of 10**4 indices
+        offset = first % 10**4
+        low = chars[:, index_col + width - 4 : index_col + width]
+        low.view(np.uint32)[:, 0] = _digit_quads()[offset : offset + rows]
+        if width > 4:
+            for block in range(-offset, rows, 10**4):
+                high = str((first + block) // 10**4).encode("ascii")
+                for col, digit in enumerate(high, index_col):
+                    chars[max(block, 0) : block + 10**4, col] = digit
+    return str((chars if keep is None else chars[keep]).data, "ascii")
+
+
 @functools.cache
 def _digit_quads() -> np.ndarray:
-    """Entry n is the four ASCII digits of n, zero-padded, as one 4-byte item."""
+    """Entry n is the low four ASCII digits of n, zero-padded, as one 4-byte
+    item, for n below ``10**4 + _CHUNK_ROWS``: the 10**4 entries tiled, so
+    the low digits of any chunk's query indices are one slice."""
     text = "".join(f"{n:04d}" for n in range(10**4))
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
+    quads = np.frombuffer(text.encode("ascii"), dtype=np.uint32)
+    return np.tile(quads, -(-(10**4 + _CHUNK_ROWS) // 10**4))
 
 
 def _put_digits(
-    chars: np.ndarray, keep: np.ndarray, col: int, values: np.ndarray, width: int
+    chars: np.ndarray, keep: np.ndarray | None, col: int, values: np.ndarray, width: int
 ) -> None:
     """Write nonnegative integers below ``10**width`` into columns
     ``col .. col + width - 1`` of ``chars`` as zero-padded ASCII digits,
     four per table lookup, and clear ``keep`` on the leading zeros (a lone
-    0 keeps its last digit)."""
+    0 keeps its last digit); ``keep`` may be None when no value is shorter
+    than ``width`` digits."""
     quads = _digit_quads()
     rest = values
     stop = col + width
@@ -171,10 +222,21 @@ class TableSampler:
         return self._lookup(rng.integers(0, _SCALE, size=size, dtype=np.uint64))
 
     def draw_outputs(self, rng: np.random.Generator, x_in: np.ndarray) -> np.ndarray:
-        """f(x_in[i]), x_in[i] in [0, n_x), a fresh table drawn per query."""
+        """f(x_in[i]), x_in[i] in [0, n_x), a fresh table drawn per query.
+
+        Drawn, looked up and gathered one ``_CHUNK_ROWS`` chunk at a time;
+        the full-range uint64 stream is the same however it is split."""
         # a flat gather is about twice as fast as the 2-D one
         n_x = self.outputs.shape[1]
-        return self.outputs.ravel()[self.draw_indices(rng, len(x_in)) * n_x + x_in]
+        flat = self.outputs.ravel()
+        y_out = np.empty(len(x_in), dtype=np.int64)
+        for start in range(0, len(x_in), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(x_in))
+            cells = self.draw_indices(rng, stop - start) * n_x + x_in[start:stop]
+            # every cell is in range; "clip" skips the buffered copy that
+            # take's default "raise" makes of its output
+            np.take(flat, cells, out=y_out[start:stop], mode="clip")
+        return y_out
 
 
 def simulate_log(
@@ -208,10 +270,16 @@ def estimate_conditionals(
     pF: FunctionDistribution, queries_per_x: int, seed: int
 ) -> ConditionalEstimates:
     """Query the oracle ``queries_per_x`` times at each input and tabulate
-    the observed output frequencies."""
+    the observed output frequencies; more than ``MAX_QUERIES`` queries in
+    all are refused with :class:`DomainError`."""
     queries_per_x = _as_index(queries_per_x, "queries_per_x")
     if queries_per_x < 1:
         raise DomainError("queries_per_x must be at least 1")
+    if pF.n_x * queries_per_x > MAX_QUERIES:
+        raise DomainError(
+            f"{pF.n_x} inputs x {_describe_int(queries_per_x)} queries each "
+            f"exceed the query limit {MAX_QUERIES}"
+        )
     sampler = TableSampler(pF)
     rng = make_rng(seed)
     counts = np.zeros((pF.n_x, pF.n_y), dtype=np.int64)

@@ -26,13 +26,15 @@ from pathlib import Path
 # Each command imports its own layer when it runs, so a launch loads only
 # what that command needs: bounds, identify and the exact scenarios never
 # import numpy.
-from .core import ConfoundedModel, CounterfactualQuery, FunctionDistribution, _is_digits
+from .core import (
+    MAX_QUERIES,
+    ConfoundedModel,
+    CounterfactualQuery,
+    FunctionDistribution,
+    _is_digits,
+)
 from .errors import CfOracleError, ValidationError
 from .modelio import distribution_to_json_dict, load_model
-
-#: Upper bound on ``simulate --queries``, checked before anything is
-#: allocated: the log and its CSV grow linearly with the query count.
-MAX_QUERIES = 10**7
 
 #: JSON keys of the ``bounds`` and ``identify`` results, in output order.
 _RESULT_KEYS = {

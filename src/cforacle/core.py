@@ -32,6 +32,11 @@ from .errors import (
 #: the complete table list fail loudly past this rather than sampling.
 DEFAULT_ENUMERATION_CAP = 10**6
 
+#: Upper bound on the classical oracle queries of one call (``simulate
+#: --queries``, ``estimate_conditionals``), checked before anything is
+#: drawn: a log's memory and every call's time grow with the count.
+MAX_QUERIES = 10**7
+
 
 # Fractions with a longer numerator or denominator are shown approximately
 # in messages: Python refuses to print integers beyond 4300 digits.
@@ -52,15 +57,23 @@ def _describe_rational(value: Fraction) -> str:
     return f"a rational {size} ({num_bits}-bit numerator, {den_bits}-bit denominator)"
 
 
+def _describe_int(value: int) -> str:
+    """``str(value)``, or its order of magnitude in powers of two when it
+    is too long to print in a message."""
+    bits = value.bit_length()
+    if bits <= _SHOWN_BITS:
+        return str(value)
+    return f"-2^{bits - 1} or less" if value < 0 else f"2^{bits - 1} or more"
+
+
 def _check_size(count: int, what: str) -> None:
     """The one enumeration guard: raise :class:`EnumerationCapError` when
     ``count`` (of ``what``) exceeds ``DEFAULT_ENUMERATION_CAP``, read at
     call time."""
     if count > DEFAULT_ENUMERATION_CAP:
-        bits = count.bit_length()
-        shown = count if bits <= _SHOWN_BITS else f"2^{bits - 1} or more"
         raise EnumerationCapError(
-            f"{what}: {shown} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+            f"{what}: {_describe_int(count)} exceeds the enumeration cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
 
 
@@ -90,7 +103,9 @@ def _as_index(value, what: str, bound: int | None = None) -> int:
         kind = type(value).__name__
         raise ValidationError(f"{what} must be an integer, got a {kind}") from exc
     if bound is not None and not 0 <= value < bound:
-        raise DomainError(f"{what} {value} outside range [0, {bound})")
+        raise DomainError(
+            f"{what} {_describe_int(value)} outside range [0, {_describe_int(bound)})"
+        )
     return value
 
 

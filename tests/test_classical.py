@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from cforacle import (
     make_rng,
     simulate_log,
 )
-from cforacle.classical import _CHUNK_ROWS, TableSampler, _put_digits
+from cforacle.classical import _CHUNK_ROWS, TableSampler, _csv_rows, _put_digits
+from cforacle.core import MAX_QUERIES
 from cforacle.reproduce import (
     affine_ternary_model,
     mix_identity_flip,
@@ -166,6 +168,28 @@ def test_chunked_tally_matches_one_shot_draws(queries_per_x):
             assert np.array_equal(est.counts, one_shot_counts(pf, queries_per_x, seed))
 
 
+@pytest.mark.parametrize(
+    "rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+)
+def test_chunked_outputs_match_one_gather(rows):
+    for pf in (mix_identity_flip(), affine_ternary_model(), LOG_MODELS["12->11"]):
+        sampler = TableSampler(pf)
+        x_in = np.random.default_rng(rows).integers(0, pf.n_x, rows)
+        indices = sampler.draw_indices(make_rng(3), rows)
+        outputs = sampler.draw_outputs(make_rng(3), x_in)
+        assert outputs.dtype == np.int64
+        assert np.array_equal(outputs, sampler.outputs[indices, x_in])
+
+
+def test_estimates_refused_past_the_query_limit():
+    pf = FunctionDistribution.uniform(2, 2)
+    est = estimate_conditionals(pf, MAX_QUERIES // 2, seed=0)
+    assert est.counts.sum() == MAX_QUERIES
+    for queries_per_x in (MAX_QUERIES // 2 + 1, 10**30, 10**5000):
+        with pytest.raises(DomainError, match="query limit"):
+            estimate_conditionals(pf, queries_per_x, seed=0)
+
+
 def csv_by_records(pf, inputs, seed):
     """Reference log writer: one record per query, rows written by
     ``csv.writer``, each output read off the drawn table itself."""
@@ -274,6 +298,49 @@ def test_digit_rendering_matches_str(top):
     _put_digits(chars, keep, 1, values, width)
     rows = [bytes(row[mask]).decode("ascii") for row, mask in zip(chars, keep)]
     assert rows == [f"\0{v}" for v in values.tolist()]
+
+
+def csv_by_format(x, y, first):
+    """Reference rows: one f-string per query."""
+    return "".join(
+        f"{a},{a},{b},{first + i}\n" for i, (a, b) in enumerate(zip(x.tolist(), y.tolist()))
+    )
+
+
+# (lowest, highest) of x and y: one digit, mixed one and two digits, and
+# two digits throughout
+FIELD_RANGES = {
+    "x 0-1, y 0-1": ((0, 1), (0, 1)),
+    "x 0-11, y 0-2": ((0, 11), (0, 2)),
+    "x 0-2, y 0-11": ((0, 2), (0, 11)),
+    "x 10-12, y 10-99": ((10, 12), (10, 99)),
+}
+# first query indices: just below each power of ten, so a run of each width
+# starts inside the rows; and chunk starts that are not 10**4-aligned, so the
+# high digits change mid-chunk
+FIRST_INDICES = [10**k - 3 for k in range(1, 9)] + [
+    _CHUNK_ROWS, 3 * _CHUNK_ROWS, 152 * _CHUNK_ROWS, 10**8 - 2 * 10**4 - 1,
+]
+
+
+@pytest.mark.parametrize("ranges", FIELD_RANGES.values(), ids=FIELD_RANGES.keys())
+@pytest.mark.parametrize("first", FIRST_INDICES)
+def test_chunk_rendering_matches_a_format_string(ranges, first):
+    (x_low, x_high), (y_low, y_high) = ranges
+    rng = np.random.default_rng(first)
+    for rows in (1, 25_003, _CHUNK_ROWS):
+        x = rng.integers(x_low, x_high + 1, rows)
+        y = rng.integers(y_low, y_high + 1, rows)
+        assert_same_rows(_csv_rows(x, y, first), csv_by_format(x, y, first))
+
+
+def assert_same_rows(actual, expected):
+    """``actual == expected``, failing with the first differing row: the
+    diff pytest prints for two long strings takes minutes."""
+    if actual != expected:
+        rows = itertools.zip_longest(actual.split("\n"), expected.split("\n"))
+        index, pair = next((i, pair) for i, pair in enumerate(rows) if pair[0] != pair[1])
+        pytest.fail(f"row {index}: got {pair[0]!r}, expected {pair[1]!r}")
 
 
 def test_estimate_counts_match_the_recorded_ones():

@@ -12,7 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cforacle import cli, identify, quantum
+from cforacle import (
+    FunctionDistribution,
+    FunctionTable,
+    cli,
+    core,
+    identify,
+    quantum,
+    save_model,
+)
 from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
@@ -300,6 +308,27 @@ class TestSimulate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "25a7eb5799f12a8133e5a7b1fff336ca6f1c5c7bed29eb531ee18382963927ff"
         )
+
+    def test_two_digit_inputs_match_the_recorded_digest(self, capsys, tmp_path):
+        # recorded with a padding mask over every chunk; x_in mixes one and
+        # two digits, and query_index crosses 10**5 in the second chunk
+        model = tmp_path / "twelve.json"
+        save_model(
+            FunctionDistribution.uniform_over(
+                FunctionTable(12, 3, tuple(k * x % 3 for x in range(12))) for k in range(3)
+            ),
+            model,
+        )
+        code, out, _ = run_cli(
+            capsys, "simulate", "--model", str(model), "--queries", "200003", "--seed", "5"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "75b046493c961155716a53cb028b165c3931d8426e86da7ee9ead6aba7bd8ba0"
+        )
+
+    def test_query_limit_is_the_core_one(self):
+        assert cli.MAX_QUERIES is core.MAX_QUERIES == 10**7
 
 
 class TestTomography:

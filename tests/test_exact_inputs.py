@@ -18,6 +18,7 @@ from cforacle import (
     ConstraintSystem,
     ContractViolationError,
     CounterfactualQuery,
+    DomainError,
     FunctionDistribution,
     FunctionTable,
     InfeasibleSystemError,
@@ -25,10 +26,11 @@ from cforacle import (
     MeasurementInconsistencyError,
     ValidationError,
     lp_bounds,
+    make_rng,
     parse_model,
     solve_binary_pF,
 )
-from cforacle import lp
+from cforacle import core, lp
 from cforacle.toy import ToyEpistemicState
 
 F = Fraction
@@ -105,8 +107,16 @@ def test_every_entry_point_names_the_cause(entry, value_id):
          MeasurementInconsistencyError, "exceeds [0, 1] by a rational about 3.5 ("),
         (lambda: ConstraintSystem(1, 2, (((1, 1), 1 + TINY),)), ValidationError,
          "right-hand side 1, got a rational about 1"),
+        # integers are shown as 2^k, as in the enumeration cap's message
+        (lambda: make_rng(10**5000), ValidationError, "got 2^16609 or more"),
+        (lambda: make_rng(-(10**5000)), ValidationError, "got -2^16609 or less"),
+        (lambda: core._as_index(10**5000, "x", 2), DomainError,
+         "x 2^16609 or more outside range [0, 2)"),
+        (lambda: core._as_index(-1, "x", 10**5000), DomainError,
+         "x -1 outside range [0, 2^16609 or more)"),
     ],
-    ids=["Bounds", "lp phase 1", "solve_binary_pF", "normalization row"],
+    ids=["Bounds", "lp phase 1", "solve_binary_pF", "normalization row",
+         "seed", "negative seed", "index", "bound"],
 )
 def test_messages_describe_rationals_too_long_to_print(call, error, shown):
     with pytest.raises(error) as excinfo:
