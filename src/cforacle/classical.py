@@ -67,7 +67,6 @@ class SampleLog:
 
     x_in: np.ndarray
     y_out: np.ndarray
-    seed: int = 0
 
     def csv_chunks(self) -> Iterator[str]:
         """The CSV as the header, then one string per ``_CHUNK_ROWS`` rows."""
@@ -252,7 +251,7 @@ def simulate_log(
     bad = x_in[(x_in < 0) | (x_in >= pF.n_x)]
     if bad.size:
         raise DomainError(f"input {bad[0]} outside range [0, {pF.n_x})")
-    return SampleLog(x_in, sampler.draw_outputs(rng, x_in), seed)
+    return SampleLog(x_in, sampler.draw_outputs(rng, x_in))
 
 
 @dataclass
@@ -262,8 +261,6 @@ class ConditionalEstimates:
     counts: np.ndarray  # (n_x, n_y) integer counts
     p_hat: np.ndarray  # (n_x, n_y) frequencies
     std_err: np.ndarray  # (n_x, n_y) sqrt(p(1-p)/N)
-    queries_per_x: int
-    seed: int
 
 
 def estimate_conditionals(
@@ -293,4 +290,4 @@ def estimate_conditionals(
         np.add.at(counts[x], sampler.outputs[:, x], tally)
     p_hat = counts / float(queries_per_x)
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / queries_per_x)
-    return ConditionalEstimates(counts, p_hat, std_err, queries_per_x, seed)
+    return ConditionalEstimates(counts, p_hat, std_err)

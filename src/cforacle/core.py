@@ -187,7 +187,7 @@ class FunctionTable:
         for i, y in enumerate(self.outputs):
             if not 0 <= y < self.n_y:
                 raise ValidationError(
-                    f"outputs[{i}]={y} outside range [0, {self.n_y})"
+                    f"outputs[{i}]={_describe_int(y)} outside range [0, {self.n_y})"
                 )
 
     def __call__(self, x: int) -> int:
@@ -205,8 +205,7 @@ class FunctionTable:
     @classmethod
     def from_index(cls, n_x: int, n_y: int, index: int) -> "FunctionTable":
         n_x, n_y = _cardinalities(n_x, n_y)
-        if not 0 <= index < n_y**n_x:
-            raise DomainError(f"index {index} outside range [0, {n_y}^{n_x})")
+        index = _as_index(index, "index", n_y**n_x)
         digits = []
         for _ in range(n_x):
             digits.append(index % n_y)
@@ -254,8 +253,7 @@ def event_indicator(
     n_x, n_y = _cardinalities(n_x, n_y)
     runs = []
     for x, y in pairs:
-        if not (0 <= x < n_x and 0 <= y < n_y):
-            raise DomainError(f"pair ({x}, {y}) outside [0, {n_x}) x [0, {n_y})")
+        x, y = _as_index(x, "input", n_x), _as_index(y, "output", n_y)
         run = n_y ** (n_x - 1 - x)
         block = (0,) * (y * run) + (1,) * run + (0,) * ((n_y - 1 - y) * run)
         runs.append(block * n_y**x)
@@ -390,7 +388,8 @@ class CounterfactualQuery:
         xs = [x for x, _ in pairs]
         if len(set(xs)) != len(xs):
             raise ContractViolationError(
-                f"antecedents must be pairwise distinct, got {xs}"
+                "antecedents must be pairwise distinct, got "
+                f"[{', '.join(map(_describe_int, xs))}]"
             )
 
     @classmethod
@@ -407,16 +406,19 @@ class CounterfactualQuery:
                 raise ContractViolationError(
                     f"malformed target pair {chunk!r}, expected 'x:y' in digits 0-9"
                 )
-            pairs.append((int(sides[0]), int(sides[1])))
+            try:
+                pairs.append((int(sides[0]), int(sides[1])))
+            except ValueError:  # more digits than int() converts
+                raise ContractViolationError(
+                    f"target pair side of {max(map(len, sides))} digits, too many"
+                ) from None
         return cls(tuple(pairs))
 
     def validate_for(self, n_x: int, n_y: int) -> None:
         n_x, n_y = _cardinalities(n_x, n_y)
         for x, y in self.pairs:
-            if not 0 <= x < n_x:
-                raise DomainError(f"antecedent {x} outside range [0, {n_x})")
-            if not 0 <= y < n_y:
-                raise DomainError(f"outcome {y} outside range [0, {n_y})")
+            _as_index(x, "antecedent", n_x)
+            _as_index(y, "outcome", n_y)
 
 
 @dataclass(frozen=True)
@@ -514,7 +516,7 @@ class ConfoundedModel:
                 f"integers: {exc}"
             ) from exc
         if not 0 <= r_x < self.n_x:
-            raise ValidationError(f"input setting {r_x} out of range")
+            raise ValidationError(f"input setting {_describe_int(r_x)} out of range")
         return r_x, _as_table(self.n_x, self.n_y, table)
 
     def response_marginal(self) -> FunctionDistribution:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -82,11 +82,18 @@ class ConstraintSystem:
     its event rows plus every zero event.)  In the degenerate one-table
     case every marginal row is syntactically all-ones, so the uniqueness
     check is waived there and only consistency is enforced.
+
+    ``marginals[x][y]`` is p(f(x)=y) on a one-way system returned by
+    :func:`build_constraints`, whose rows then fix exactly those values;
+    it is None on every other system.
     """
 
     n_x: int
     n_y: int
     rows: tuple[tuple[tuple[int | Fraction, ...], Fraction], ...]
+    marginals: tuple[tuple[Fraction, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         n_x, n_y = _set_cardinalities(self)
@@ -132,9 +139,16 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class LinearTarget:
-    """A linear functional ``sum_f c_f p(f)`` of the table distribution."""
+    """A linear functional ``sum_f c_f p(f)`` of the table distribution.
+
+    ``source`` is ``(query, n_x, n_y)`` on a target returned by
+    :meth:`from_query`, and None on every other target.
+    """
 
     coefficients: tuple[int | Fraction, ...]
+    source: tuple[CounterfactualQuery, int, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _exact(self.coefficients))
@@ -146,7 +160,9 @@ class LinearTarget:
         """Indicator coefficients of a joint counterfactual event."""
         query.validate_for(n_x, n_y)
         _check_size(n_y**n_x, f"{n_y}^{n_x} target coefficients")
-        return cls(event_indicator(n_x, n_y, query.pairs))
+        target = cls(event_indicator(n_x, n_y, query.pairs))
+        object.__setattr__(target, "source", (query, n_x, n_y))
+        return target
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
         if len(self.coefficients) != pF.n_y**pF.n_x:
@@ -239,74 +255,29 @@ def build_constraints(
         for pairs, count in events
     ]
     rows.append(((1,) * n_y**n_x, Fraction(1)))
-    return ConstraintSystem(n_x, n_y, tuple(rows))
+    system = ConstraintSystem(n_x, n_y, tuple(rows))
+    if not two_way:
+        marginals = tuple(tuple(Fraction(c, den) for c in counts) for counts in one)
+        object.__setattr__(system, "marginals", marginals)
+    return system
 
 
-def _one_way_event(n_x: int, n_y: int, coeffs: tuple) -> tuple | None:
-    """The pairs of the conjunction over distinct inputs whose
-    ``event_indicator`` ``coeffs`` is, read off its first and last 1 (the
-    digits they share), or None.  Needs n_y >= 2: the first 1 has digit 0
-    and the last digit n_y - 1 at every input not in the conjunction."""
-    try:
-        first = coeffs.index(1)
-    except ValueError:
-        return None
-    last = len(coeffs) - 1 - coeffs[::-1].index(1)
-    places = [n_y ** (n_x - 1 - x) for x in range(n_x)]
-    pairs = tuple(
-        (x, first // place % n_y)
-        for x, place in enumerate(places)
-        if first // place % n_y == last // place % n_y
-    )
-    if pairs and coeffs == event_indicator(n_x, n_y, pairs):
-        return pairs
-    return None
-
-
-def _frechet_bounds(coeffs: tuple, system: ConstraintSystem) -> Bounds | None:
+def _frechet_bounds(target: LinearTarget, system: ConstraintSystem) -> Bounds | None:
     """The one-way bounds in closed form, or None when they do not apply.
 
-    They apply when every row is the normalization row or a distinct
-    one-way event {f(x)=y}, the rows pin every p(f(x)=y) (all n_y rows of
-    an input, or n_y - 1 of them and the last 1 minus their sum) to a
-    feasible point (all >= 0, each input's summing to 1), and ``coeffs``
-    is the indicator of a conjunction {f(x_i)=y_i} over distinct inputs.
-    The feasible set is then every coupling of those marginals, so with
-    p_i = p(f(x_i)=y_i) the target ranges exactly over the Frechet bounds
-    [max(0, sum p_i - (k-1)), min p_i].  Everything is read off the
-    values: a row is decoded like a target and confirmed by equality.
+    They apply when ``system`` is a one-way system from
+    :func:`build_constraints` and ``target`` comes from
+    :meth:`LinearTarget.from_query` for the same cardinalities.  The
+    feasible set is then every coupling of the marginals p(f(x)=y), so
+    with p_i = p(f(x_i)=y_i) over the queried pairs the target ranges
+    exactly over the Frechet bounds [max(0, sum p_i - (k-1)), min p_i].
     """
-    n_x, n_y, dim = system.n_x, system.n_y, system.dimension
-    if n_y < 2:
+    if system.marginals is None or target.source is None:
         return None
-    # counts first: a two-way row (dim / n_y**2 ones) refuses the system
-    # before any row is decoded
-    run = dim // n_y
-    if any(row.count(1) not in (run, dim) for row, _ in system.rows):
+    query, n_x, n_y = target.source
+    if (n_x, n_y) != (system.n_x, system.n_y):
         return None
-    query = _one_way_event(n_x, n_y, coeffs)
-    if query is None:
-        return None
-    marginals: list[dict[int, Fraction]] = [{} for _ in range(n_x)]
-    for row, rhs in system.rows:
-        if row.count(1) == dim:
-            continue
-        pairs = _one_way_event(n_x, n_y, row)
-        if pairs is None:
-            return None
-        ((x, y),) = pairs  # a count of dim / n_y ones leaves one pair
-        if y in marginals[x]:
-            return None
-        marginals[x][y] = rhs
-    for pinned in marginals:
-        if len(pinned) == n_y - 1:
-            missing = next(y for y in range(n_y) if y not in pinned)
-            pinned[missing] = 1 - sum(pinned.values())
-        elif len(pinned) != n_y or sum(pinned.values()) != 1:
-            return None
-        if any(p < 0 for p in pinned.values()):
-            return None
-    p = [marginals[x][y] for x, y in query]
+    p = [system.marginals[x][y] for x, y in query.pairs]
     return Bounds(max(_ZERO, sum(p) - (len(p) - 1)), min(p))
 
 
@@ -314,16 +285,17 @@ def lp_bounds(target: LinearTarget, system: ConstraintSystem) -> Bounds:
     """Exact min and max of the target over all distributions satisfying
     the system.  Raises :class:`InfeasibleSystemError` when empty.
 
-    A one-way system with a conjunction target is answered in closed form:
-    one-way data fixes only the marginals p(f(x)=y), which is the paper's
+    A one-way system from :func:`build_constraints` with a target from
+    :meth:`LinearTarget.from_query` is answered in closed form: one-way
+    data fixes only the marginals p(f(x)=y), which is the paper's
     classical-oracle limit, so the bounds are the Frechet bounds of the
-    queried marginals (see :func:`_frechet_bounds`).  Every other case,
-    and every witness (:func:`lp_bounds_with_witnesses`), comes from the
-    LP.
+    queried marginals (see :func:`_frechet_bounds`).  Every other system
+    or target, and every witness (:func:`lp_bounds_with_witnesses`),
+    comes from the LP.
     """
     if len(target.coefficients) != system.dimension:
         raise ValidationError("target dimension does not match the system")
-    bounds = _frechet_bounds(target.coefficients, system)
+    bounds = _frechet_bounds(target, system)
     if bounds is not None:
         return bounds
     a, b = system.matrix()

@@ -74,3 +74,16 @@ def brute_force_joint(pF, pairs):
         if all(table.outputs[x] == y for x, y in pairs):
             total += pF.probability(table)
     return total
+
+
+def assert_same_rows(actual, expected):
+    """``actual == expected`` for two texts, failing with their row counts
+    or the first differing row: the diff pytest prints for two long
+    strings takes minutes."""
+    if actual == expected:
+        return
+    got, want = actual.split("\n"), expected.split("\n")
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} rows, expected {len(want)}")
+    index = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+    pytest.fail(f"row {index}: got {got[index]!r}, expected {want[index]!r}")

@@ -2,7 +2,6 @@
 
 import csv
 import io
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +25,14 @@ from cforacle.reproduce import (
     mix_identity_flip,
     uniform_ternary_model,
 )
-from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
+from conftest import (
+    CONST0,
+    CONST1,
+    FLIP,
+    IDENTITY,
+    assert_same_rows,
+    binary_distribution,
+)
 
 F = Fraction
 
@@ -232,7 +238,7 @@ def test_columnar_csv_matches_the_record_writer(pf):
     for inputs in schedules:
         for seed in (0, 7, 2**100):
             expected = csv_by_records(pf, inputs, seed)
-            assert simulate_log(pf, inputs, seed).to_csv() == expected
+            assert_same_rows(simulate_log(pf, inputs, seed).to_csv(), expected)
 
 
 @pytest.mark.parametrize("pf", LOG_MODELS.values(), ids=LOG_MODELS.keys())
@@ -242,7 +248,9 @@ def test_csv_query_index_widens_inside_a_chunk(pf):
     rng = random.Random(pf.n_x * 100 + pf.n_y)
     inputs = [rng.randrange(pf.n_x) for _ in range(2 * _CHUNK_ROWS + 5)]
     assert _CHUNK_ROWS < 100_000 < 2 * _CHUNK_ROWS
-    assert simulate_log(pf, inputs, 5).to_csv() == csv_by_records(pf, inputs, 5)
+    assert_same_rows(
+        simulate_log(pf, inputs, 5).to_csv(), csv_by_records(pf, inputs, 5)
+    )
 
 
 LOOKUP_MODELS = {
@@ -332,15 +340,6 @@ def test_chunk_rendering_matches_a_format_string(ranges, first):
         x = rng.integers(x_low, x_high + 1, rows)
         y = rng.integers(y_low, y_high + 1, rows)
         assert_same_rows(_csv_rows(x, y, first), csv_by_format(x, y, first))
-
-
-def assert_same_rows(actual, expected):
-    """``actual == expected``, failing with the first differing row: the
-    diff pytest prints for two long strings takes minutes."""
-    if actual != expected:
-        rows = itertools.zip_longest(actual.split("\n"), expected.split("\n"))
-        index, pair = next((i, pair) for i, pair in enumerate(rows) if pair[0] != pair[1])
-        pytest.fail(f"row {index}: got {pair[0]!r}, expected {pair[1]!r}")
 
 
 def test_estimate_counts_match_the_recorded_ones():

@@ -24,6 +24,7 @@ from cforacle import (
 from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
+from conftest import assert_same_rows
 
 
 def run_cli(capsys, *argv):
@@ -295,7 +296,7 @@ class TestSimulate:
         assert rows_per_write == [1, _CHUNK_ROWS, 3]  # header, then two chunks
         model = load_model(cli._resolve_model_path("uniform2.json"))
         expected = simulate_log(model, np.arange(queries) % model.n_x, 11).to_csv()
-        assert "".join(writes) == expected
+        assert_same_rows("".join(writes), expected)
 
     def test_multi_chunk_output_matches_the_recorded_digest(self, capsys):
         # recorded before the bucket lookup and the table-driven digit
@@ -446,6 +447,17 @@ class TestErrorHandling:
             "--seed", seed,
         )
         assert ("--seed" if queries == "10" else "--queries") in err
+
+    @pytest.mark.parametrize(
+        "target", ["0:" + "1" * 5000, "1" * 5000 + ":0", "0:0,1:" + "0" * 4999 + "1"],
+        ids=["5000-digit outcome", "5000-digit antecedent", "leading zeros"],
+    )
+    def test_target_side_too_long_to_convert(self, capsys, target):
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", "mixIF.json", "--level", "one-way",
+            "--target", target,
+        )
+        assert err.startswith("ContractViolationError: ") and len(err) < 300
 
     def test_negative_seed(self, capsys):
         err = self.one_line_usage_error(

@@ -39,6 +39,7 @@ F = Fraction
 TINY = F(1, 10**5000)
 
 ONE = FunctionTable(1, 2, (0,))
+ONE_2X2 = FunctionTable(2, 2, (0, 1))
 NORMALIZATION = ((1, 1), 1)
 
 # Each entry point puts the value where a probability (or a coefficient
@@ -155,6 +156,44 @@ def test_unreadable_system_entries_are_validation_errors(call):
 def test_malformed_structures_are_package_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+HUGE = 10**5000
+UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (lambda: CounterfactualQuery(((HUGE, 0),)).validate_for(2, 2), DomainError,
+         "antecedent 2^16609 or more outside range [0, 2)"),
+        (lambda: LinearTarget.from_query(CounterfactualQuery(((0, HUGE),)), 2, 2),
+         DomainError, "outcome 2^16609 or more outside range [0, 2)"),
+        (lambda: core.joint_counterfactual(
+            UNIFORM_2X2, CounterfactualQuery(((0, -HUGE),))), DomainError,
+         "outcome -2^16609 or less outside range [0, 2)"),
+        (lambda: core.event_indicator(2, 2, ((HUGE, 0),)), DomainError,
+         "input 2^16609 or more outside range [0, 2)"),
+        (lambda: FunctionTable.from_index(2, 2, HUGE), DomainError,
+         "index 2^16609 or more outside range [0, 4)"),
+        (lambda: FunctionTable(2, 2, (HUGE, 0)), ValidationError,
+         "outputs[0]=2^16609 or more outside range [0, 2)"),
+        (lambda: ConfoundedModel(2, 2, {(HUGE, ONE_2X2): 1}), ValidationError,
+         "input setting 2^16609 or more out of range"),
+        (lambda: CounterfactualQuery(((HUGE, 0), (HUGE, 1))), ContractViolationError,
+         "got [2^16609 or more, 2^16609 or more]"),
+        (lambda: CounterfactualQuery.from_string("0:" + "1" * 5000),
+         ContractViolationError, "target pair side of 5000 digits, too many"),
+    ],
+    ids=["validate_for", "from_query", "joint_counterfactual", "event_indicator",
+         "from_index", "table output", "joint key setting", "repeated antecedent",
+         "from_string"],
+)
+def test_integers_too_long_to_print_are_package_errors(call, error, shown):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert isinstance(excinfo.value, CfOracleError)
+    assert shown in str(excinfo.value) and len(str(excinfo.value)) < 300
 
 
 def test_huge_exponent_is_refused_before_parsing():

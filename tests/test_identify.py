@@ -1,5 +1,6 @@
 """Constraint systems, partial-identification bounds, identifiability."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -300,6 +301,18 @@ DECLINED = {
         ONE_WAY_2X3,
     ),
     "all ones": (LinearTarget((1,) * 9), ONE_WAY_2X3),
+    # the closed form reads the marginals and the query the two were
+    # built from, never the rows, so these are declined too
+    "query for other cardinalities": (
+        # 4 -> 2 and 2 -> 4 both have 16 tables
+        LinearTarget.from_query(CounterfactualQuery(((0, 1), (3, 0))), 4, 2),
+        build_constraints(random_distribution(random.Random(5), 2, 4), "one-way"),
+    ),
+    "hand-built copy of a built system": (
+        TARGET_2X3,
+        ConstraintSystem(ONE_WAY_2X3.n_x, ONE_WAY_2X3.n_y, ONE_WAY_2X3.rows),
+    ),
+    "replaced target": (dataclasses.replace(TARGET_2X3), ONE_WAY_2X3),
 }
 
 
@@ -315,7 +328,7 @@ class TestOneWayClosedForm:
             return real(*args)
 
         monkeypatch.setattr(lp, "objective_range", counted)
-        assert identify._frechet_bounds(target.coefficients, system) is None
+        assert identify._frechet_bounds(target, system) is None
         expected = Bounds(*real(list(target.coefficients), a, b))
         assert lp_bounds(target, system) == expected
         assert len(calls) == 1
@@ -329,11 +342,39 @@ class TestOneWayClosedForm:
         rows += [(event_indicator(2, 2, ((1, 0),)), F(1, 2)), ((1,) * 4, 1)]
         system = ConstraintSystem(2, 2, tuple(rows))
         target = LinearTarget.from_query(CounterfactualQuery(((0, 0), (1, 0))), 2, 2)
-        assert identify._frechet_bounds(target.coefficients, system) is None
+        assert identify._frechet_bounds(target, system) is None
         with pytest.raises(InfeasibleSystemError) as excinfo:
             lp_bounds(target, system)
         a, b = system.matrix()
         lp._check_certificate(excinfo.value.certificate, a, b)
+
+    def test_single_output_model_is_certain(self, monkeypatch):
+        system = build_constraints(FunctionDistribution.uniform(3, 1), "one-way")
+        target = LinearTarget.from_query(CounterfactualQuery(((0, 0), (2, 0))), 3, 1)
+
+        def unreachable(*args):
+            raise AssertionError("the LP ran on a one-way conjunction target")
+
+        monkeypatch.setattr(lp, "objective_range", unreachable)
+        assert lp_bounds(target, system) == Bounds(1, 1)
+
+    def test_recorded_facts_are_not_part_of_the_value(self):
+        for built, by_hand in (
+            (ONE_WAY_2X3, ConstraintSystem(2, 3, ONE_WAY_2X3.rows)),
+            (TARGET_2X3, LinearTarget(TARGET_2X3.coefficients)),
+        ):
+            assert built == by_hand and hash(built) == hash(by_hand)
+            assert repr(built) == repr(by_hand)
+        assert ONE_WAY_2X3.marginals == tuple(
+            tuple(joint_counterfactual(MODEL_2X3, CounterfactualQuery(((x, y),)))
+                  for y in range(3))
+            for x in range(2)
+        )
+        assert build_constraints(MODEL_2X3, "two-way").marginals is None
+        with pytest.raises(TypeError):
+            ConstraintSystem(2, 3, ONE_WAY_2X3.rows, marginals=ONE_WAY_2X3.marginals)
+        with pytest.raises(TypeError):
+            LinearTarget(TARGET_2X3.coefficients, source=TARGET_2X3.source)
 
 
 class TestIdentifiability:

@@ -267,13 +267,17 @@ def one_way_cases(draw):
 @given(one_way_cases(), st.booleans())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_one_way_closed_form_equals_the_lp(case, full):
-    # the built system (n_y - 1 rows per input) and the one with every
-    # one-way event row both take the closed form; the LP is never reached
+    # the built system (n_y - 1 rows per input) takes the closed form and
+    # never reaches the LP; the hand-built one with every one-way event
+    # row goes to the LP, and both equal the LP's range on the built rows
     pf, query = case
-    system = (full_event_system if full else build_constraints)(pf, "one-way")
+    system = build_constraints(pf, "one-way")
     target = LinearTarget.from_query(query, pf.n_x, pf.n_y)
     a, b = system.matrix()
     expected = Bounds(*lp.objective_range(list(target.coefficients), a, b))
+    if full:
+        assert lp_bounds(target, full_event_system(pf, "one-way")) == expected
+        return
 
     def unreachable(*args):
         raise AssertionError("the LP ran on a one-way conjunction target")
