@@ -66,15 +66,29 @@ def _describe_int(value: int) -> str:
     return f"-2^{bits - 1} or less" if value < 0 else f"2^{bits - 1} or more"
 
 
-def _check_size(count: int, what: str) -> None:
+def _describe_power(base: int, exponent: int) -> str:
+    """``f"{base}^{exponent}"``, each part through :func:`_describe_int`."""
+    parts = (_describe_int(base), _describe_int(exponent))
+    return "^".join(p if p.isdigit() else f"({p})" for p in parts)
+
+
+def _check_size(what: str, base: int, exponent: int = 1, factor: int = 1) -> None:
     """The one enumeration guard: raise :class:`EnumerationCapError` when
-    ``count`` (of ``what``) exceeds ``DEFAULT_ENUMERATION_CAP``, read at
-    call time."""
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{what}: {_describe_int(count)} exceeds the enumeration cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
+    ``factor * base**exponent`` (the count of ``what``) exceeds
+    ``DEFAULT_ENUMERATION_CAP``, read at call time.  A count whose bit
+    lengths put it past both the cap and printing is refused before the
+    power is taken, so no huge integer is built only to be refused."""
+    cap = DEFAULT_ENUMERATION_CAP
+    # count >= 2**low, the whole bits of each factor
+    low = factor.bit_length() - 1 + exponent * (base.bit_length() - 1)
+    if low <= max(_SHOWN_BITS, cap.bit_length()):
+        count = factor * base**exponent
+        if count <= cap:
+            return
+        shown = _describe_int(count)
+    else:
+        shown = _describe_power(2, low) + " or more"
+    raise EnumerationCapError(f"{what}: {shown} exceeds the enumeration cap {cap}")
 
 
 def _cardinalities(n_x, n_y) -> tuple[int, int]:
@@ -236,7 +250,7 @@ def enumerate_functions(n_x: int, n_y: int) -> list[FunctionTable]:
     :class:`EnumerationCapError` if the count would exceed the cap.
     """
     n_x, n_y = _cardinalities(n_x, n_y)
-    _check_size(n_y**n_x, f"{n_y}^{n_x} function tables")
+    _check_size(f"{_describe_power(n_y, n_x)} function tables", n_y, n_x)
     return [
         FunctionTable(n_x, n_y, outs)
         for outs in itertools.product(range(n_y), repeat=n_x)
@@ -333,7 +347,8 @@ class FunctionDistribution:
         n_x, n_y = _cardinalities(n_x, n_y)
         if len(vector) != n_y**n_x:
             raise ValidationError(
-                f"vector has {len(vector)} entries, expected {n_y}^{n_x}"
+                f"vector has {len(vector)} entries, "
+                f"expected {_describe_power(n_y, n_x)}"
             )
         return cls(n_x, n_y, {
             FunctionTable.from_index(n_x, n_y, k): w for k, w in enumerate(vector) if w

@@ -25,6 +25,8 @@ from .core import (
     _as_fraction,
     _cardinalities,
     _check_size,
+    _describe_int,
+    _describe_power,
     _describe_rational,
     _set_cardinalities,
     conditional,
@@ -159,7 +161,7 @@ class LinearTarget:
     ) -> "LinearTarget":
         """Indicator coefficients of a joint counterfactual event."""
         query.validate_for(n_x, n_y)
-        _check_size(n_y**n_x, f"{n_y}^{n_x} target coefficients")
+        _check_size(f"{_describe_power(n_y, n_x)} target coefficients", n_y, n_x)
         target = cls(event_indicator(n_x, n_y, query.pairs))
         object.__setattr__(target, "source", (query, n_x, n_y))
         return target
@@ -168,7 +170,7 @@ class LinearTarget:
         if len(self.coefficients) != pF.n_y**pF.n_x:
             raise ValidationError(
                 f"target has {len(self.coefficients)} coefficients, the model "
-                f"{pF.n_y}^{pF.n_x} tables"
+                f"{_describe_power(pF.n_y, pF.n_x)} tables"
             )
         return sum(
             (self.coefficients[t.index] * w for t, w in pF.weights.items()),
@@ -225,7 +227,9 @@ def build_constraints(
     n_x, n_y = pF_true.n_x, pF_true.n_y
     two_way = level is ConstraintLevel.TWO_WAY
     n_rows = n_x * n_y + (math.comb(n_x, 2) * n_y**2 if two_way else 0) + 1
-    _check_size(n_rows * n_y**n_x, f"cells of {n_rows} rows over {n_y}^{n_x} tables")
+    tables = _describe_power(n_y, n_x)
+    what = f"cells of {_describe_int(n_rows)} rows over {tables} tables"
+    _check_size(what, n_y, n_x, n_rows)
     input_pairs = list(combinations(range(n_x), 2)) if two_way else []
     # Every marginal in one pass over the support, as integer counts over
     # the weights' common denominator.
@@ -375,7 +379,7 @@ def reproduce_appendix_b(n: int) -> ReproductionReport:
     n, _ = _cardinalities(n, n)
     if n < 2:
         raise ValidationError("needs n >= 2")
-    _check_size(n**n, f"{n}^{n} tables")
+    _check_size(f"{_describe_power(n, n)} tables", n, n)
     report = ReproductionReport(f"appendix_b[n={n}]")
     perms = permutation_mixture(n)
     consts = constant_mixture(n)

@@ -22,6 +22,7 @@ from .core import (
     FunctionTable,
     _as_fraction,
     _cardinalities,
+    _describe_int,
     _is_digits,
 )
 from .errors import ValidationError
@@ -39,7 +40,7 @@ def table_to_digits(table: FunctionTable) -> str:
     if table.n_y > 10:
         raise ValidationError(
             "digit-string serialization requires n_y <= 10; "
-            f"got n_y = {table.n_y}"
+            f"got n_y = {_describe_int(table.n_y)}"
         )
     return "".join(str(v) for v in table.outputs)
 
@@ -49,11 +50,12 @@ def table_from_digits(digits: str, n_x: int, n_y: int) -> FunctionTable:
     if n_y > 10:
         raise ValidationError(
             "digit-string serialization requires n_y <= 10; "
-            f"got n_y = {n_y}"
+            f"got n_y = {_describe_int(n_y)}"
         )
     if len(digits) != n_x or not _is_digits(digits):
+        shown = _describe_int(n_x)
         raise ValidationError(
-            f"table key {digits!r} must be {n_x} digits for n_x = {n_x}"
+            f"table key {digits!r} must be {shown} digits for n_x = {shown}"
         )
     return FunctionTable(n_x, n_y, tuple(int(ch) for ch in digits))
 

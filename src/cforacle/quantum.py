@@ -8,6 +8,11 @@ what single classical queries cannot do.
 
 Composite indexing convention throughout: basis state |x>|y> sits at
 index x * n_y + y (input register most significant).
+
+Float checks allow three round-offs: ``STATE_TOL`` in a state's norm,
+trace and Hermitian part and for a zero amplitude, ``OPERATOR_TOL`` in an
+operator's spectrum and a Born probability, and ``EXTRACTION_TOL`` in a
+marginal read off rho.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .core import (
     _as_index,
     _cardinalities,
     _check_size,
+    _describe_int,
     _describe_rational,
     enumerate_functions,
 )
@@ -38,11 +44,9 @@ from .errors import (
 )
 from .rational import int_row, solve_unique
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
+STATE_TOL = 1e-12
+OPERATOR_TOL = 1e-10
 EXTRACTION_TOL = 1e-9
-MEASUREMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class Amplitudes:
         if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
             raise ValidationError("amplitudes must form a nonempty finite vector")
         norm = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > STATE_TOL:
             raise ValidationError(
                 f"amplitudes must be normalized, got |alpha|^2 = {norm!r}"
             )
@@ -80,6 +84,18 @@ class Amplitudes:
         return int(self.alpha.size)
 
 
+def _hermitian_spectrum(arr: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """The spectrum of ``arr``'s Hermitian part, once ``arr`` is a nonempty
+    finite square matrix Hermitian within ``tol``; else ValidationError."""
+    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if not (square and arr.size and np.isfinite(arr).all()):
+        raise ValidationError(f"{what} must be square, nonempty and finite")
+    herm = float(np.max(np.abs(arr - arr.conj().T)))
+    if herm > tol:
+        raise ValidationError(f"{what} not Hermitian: max |A - A^dag| = {herm:g}")
+    return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix on the composite register."""
@@ -89,16 +105,12 @@ class DensityMatrix:
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
-            raise ValidationError("density matrix must be square and finite")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm:g}")
+        eigs = _hermitian_spectrum(arr, "density matrix", STATE_TOL)
         trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > STATE_TOL:
             raise ValidationError(f"trace must be 1, got {trace!r}")
-        min_eig = float(np.min(np.linalg.eigvalsh((arr + arr.conj().T) / 2)))
-        if min_eig < -PSD_TOL:
+        min_eig = float(eigs.min())
+        if min_eig < -OPERATOR_TOL:
             raise ValidationError(
                 f"not positive semidefinite: min eigenvalue {min_eig:g}"
             )
@@ -117,13 +129,8 @@ class MeasurementEffect:
     def __post_init__(self):
         arr = np.asarray(self.operator, dtype=complex)
         object.__setattr__(self, "operator", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all():
-            raise ValidationError("effect operator must be square and finite")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > MEASUREMENT_TOL:
-            raise ValidationError(f"effect not Hermitian: {herm:g}")
-        eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
-        if float(eigs.min()) < -MEASUREMENT_TOL or float(eigs.max()) > 1 + MEASUREMENT_TOL:
+        eigs = _hermitian_spectrum(arr, "effect operator", OPERATOR_TOL)
+        if float(eigs.min()) < -OPERATOR_TOL or float(eigs.max()) > 1 + OPERATOR_TOL:
             raise ValidationError(
                 f"effect eigenvalues outside [0, 1]: [{eigs.min():g}, {eigs.max():g}]"
             )
@@ -158,7 +165,8 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
             f"amplitude vector has {alpha.n_x} entries, model expects {pF.n_x}"
         )
     dim = pF.n_x * pF.n_y
-    _check_size(dim * dim, f"entries of a {dim} x {dim} density matrix")
+    shown = _describe_int(dim)
+    _check_size(f"entries of a {shown} x {shown} density matrix", dim, 2)
     psi = _oracle_states(pF.support(), alpha)
     # float(Fraction) is this same correctly rounded int true division
     weights = np.array([w.numerator / w.denominator for w in pF.weights.values()])
@@ -189,7 +197,7 @@ def extract_two_way(
     y, y_prime = _as_index(y, "y", n_y), _as_index(y_prime, "y_prime", n_y)
     a_x = complex(alpha.alpha[x])
     a_xp = complex(alpha.alpha[x_prime])
-    if abs(a_x) < 1e-12 or abs(a_xp) < 1e-12:
+    if abs(a_x) < STATE_TOL or abs(a_xp) < STATE_TOL:
         raise ExtractionError(
             f"cannot extract at inputs ({x}, {x_prime}): zero amplitude"
         )
@@ -220,7 +228,7 @@ def measure(rho: DensityMatrix, effect: MeasurementEffect) -> float:
             f"dimension mismatch: rho is {rho.dim}, effect is {effect.dim}"
         )
     value = complex(np.trace(effect.operator @ rho.entries))
-    if abs(value.imag) > MEASUREMENT_TOL:
+    if abs(value.imag) > OPERATOR_TOL:
         raise ValidationError(
             f"measurement probability has imaginary part {value.imag:g}"
         )
@@ -249,24 +257,31 @@ def bell_effect() -> MeasurementEffect:
 BINARY_SCENARIOS = ("basis0", "basis1", "plus_bell")
 
 
+def _scenario_position(scenario: str) -> int:
+    """Where ``scenario`` sits in ``BINARY_SCENARIOS``: the one name check."""
+    if scenario not in BINARY_SCENARIOS:
+        raise DomainError(f"unknown scenario {scenario!r}")
+    return BINARY_SCENARIOS.index(scenario)
+
+
 def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
     """Exact Born probability of the scenario outcome for a single table.
 
     basis0 / basis1: probability of reading output 0 after preparing the
     corresponding basis input, which is 1 iff f maps it to 0.
     plus_bell: the Bell-state overlap of (|0, f(0)> + |1, f(1)>)/sqrt(2),
-    equal to (m/2)^2 with m the number of fixed points of f.
+    equal to (m/2)^2 with m the number of fixed points of f.  Each is an
+    amplitude squared: the sum of the scenario's w[x] over the inputs x
+    where f(x) equals its t[x].
     """
     if f.n_x != 2 or f.n_y != 2:
         raise DomainError("binary scenarios require a 2 -> 2 table")
-    if scenario == "basis0":
-        return Fraction(1 if f.outputs[0] == 0 else 0)
-    if scenario == "basis1":
-        return Fraction(1 if f.outputs[1] == 0 else 0)
-    if scenario == "plus_bell":
-        fixed_points = (f.outputs[0] == 0) + (f.outputs[1] == 1)
-        return Fraction(fixed_points, 2) ** 2
-    raise DomainError(f"unknown scenario {scenario!r}")
+    w, t = (
+        ((1, 0), (0, 0)),
+        ((0, 1), (0, 0)),
+        ((Fraction(1, 2),) * 2, (0, 1)),
+    )[_scenario_position(scenario)]
+    return Fraction(sum(w[x] for x, y in enumerate(f.outputs) if y == t[x])) ** 2
 
 
 @cache
@@ -301,9 +316,7 @@ def scenario_probability_exact(
     """Exact rational outcome probability of one probe scenario."""
     if pF.n_x != 2 or pF.n_y != 2:
         raise DomainError("binary scenarios require a 2 -> 2 model")
-    if scenario not in BINARY_SCENARIOS:
-        raise DomainError(f"unknown scenario {scenario!r}")
-    row = _binary_rows()[BINARY_SCENARIOS.index(scenario)]
+    row = _binary_rows()[_scenario_position(scenario)]
     terms = ((w, row[t.index]) for t, w in pF.weights.items())
     return sum((w * c for w, c in terms if c), Fraction(0))
 
@@ -312,16 +325,12 @@ def scenario_probability_simulated(
     pF: FunctionDistribution, scenario: str
 ) -> float:
     """The same probability through the full density-matrix pipeline."""
-    if scenario == "basis0":
-        rho = build_rho_xy(pF, Amplitudes.basis(2, 0))
-        return measure(rho, computational_effect(2, 2, 0))
-    if scenario == "basis1":
-        rho = build_rho_xy(pF, Amplitudes.basis(2, 1))
-        return measure(rho, computational_effect(2, 2, 0))
-    if scenario == "plus_bell":
-        rho = build_rho_xy(pF, Amplitudes.uniform(2))
-        return measure(rho, bell_effect())
-    raise DomainError(f"unknown scenario {scenario!r}")
+    alpha, effect = (
+        (Amplitudes.basis(2, 0), computational_effect(2, 2, 0)),
+        (Amplitudes.basis(2, 1), computational_effect(2, 2, 0)),
+        (Amplitudes.uniform(2), bell_effect()),
+    )[_scenario_position(scenario)]
+    return measure(build_rho_xy(pF, alpha), effect)
 
 
 def binary_forward_measurements(
@@ -374,21 +383,11 @@ def tomography_sweep(
     """
     n_x = alpha.n_x
     n_y = rho.dim // n_x
-    rows = []
-    for x in range(n_x):
-        for y in range(n_y):
-            rows.append((x, x, y, y, extract_two_way(rho, alpha, x, x, y, y)))
-    for x in range(n_x):
-        for x_prime in range(x + 1, n_x):
-            for y in range(n_y):
-                for y_prime in range(n_y):
-                    rows.append(
-                        (
-                            x,
-                            x_prime,
-                            y,
-                            y_prime,
-                            extract_two_way(rho, alpha, x, x_prime, y, y_prime),
-                        )
-                    )
-    return rows
+    keys = [(x, x, y, y) for x in range(n_x) for y in range(n_y)]
+    keys += [
+        (x, x_prime, y, y_prime)
+        for x, x_prime in combinations(range(n_x), 2)
+        for y in range(n_y)
+        for y_prime in range(n_y)
+    ]
+    return [(*key, extract_two_way(rho, alpha, *key)) for key in keys]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .core import FunctionDistribution, FunctionTable, _checked_weights
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
-from .quantum import BINARY_SCENARIOS, scenario_probability_exact
+from .quantum import BINARY_SCENARIOS, _scenario_position, scenario_probability_exact
 
 #: Ontic state layout: (z1, x1, z2, x2).  Register 1 carries the input
 #: variable, register 2 the output ancilla (prepared at z2 = 0).
@@ -126,17 +126,15 @@ def toy_measure(state: ToyEpistemicState, setting: str):
 
 
 def toy_scenario_probability(pF: FunctionDistribution, scenario: str) -> Fraction:
-    """Toy-model outcome probability of one of the binary probe scenarios."""
-    if scenario == "basis0":
-        state = apply_oracle_mixture(toy_prepare("z0"), pF)
-        return toy_measure(state, "y_computational")[0]
-    if scenario == "basis1":
-        state = apply_oracle_mixture(toy_prepare("z1"), pF)
-        return toy_measure(state, "y_computational")[0]
-    if scenario == "plus_bell":
-        state = apply_oracle_mixture(toy_prepare("plus"), pF)
-        return toy_measure(state, "bell_parity")[(0, 0)]
-    raise DomainError(f"unknown scenario {scenario!r}")
+    """Toy-model outcome probability of one of the binary probe scenarios,
+    each a preparation, a measurement setting and the outcome read."""
+    preparation, setting, outcome = (
+        ("z0", "y_computational", 0),
+        ("z1", "y_computational", 0),
+        ("plus", "bell_parity", (0, 0)),
+    )[_scenario_position(scenario)]
+    state = apply_oracle_mixture(toy_prepare(preparation), pF)
+    return toy_measure(state, setting)[outcome]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import pytest
 from cforacle import (
     FunctionDistribution,
     FunctionTable,
+    ValidationError,
     cli,
     core,
     identify,
@@ -24,6 +25,7 @@ from cforacle import (
 from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
+from cforacle.reproduce import run_scenario
 from conftest import assert_same_rows
 
 
@@ -124,6 +126,10 @@ class TestReproduce:
         with pytest.raises(SystemExit) as excinfo:
             main(["reproduce", "appendix_z"])
         assert excinfo.value.code == 2
+
+    def test_unknown_scenario_is_refused_by_the_library(self):
+        with pytest.raises(ValidationError, match="unknown scenario 'nope'; choose"):
+            run_scenario("nope")
 
 
 class TestBoundsAndIdentify:

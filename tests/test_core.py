@@ -270,7 +270,8 @@ RHO_2X2 = quantum.build_rho_xy(UNIFORM_2X2, quantum.Amplitudes.uniform(2))
 
 
 # Integer arguments of the numpy layers and of the model builders; all go
-# through ``core._as_index`` or ``core._cardinalities``.
+# through ``core._as_index`` or ``core._cardinalities``, and some on to a
+# range check of their own.
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -298,6 +299,13 @@ RHO_2X2 = quantum.build_rho_xy(UNIFORM_2X2, quantum.Amplitudes.uniform(2))
         (lambda: identify.constant_mixture("a"), ValidationError, "cardinalities"),
         (lambda: identify.restricted_tail_model("a", ()), ValidationError,
          "cardinalities"),
+        (lambda: identify.reproduce_appendix_b(1), ValidationError, "needs n >= 2"),
+        (lambda: identify.restricted_tail_model(2, ()), ValidationError,
+         "needs n >= 3"),
+        (lambda: classical.estimate_conditionals(UNIFORM_2X2, 0, 0), DomainError,
+         "queries_per_x must be at least 1"),
+        (lambda: modelio.table_from_digits("01", 2, 11), ValidationError,
+         "requires n_y <= 10; got n_y = 11"),
     ],
     ids=[
         "basis -1", "basis 5", "basis float", "uniform str", "uniform -1",
@@ -305,7 +313,8 @@ RHO_2X2 = quantum.build_rho_xy(UNIFORM_2X2, quantum.Amplitudes.uniform(2))
         "make_rng str", "simulate_log seed float", "estimate_conditionals str",
         "estimate_conditionals float", "appendix_b str", "appendix_b float",
         "permutation_mixture str", "constant_mixture str",
-        "restricted_tail_model str",
+        "restricted_tail_model str", "appendix_b 1", "restricted_tail_model 2",
+        "estimate_conditionals 0", "table_from_digits 11 outputs",
     ],
 )
 def test_integer_arguments_of_every_layer_are_checked(call, error, message):

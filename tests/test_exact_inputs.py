@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cforacle import (
+    Amplitudes,
     Bounds,
     CfOracleError,
     ConfoundedModel,
@@ -25,12 +26,17 @@ from cforacle import (
     LinearTarget,
     MeasurementInconsistencyError,
     ValidationError,
+    build_constraints,
+    build_rho_xy,
+    enumerate_functions,
     lp_bounds,
+    lp_bounds_with_witnesses,
     make_rng,
     parse_model,
+    reproduce_appendix_b,
     solve_binary_pF,
 )
-from cforacle import core, lp
+from cforacle import core, lp, modelio
 from cforacle.toy import ToyEpistemicState
 
 F = Fraction
@@ -41,6 +47,7 @@ TINY = F(1, 10**5000)
 ONE = FunctionTable(1, 2, (0,))
 ONE_2X2 = FunctionTable(2, 2, (0, 1))
 NORMALIZATION = ((1, 1), 1)
+NORMALIZED_1X2 = ConstraintSystem(1, 2, (NORMALIZATION,))
 
 # Each entry point puts the value where a probability (or a coefficient
 # of one) goes, and runs until that value is used; the last item is what
@@ -140,22 +147,46 @@ def test_unreadable_system_entries_are_validation_errors(call):
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: LinearTarget(5), ValidationError),
-        (lambda: ConstraintSystem(1, 2, ((1, 1),)), ValidationError),
-        (lambda: ConstraintSystem(1, 2, 5), ValidationError),
-        (lambda: ConstraintSystem(1, 2, (((1, 1), 1, 0),)), ValidationError),
-        (lambda: ConfoundedModel(2, 2, {5: 1}), ValidationError),
-        (lambda: ConfoundedModel(2, 2, {(0, ONE, 1): 1}), ValidationError),
-        (lambda: CounterfactualQuery(((0, 1, 2),)), ContractViolationError),
+        (lambda: LinearTarget(5), ValidationError, "coefficients must be a sequence"),
+        (lambda: ConstraintSystem(1, 2, ((1, 1),)), ValidationError,
+         "coefficients must be a sequence"),
+        (lambda: ConstraintSystem(1, 2, 5), ValidationError,
+         "rows must be (coefficients, rhs) pairs"),
+        (lambda: ConstraintSystem(1, 2, (((1, 1), 1, 0),)), ValidationError,
+         "rows must be (coefficients, rhs) pairs"),
+        (lambda: ConfoundedModel(2, 2, {5: 1}), ValidationError,
+         "joint keys must be (input setting, table) pairs"),
+        (lambda: ConfoundedModel(2, 2, {(0, ONE, 1): 1}), ValidationError,
+         "joint keys must be (input setting, table) pairs"),
+        (lambda: CounterfactualQuery(((0, 1, 2),)), ContractViolationError,
+         "pairs must be two integers each"),
+        (lambda: ConstraintSystem(1, 2, (((1, 1, 1), 1),)), ValidationError,
+         "coefficient vector has 3 entries, expected 2"),
+        (lambda: lp_bounds(LinearTarget((1, 0, 0)), NORMALIZED_1X2),
+         ValidationError, "target dimension does not match the system"),
+        (lambda: lp_bounds_with_witnesses(LinearTarget((1, 0, 0)), NORMALIZED_1X2),
+         ValidationError, "target dimension does not match the system"),
+        (lambda: lp.objective_range([], [], []), ValidationError,
+         "cannot solve an empty system"),
+        (lambda: lp.objective_range([F(1)] * 3, [[F(1), F(1)]], [F(1)]),
+         ValidationError, "dimension mismatch between c, A, b"),
+        (lambda: lp.objective_range([F(1)] * 2, [[F(1), F(1)]], [F(1)] * 2),
+         ValidationError, "dimension mismatch between c, A, b"),
+        (lambda: FunctionDistribution.uniform_over([]), ValidationError,
+         "cannot build a distribution over no tables"),
     ],
     ids=["target int", "row not a pair", "rows int", "row triple",
-         "joint key int", "joint key triple", "query triple"],
+         "joint key int", "joint key triple", "query triple",
+         "row of three coefficients", "bounds target of three",
+         "witness target of three", "empty LP", "LP cost of three",
+         "LP right-hand side of two", "distribution over no tables"],
 )
-def test_malformed_structures_are_package_errors(call, error):
-    with pytest.raises(error):
+def test_malformed_structures_are_package_errors(call, error, message):
+    with pytest.raises(error) as excinfo:
         call()
+    assert message in str(excinfo.value)
 
 
 HUGE = 10**5000
@@ -193,6 +224,47 @@ def test_integers_too_long_to_print_are_package_errors(call, error, shown):
     with pytest.raises(error) as excinfo:
         call()
     assert isinstance(excinfo.value, CfOracleError)
+    assert shown in str(excinfo.value) and len(str(excinfo.value)) < 300
+
+
+# A model with 10**5000 outputs is cheap to build: one table, one input.
+HUGE_OUTPUTS = FunctionDistribution.point_mass(FunctionTable(1, HUGE, (0,)))
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: enumerate_functions(1, HUGE),
+         "(2^16609 or more)^1 function tables: 2^16609 or more exceeds"),
+        (lambda: FunctionDistribution.from_vector(1, HUGE, [1]),
+         "expected (2^16609 or more)^1"),
+        (lambda: LinearTarget.from_query(CounterfactualQuery(((0, 0),)), 1, HUGE),
+         "(2^16609 or more)^1 target coefficients: 2^16609 or more exceeds"),
+        (lambda: modelio.table_from_digits("0", 1, HUGE),
+         "requires n_y <= 10; got n_y = 2^16609 or more"),
+        (lambda: build_constraints(HUGE_OUTPUTS, "one-way"),
+         "cells of 2^16609 or more rows over (2^16609 or more)^1 tables: "
+         "2^33218 or more exceeds"),
+        (lambda: reproduce_appendix_b(10**6),
+         "1000000^1000000 tables: 2^19000000 or more exceeds"),
+        (lambda: enumerate_functions(HUGE, 2),
+         "2^(2^16609 or more) function tables: 2^(2^16609 or more) or more exceeds"),
+        (lambda: modelio.table_from_digits("0", HUGE, 2),
+         "must be 2^16609 or more digits"),
+        (lambda: build_rho_xy(HUGE_OUTPUTS, Amplitudes.uniform(1)),
+         "entries of a 2^16609 or more x 2^16609 or more density matrix"),
+        (lambda: LinearTarget((1,)).value_on(HUGE_OUTPUTS),
+         "the model (2^16609 or more)^1 tables"),
+    ],
+    ids=["enumerate_functions", "from_vector", "from_query", "table_from_digits",
+         "build_constraints", "reproduce_appendix_b", "enumerate_functions inputs",
+         "table_from_digits inputs", "build_rho_xy", "value_on"],
+)
+def test_oversized_cardinalities_are_refused_at_once(call, shown):
+    start = time.perf_counter()
+    with pytest.raises(CfOracleError) as excinfo:
+        call()
+    assert time.perf_counter() - start < 1
     assert shown in str(excinfo.value) and len(str(excinfo.value)) < 300
 
 

@@ -162,6 +162,27 @@ def test_rref_matches_the_full_row_reference_on_random_matrices():
         assert matrix == before
 
 
+def test_empty_systems():
+    assert rref([]) == ([], [])
+    assert solve_unique([], [F(0), F(0)]) == []
+    assert solve_unique([], [F(0), F(1)]) is None
+
+
+@pytest.mark.parametrize(
+    "u, v, expected",
+    [
+        ([F(2), F(0), F(-4)], [F(1), F(0), F(-2)], True),
+        ([F(1), F(2)], [F(1), F(2), F(0)], False),
+        ([F(1), F(0)], [F(1), F(1)], False),
+        ([F(1), F(2)], [F(1), F(1)], False),
+        ([F(0), F(0)], [F(0), F(0)], False),
+    ],
+    ids=["multiple", "lengths differ", "zeros differ", "ratios differ", "both zero"],
+)
+def test_is_scalar_multiple(u, v, expected):
+    assert rational.is_scalar_multiple(u, v) is expected
+
+
 def test_pivot_in_place():
     # integer rows over one denominator each: row i is rows[i] / dens[i]
     rows = [[2, 4, 0, 2], [1, 0, 3, 1], [0, 5, 1, 0]]

@@ -23,10 +23,13 @@ from cforacle import (
     extract_two_way,
     joint_counterfactual,
     lp_bounds,
+    scenario_probability_exact,
+    scenario_probability_simulated,
     solve_binary_pF,
     binary_forward_measurements,
+    toy_scenario_probability,
 )
-from cforacle import lp
+from cforacle import BINARY_SCENARIOS, lp
 from conftest import brute_force_joint, product_model
 from reference import (
     abduct_act_predict,
@@ -291,3 +294,12 @@ def test_one_way_closed_form_equals_the_lp(case, full):
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_binary_solve_inverts_forward_statistics(pf):
     assert solve_binary_pF(*binary_forward_measurements(pf)) == pf
+
+
+@given(distributions([(2, 2)]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_toy_and_simulated_scenarios_match_the_exact_ones(pf):
+    for scenario in BINARY_SCENARIOS:
+        exact = scenario_probability_exact(pf, scenario)
+        assert toy_scenario_probability(pf, scenario) == exact
+        assert abs(scenario_probability_simulated(pf, scenario) - exact) <= 1e-12

@@ -12,8 +12,10 @@ from cforacle import (
     Amplitudes,
     CounterfactualQuery,
     DensityMatrix,
+    DomainError,
     ExtractionError,
     FunctionDistribution,
+    FunctionTable,
     MeasurementEffect,
     MeasurementInconsistencyError,
     ValidationError,
@@ -30,6 +32,7 @@ from cforacle import (
     tomography_sweep,
 )
 from cforacle import ConfoundedModel, core, load_model, quantum, rational, toy
+from cforacle.quantum import scenario_coefficient
 from cforacle.reproduce import uniform_ternary_model
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
 from reference import binary_matrix, binary_solve_by_elimination
@@ -269,6 +272,52 @@ class TestMeasurement:
             exact = float(scenario_probability_exact(pf, scenario))
             simulated = scenario_probability_simulated(pf, scenario)
             assert abs(exact - simulated) <= 1e-12
+
+
+IDENTITY_RHO = build_rho_xy(
+    FunctionDistribution.point_mass(IDENTITY), Amplitudes.uniform(2)
+)
+# |psi><psi| of (|0, 0> + i |1, 0>)/sqrt(2): a valid state, but no oracle
+# output, whose (0 0, 1 0) element is imaginary
+PHASED_PSI = np.array([1, 0, 1j, 0]) * INV_SQRT2
+PHASED_RHO = DensityMatrix(np.outer(PHASED_PSI, PHASED_PSI.conj()))
+# Hermitian within OPERATOR_TOL, but with trace(effect . rho) imaginary
+# beyond it on the uniform pure state
+SKEWED_EFFECT = MeasurementEffect(0.5 * np.eye(4) + 0.4e-10j * np.ones((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Amplitudes(np.array([1.0, 1.0])), ValidationError, "normalized"),
+        (lambda: extract_two_way(IDENTITY_RHO, Amplitudes.uniform(3), 0, 1, 0, 0),
+         ValidationError, "does not divide"),
+        (lambda: extract_two_way(PHASED_RHO, Amplitudes.uniform(2), 0, 1, 0, 0),
+         ExtractionError, "imaginary part"),
+        (lambda: extract_two_way(
+            IDENTITY_RHO, Amplitudes(np.array([0.6, 0.8])), 0, 0, 0, 0),
+         ExtractionError, "outside [0, 1]"),
+        (lambda: measure(DensityMatrix(np.full((4, 4), 0.25)), SKEWED_EFFECT),
+         ValidationError, "measurement probability has imaginary part"),
+        (lambda: MeasurementEffect(np.array([[0.5, 0.1], [0.0, 0.5]])),
+         ValidationError, "effect operator not Hermitian"),
+        (lambda: DensityMatrix(np.zeros((0, 0))), ValidationError, "nonempty"),
+        (lambda: MeasurementEffect(np.zeros((2, 3))), ValidationError, "square"),
+        (lambda: scenario_coefficient(FunctionTable(3, 2, (0, 0, 0)), "basis0"),
+         DomainError, "require a 2 -> 2 table"),
+        (lambda: scenario_probability_exact(
+            FunctionDistribution.uniform(3, 2), "basis0"),
+         DomainError, "require a 2 -> 2 model"),
+    ],
+    ids=["amplitude norm", "amplitudes do not divide", "imaginary marginal",
+         "marginal above 1", "imaginary Born probability", "effect not Hermitian",
+         "empty matrix", "effect not square", "coefficient of a 3 -> 2 table",
+         "probability of a 3 -> 2 model"],
+)
+def test_each_check_refuses_with_its_message(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message in str(excinfo.value)
 
 
 class TestSolveBinary:

@@ -12,17 +12,20 @@ from cforacle import (
     UnsupportedTableError,
     apply_oracle_mixture,
     scenario_probability_exact,
+    scenario_probability_simulated,
     toy_measure,
     toy_prepare,
     toy_scenario_probability,
     verify_binary_equivalence,
 )
+from cforacle.quantum import scenario_coefficient
 from cforacle.toy import ToyEpistemicState, _toy_image, equivalence_grid
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
 from reference import is_valid_epistemic_state
 
 F = Fraction
 ALL_ONTIC_STATES = tuple(product((0, 1), repeat=4))
+UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
 
 
 def oracle_map(table):
@@ -153,6 +156,23 @@ class TestEquivalence:
         pf = FunctionDistribution.point_mass(IDENTITY)
         assert toy_scenario_probability(pf, "plus_bell") == 1
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda name: scenario_coefficient(IDENTITY, name),
+            lambda name: scenario_probability_exact(UNIFORM_2X2, name),
+            lambda name: scenario_probability_simulated(UNIFORM_2X2, name),
+            lambda name: toy_scenario_probability(UNIFORM_2X2, name),
+        ],
+        ids=["scenario_coefficient", "scenario_probability_exact",
+             "scenario_probability_simulated", "toy_scenario_probability"],
+    )
+    @pytest.mark.parametrize("name", ["basis2", "", None, "BASIS0"])
+    def test_unknown_scenario_gives_one_message(self, entry, name):
+        with pytest.raises(DomainError) as excinfo:
+            entry(name)
+        assert str(excinfo.value) == f"unknown scenario {name!r}"
+
     def test_grid_size(self):
         grid = equivalence_grid()
         assert len(grid) == 14
@@ -194,6 +214,9 @@ class TestEquivalence:
 
         for state in ((0.5, 0, 0, 0.9), (0, 0, "1", 0), 5):
             with pytest.raises(ValidationError, match="non-integer ontic state"):
+                ToyEpistemicState({state: 1})
+        for state in ((0, 0, 0), (0, 0, 0, 0, 0), (0, 2, 0, 0), (0, 0, -1, 0)):
+            with pytest.raises(ValidationError, match="bad ontic state"):
                 ToyEpistemicState({state: 1})
         state = ToyEpistemicState({(1, True, 0, 0): 1})
         assert state.support() == ((1, 1, 0, 0),)
