@@ -14,10 +14,11 @@ import itertools
 import numbers
 import operator
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -70,6 +71,29 @@ def _describe_power(base: int, exponent: int) -> str:
     """``f"{base}^{exponent}"``, each part through :func:`_describe_int`."""
     parts = (_describe_int(base), _describe_int(exponent))
     return "^".join(p if p.isdigit() else f"({p})" for p in parts)
+
+
+def _power_exceeds(base: int, exponent: int, value: int) -> bool:
+    """``base**exponent > value`` for a positive ``base``.  The power is
+    not taken when its whole bits alone exceed ``value``'s bit length, so
+    it is never much longer than ``value``, which is in memory already."""
+    if value < 0 or exponent * (base.bit_length() - 1) >= value.bit_length():
+        return True
+    return base**exponent > value
+
+
+def _is_power(value: int, base: int, exponent: int) -> bool:
+    """``value == base**exponent``, by way of :func:`_power_exceeds`."""
+    return not _power_exceeds(base, exponent, value) and base**exponent == value
+
+
+def _describe_count(base: int, exponent: int) -> str:
+    """``base**exponent`` as :func:`_describe_int` shows it, or as
+    :func:`_describe_power` when it is too long to print (it is then not
+    taken)."""
+    if _power_exceeds(base, exponent, 1 << _SHOWN_BITS):
+        return _describe_power(base, exponent)
+    return _describe_int(base**exponent)
 
 
 def _check_size(what: str, base: int, exponent: int = 1, factor: int = 1) -> None:
@@ -219,7 +243,13 @@ class FunctionTable:
     @classmethod
     def from_index(cls, n_x: int, n_y: int, index: int) -> "FunctionTable":
         n_x, n_y = _cardinalities(n_x, n_y)
-        index = _as_index(index, "index", n_y**n_x)
+        _check_size(f"{_describe_int(n_x)} table outputs", n_x)
+        index = _as_index(index, "index")
+        if not 0 <= index or not _power_exceeds(n_y, n_x, index):
+            raise DomainError(
+                f"index {_describe_int(index)} outside range "
+                f"[0, {_describe_count(n_y, n_x)})"
+            )
         digits = []
         for _ in range(n_x):
             digits.append(index % n_y)
@@ -240,7 +270,12 @@ class FunctionTable:
         return cls(2, 2, (1, 0))
 
     def __repr__(self) -> str:
-        return f"FunctionTable({self.n_x}->{self.n_y}, {list(self.outputs)})"
+        return f"FunctionTable({self.n_x}->{_describe_int(self.n_y)}, {_outputs(self)})"
+
+
+def _outputs(table: FunctionTable) -> str:
+    """``str(list(table.outputs))``, each output through :func:`_describe_int`."""
+    return f"[{', '.join(map(_describe_int, table.outputs))}]"
 
 
 def enumerate_functions(n_x: int, n_y: int) -> list[FunctionTable]:
@@ -285,11 +320,15 @@ def _as_table(n_x: int, n_y: int, table) -> FunctionTable:
     return table
 
 
-def _checked_weights(weights: Mapping, what: str, canonical, order) -> dict:
+def _checked_weights(
+    weights: Mapping, what: str, canonical, order
+) -> tuple[dict, tuple[int, ...], int]:
     """``{canonical(key): weight}`` from a mapping, zero weights dropped,
-    keys sorted by ``order``.  Raises unless ``weights`` is a mapping, every
-    weight is a nonnegative rational, no key comes twice and the ``what``
-    sum to exactly 1."""
+    keys sorted by ``order``, plus the same weights as integers over one
+    denominator: ``(weights, nums, den)``, ``nums`` in key order and ``den``
+    the lcm of the weights' denominators.  Raises unless ``weights`` is a
+    mapping, every weight is a nonnegative rational, no key comes twice and
+    the ``what`` sum to exactly 1."""
     if not isinstance(weights, Mapping):
         raise ValidationError(
             f"{what} must be a mapping, got a {type(weights).__name__}"
@@ -305,13 +344,27 @@ def _checked_weights(weights: Mapping, what: str, canonical, order) -> dict:
         if key in cleaned:
             raise ValidationError(f"duplicate weight entry for {key}")
         cleaned[key] = w
-    total = sum(cleaned.values(), Fraction(0))
-    if total != 1:
+    den = lcm(*(w.denominator for w in cleaned.values()))
+    kept = sorted(
+        ((key, w) for key, w in cleaned.items() if w), key=lambda kv: order(kv[0])
+    )
+    nums = tuple(w.numerator * (den // w.denominator) for _, w in kept)
+    total = sum(nums)
+    if total != den:
         raise ValidationError(
-            f"{what} sum to {_describe_rational(total)}, expected exactly 1"
+            f"{what} sum to {_describe_rational(Fraction(total, den))}, "
+            "expected exactly 1"
         )
-    kept = [(key, w) for key, w in cleaned.items() if w]
-    return dict(sorted(kept, key=lambda kv: order(kv[0])))
+    return dict(kept), nums, den
+
+
+def _set_weights(obj, name: str, checked: tuple[dict, tuple[int, ...], int]) -> None:
+    """Write :func:`_checked_weights`' result into a frozen dataclass:
+    the mapping as ``name``, the integers as ``_nums`` over ``_den``."""
+    weights, nums, den = checked
+    object.__setattr__(obj, name, weights)
+    object.__setattr__(obj, "_nums", nums)
+    object.__setattr__(obj, "_den", den)
 
 
 @dataclass(frozen=True)
@@ -320,20 +373,25 @@ class FunctionDistribution:
 
     The central unknown of the whole library: every observational,
     interventional and counterfactual quantity is a functional of it.
+
+    ``weights`` keeps no zero weight and lists the tables in canonical
+    index order; ``_nums`` holds the same weights, in the same order, as
+    integers over the one denominator ``_den``, so a linear functional is
+    a sum of ``int``s with one ``Fraction`` built at the end.
     """
 
     n_x: int
     n_y: int
     weights: Mapping[FunctionTable, Fraction]
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_x, n_y = _set_cardinalities(self)
-        # zero weights dropped, tables in canonical index order
-        weights = _checked_weights(
+        _set_weights(self, "weights", _checked_weights(
             self.weights, "weights", partial(_as_table, n_x, n_y),
             operator.attrgetter("index"),
-        )
-        object.__setattr__(self, "weights", weights)
+        ))
 
     @classmethod
     def point_mass(cls, table: FunctionTable) -> "FunctionDistribution":
@@ -345,7 +403,7 @@ class FunctionDistribution:
     ) -> "FunctionDistribution":
         """Weight ``vector[k]`` on the table of canonical index k, for all k."""
         n_x, n_y = _cardinalities(n_x, n_y)
-        if len(vector) != n_y**n_x:
+        if not _is_power(len(vector), n_y, n_x):
             raise ValidationError(
                 f"vector has {len(vector)} entries, "
                 f"expected {_describe_power(n_y, n_x)}"
@@ -378,9 +436,10 @@ class FunctionDistribution:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{list(t.outputs)}: {w}" for t, w in self.weights.items()
+            f"{_outputs(t)}: {_describe_rational(w)}" for t, w in self.weights.items()
         )
-        return f"FunctionDistribution({self.n_x}->{self.n_y}, {{{parts}}})"
+        n_y = _describe_int(self.n_y)
+        return f"FunctionDistribution({self.n_x}->{n_y}, {{{parts}}})"
 
 
 @dataclass(frozen=True)
@@ -453,13 +512,15 @@ def conditional(pF: FunctionDistribution, x: int) -> tuple[Fraction, ...]:
 
     With no confounder this is simultaneously the observational
     conditional, the do-conditional, and the one-way counterfactual
-    p(Y_x = y).
+    p(Y_x = y).  Raises :class:`EnumerationCapError` when n_y, the length
+    of the vector, exceeds the cap.
     """
     x = _as_index(x, "input", pF.n_x)
-    vec = [Fraction(0)] * pF.n_y
-    for table, w in pF.weights.items():
-        vec[table.outputs[x]] += w
-    return tuple(vec)
+    _check_size(f"{_describe_int(pF.n_y)} conditional probabilities", pF.n_y)
+    nums = [0] * pF.n_y
+    for table, num in zip(pF.weights, pF._nums):
+        nums[table.outputs[x]] += num
+    return tuple(Fraction(num, pF._den) for num in nums)
 
 
 def joint_counterfactual(
@@ -467,9 +528,12 @@ def joint_counterfactual(
 ) -> Fraction:
     """Probability that f maps every queried x_i to its y_i simultaneously."""
     query.validate_for(pF.n_x, pF.n_y)
-    pairs, weights = query.pairs, pF.weights.items()
-    hits = (w for t, w in weights if all(t.outputs[x] == y for x, y in pairs))
-    return sum(hits, Fraction(0))
+    pairs = query.pairs
+    hits = zip(pF.weights, pF._nums)
+    return Fraction(
+        sum(num for t, num in hits if all(t.outputs[x] == y for x, y in pairs)),
+        pF._den,
+    )
 
 
 def conditional_counterfactual(
@@ -511,14 +575,16 @@ class ConfoundedModel:
     n_x: int
     n_y: int
     joint_weights: Mapping[tuple[int, FunctionTable], Fraction]
+    # the joint weights over one denominator, as on FunctionDistribution
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _set_cardinalities(self)
-        ordered = _checked_weights(
+        _set_weights(self, "joint_weights", _checked_weights(
             self.joint_weights, "joint weights", self._key,
             lambda key: (key[0], key[1].index),
-        )
-        object.__setattr__(self, "joint_weights", ordered)
+        ))
 
     def _key(self, key) -> tuple[int, FunctionTable]:
         """A joint key ``(r_x, table)``, checked and made canonical."""
@@ -536,7 +602,9 @@ class ConfoundedModel:
 
     def response_marginal(self) -> FunctionDistribution:
         """Marginalize out the input setting."""
-        weights: dict[FunctionTable, Fraction] = {}
-        for (_, table), w in self.joint_weights.items():
-            weights[table] = weights.get(table, Fraction(0)) + w
-        return FunctionDistribution(self.n_x, self.n_y, weights)
+        nums: dict[FunctionTable, int] = {}
+        for (_, table), num in zip(self.joint_weights, self._nums):
+            nums[table] = nums.get(table, 0) + num
+        return FunctionDistribution(self.n_x, self.n_y, {
+            table: Fraction(num, self._den) for table, num in nums.items()
+        })

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -25,16 +26,18 @@ from .core import (
     _as_fraction,
     _cardinalities,
     _check_size,
+    _describe_count,
     _describe_int,
     _describe_power,
     _describe_rational,
+    _is_power,
     _set_cardinalities,
     conditional,
     event_indicator,
     joint_counterfactual,
 )
 from .errors import ValidationError
-from .rational import nullspace
+from .rational import int_row, nullspace
 from .report import ReproductionReport
 
 _ZERO = Fraction(0)
@@ -99,7 +102,6 @@ class ConstraintSystem:
 
     def __post_init__(self):
         n_x, n_y = _set_cardinalities(self)
-        dim = n_y**n_x
         try:
             rows = [(coeffs, rhs) for coeffs, rhs in self.rows]
         except (TypeError, ValueError) as exc:  # ValueError: not a pair
@@ -111,11 +113,12 @@ class ConstraintSystem:
         for coeffs, rhs in rows:
             coeffs = _exact(coeffs)
             rhs = _as_fraction(rhs)
-            if len(coeffs) != dim:
+            if not _is_power(len(coeffs), n_y, n_x):
                 raise ValidationError(
-                    f"coefficient vector has {len(coeffs)} entries, expected {dim}"
+                    f"coefficient vector has {len(coeffs)} entries, "
+                    f"expected {_describe_count(n_y, n_x)}"
                 )
-            if coeffs.count(1) == dim:
+            if coeffs.count(1) == len(coeffs):
                 ones += 1
                 if rhs != 1:
                     raise ValidationError(
@@ -123,7 +126,7 @@ class ConstraintSystem:
                         + _describe_rational(rhs)
                     )
             normalized_rows.append((coeffs, rhs))
-        if ones != 1 and not (dim == 1 and ones >= 1):
+        if ones != 1 and not (n_y == 1 and ones >= 1):
             raise ValidationError(
                 f"system must contain the normalization row exactly once, found {ones}"
             )
@@ -167,15 +170,14 @@ class LinearTarget:
         return target
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
-        if len(self.coefficients) != pF.n_y**pF.n_x:
+        if not _is_power(len(self.coefficients), pF.n_y, pF.n_x):
             raise ValidationError(
                 f"target has {len(self.coefficients)} coefficients, the model "
                 f"{_describe_power(pF.n_y, pF.n_x)} tables"
             )
-        return sum(
-            (self.coefficients[t.index] * w for t, w in pF.weights.items()),
-            _ZERO,
-        )
+        # the coefficients on the support over their own one denominator
+        coeffs, den = int_row([self.coefficients[t.index] for t in pF.weights])
+        return Fraction(sum(map(operator.mul, coeffs, pF._nums)), den * pF._den)
 
 
 @dataclass(frozen=True)
@@ -232,12 +234,11 @@ def build_constraints(
     _check_size(what, n_y, n_x, n_rows)
     input_pairs = list(combinations(range(n_x), 2)) if two_way else []
     # Every marginal in one pass over the support, as integer counts over
-    # the weights' common denominator.
-    den = math.lcm(*(w.denominator for w in pF_true.weights.values()))
+    # the weights' one denominator.
+    den = pF_true._den
     one = [[0] * n_y for _ in range(n_x)]
     two = [[[0] * n_y for _ in range(n_y)] for _ in input_pairs]
-    for table, w in pF_true.weights.items():
-        count = w.numerator * (den // w.denominator)
+    for table, count in zip(pF_true.weights, pF_true._nums):
         outs = table.outputs
         for x, y in enumerate(outs):
             one[x][y] += count

@@ -423,12 +423,19 @@ def _face_walk(
     x = [_ZERO] * len(c)
     for j, v in zip(cols, _basic_solution(rows, dens, basis, n)):
         x[j] = v
-    # a vertex has few nonzero entries, and zero terms add nothing
-    support = [(j, v) for j, v in enumerate(x) if v]
+    # A vertex has few nonzero entries, and zero terms add nothing.  Over
+    # the support's one denominator, x_j = nums[k] / den for j = support[k].
+    support = [j for j, v in enumerate(x) if v]
+    nums, den = int_row([x[j] for j in support])
+
+    def attains(row, value) -> bool:  # row . x == value, cross-multiplied
+        dot = sum(row[j] * v for j, v in zip(support, nums))
+        return dot * value.denominator == value.numerator * den
+
     if (
-        any(v < 0 for _, v in support)
-        or any(sum(row[j] * v for j, v in support) != rhs for row, rhs in zip(a, b))
-        or sum(c[j] * v for j, v in support) != optimum
+        any(v < 0 for v in nums)
+        or not all(map(attains, a, b))
+        or not attains(c, optimum)
     ):
         raise InternalCheckError("face walk ended off the optimal face")
     return x

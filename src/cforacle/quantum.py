@@ -49,6 +49,15 @@ OPERATOR_TOL = 1e-10
 EXTRACTION_TOL = 1e-9
 
 
+def _complex_array(value, what: str) -> np.ndarray:
+    """``value`` as a complex numpy array, else ValidationError (numpy
+    raises ValueError, TypeError or OverflowError on what it cannot read)."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be complex numbers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Amplitudes:
     """A pure input-register state: one complex amplitude per input value."""
@@ -56,7 +65,7 @@ class Amplitudes:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=complex)
+        arr = _complex_array(self.alpha, "amplitudes")
         object.__setattr__(self, "alpha", arr)
         # NaN would pass every tolerance test below: comparisons with it are false
         if arr.ndim != 1 or arr.size < 1 or not np.isfinite(arr).all():
@@ -103,7 +112,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = _complex_array(self.entries, "density matrix")
         object.__setattr__(self, "entries", arr)
         eigs = _hermitian_spectrum(arr, "density matrix", STATE_TOL)
         trace = complex(np.trace(arr))
@@ -127,7 +136,7 @@ class MeasurementEffect:
     operator: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.operator, dtype=complex)
+        arr = _complex_array(self.operator, "effect operator")
         object.__setattr__(self, "operator", arr)
         eigs = _hermitian_spectrum(arr, "effect operator", OPERATOR_TOL)
         if float(eigs.min()) < -OPERATOR_TOL or float(eigs.max()) > 1 + OPERATOR_TOL:
@@ -168,11 +177,21 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     shown = _describe_int(dim)
     _check_size(f"entries of a {shown} x {shown} density matrix", dim, 2)
     psi = _oracle_states(pF.support(), alpha)
-    # float(Fraction) is this same correctly rounded int true division
-    weights = np.array([w.numerator / w.denominator for w in pF.weights.values()])
+    # int true division is correctly rounded, so each weight is float(w)
+    weights = np.array([num / pF._den for num in pF._nums])
     rho = (psi.T * weights) @ psi.conj()
     rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry
     return DensityMatrix(rho)
+
+
+def _register_sizes(rho: DensityMatrix, alpha: Amplitudes) -> tuple[int, int]:
+    """``(n_x, n_y)`` of the composite register: n_x from the amplitudes,
+    n_y from rho's side, which n_x must divide; else ValidationError."""
+    n_x = alpha.n_x
+    n_y = rho.dim // n_x
+    if n_x * n_y != rho.dim:
+        raise ValidationError("amplitude count does not divide the matrix dimension")
+    return n_x, n_y
 
 
 def extract_two_way(
@@ -189,10 +208,7 @@ def extract_two_way(
     requires both amplitudes to be nonzero.  For x == x' the diagonal
     block only supports y == y', giving back the one-way marginal.
     """
-    n_x = alpha.n_x
-    n_y = rho.dim // n_x
-    if n_x * n_y != rho.dim:
-        raise ValidationError("amplitude count does not divide the matrix dimension")
+    n_x, n_y = _register_sizes(rho, alpha)
     x, x_prime = _as_index(x, "x", n_x), _as_index(x_prime, "x_prime", n_x)
     y, y_prime = _as_index(y, "y", n_y), _as_index(y_prime, "y_prime", n_y)
     a_x = complex(alpha.alpha[x])
@@ -285,13 +301,15 @@ def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
 
 
 @cache
-def _binary_rows() -> tuple[tuple[Fraction, ...], ...]:
+def _binary_rows() -> tuple[tuple[tuple[int, ...], ...], int]:
     """``scenario_coefficient`` of the four 2 -> 2 tables: one row per
-    scenario of ``BINARY_SCENARIOS``, columns in canonical index order."""
+    scenario of ``BINARY_SCENARIOS``, columns in canonical index order, as
+    integer rows over one denominator (4): ``(rows, den)``."""
     tables = enumerate_functions(2, 2)
-    return tuple(
-        tuple(scenario_coefficient(t, s) for t in tables) for s in BINARY_SCENARIOS
+    flat, den = int_row(
+        [scenario_coefficient(t, s) for s in BINARY_SCENARIOS for t in tables]
     )
+    return tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
 
 
 # Both caches hold tuples only, so concurrent callers share nothing mutable.
@@ -299,7 +317,8 @@ def _binary_rows() -> tuple[tuple[Fraction, ...], ...]:
 def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
     """The exact inverse of the scenario rows plus the all-ones row, as
     integer rows over one common denominator: ``(rows, den)``."""
-    matrix = [*_binary_rows(), [Fraction(1)] * 4]
+    rows, den = _binary_rows()
+    matrix = [[Fraction(v, den) for v in row] for row in rows] + [[1] * 4]
     columns = []
     for k in range(4):
         column = solve_unique(matrix, [Fraction(int(i == k)) for i in range(4)])
@@ -316,9 +335,10 @@ def scenario_probability_exact(
     """Exact rational outcome probability of one probe scenario."""
     if pF.n_x != 2 or pF.n_y != 2:
         raise DomainError("binary scenarios require a 2 -> 2 model")
-    row = _binary_rows()[_scenario_position(scenario)]
-    terms = ((w, row[t.index]) for t, w in pF.weights.items())
-    return sum((w * c for w, c in terms if c), Fraction(0))
+    rows, den = _binary_rows()
+    row = rows[_scenario_position(scenario)]
+    total = sum(row[t.index] * num for t, num in zip(pF.weights, pF._nums))
+    return Fraction(total, den * pF._den)
 
 
 def scenario_probability_simulated(
@@ -381,8 +401,7 @@ def tomography_sweep(
     Emits (x, x', y, y', value) rows: all output pairs for x < x', and
     the diagonal one-way marginals for x == x' (y == y' only).
     """
-    n_x = alpha.n_x
-    n_y = rho.dim // n_x
+    n_x, n_y = _register_sizes(rho, alpha)
     keys = [(x, x, y, y) for x in range(n_x) for y in range(n_y)]
     keys += [
         (x, x_prime, y, y_prime)

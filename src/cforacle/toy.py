@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FunctionDistribution, FunctionTable, _checked_weights
+from .core import FunctionDistribution, FunctionTable, _checked_weights, _set_weights
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
 from .quantum import BINARY_SCENARIOS, _scenario_position, scenario_probability_exact
@@ -46,15 +46,20 @@ def _ontic(state) -> OnticState:
 
 @dataclass(frozen=True)
 class ToyEpistemicState:
-    """A probability distribution over the 16 ontic states."""
+    """A probability distribution over the 16 ontic states.
+
+    ``_nums`` holds ``probs``, in the same order, as integers over the one
+    denominator ``_den``, as on :class:`FunctionDistribution`.
+    """
 
     probs: dict[OnticState, Fraction]
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = _checked_weights(
+        _set_weights(self, "probs", _checked_weights(
             self.probs, "ontic probabilities", _ontic, order=lambda state: state
-        )
-        object.__setattr__(self, "probs", probs)
+        ))
 
     def support(self) -> tuple[OnticState, ...]:
         return tuple(self.probs.keys())
@@ -94,12 +99,14 @@ def apply_oracle_mixture(
     """Average the four oracle permutations over the table distribution."""
     if pF.n_x != 2 or pF.n_y != 2:
         raise UnsupportedTableError("toy oracle mixtures require a 2 -> 2 model")
-    out: dict[OnticState, Fraction] = {}
-    for table, w in pF.weights.items():
-        for s, p in state.probs.items():
+    # integers over the product of the two denominators
+    out: dict[OnticState, int] = {}
+    for table, w in zip(pF.weights, pF._nums):
+        for s, p in zip(state.probs, state._nums):
             image = _toy_image(table.outputs, s)
-            out[image] = out.get(image, Fraction(0)) + w * p
-    return ToyEpistemicState(out)
+            out[image] = out.get(image, 0) + w * p
+    den = pF._den * state._den
+    return ToyEpistemicState({s: Fraction(v, den) for s, v in out.items()})
 
 
 def toy_measure(state: ToyEpistemicState, setting: str):
@@ -110,16 +117,15 @@ def toy_measure(state: ToyEpistemicState, setting: str):
     (0, 0) outcome is the analogue of the maximally correlated Bell
     projection.
     """
+    states, den = zip(state.probs, state._nums), state._den
     if setting == "y_computational":
-        p0 = sum((p for s, p in state.probs.items() if s[2] == 0), Fraction(0))
+        p0 = Fraction(sum(p for s, p in states if s[2] == 0), den)
         return (p0, 1 - p0)
     if setting == "bell_parity":
-        outcomes = {
-            (pz, px): Fraction(0) for pz in (0, 1) for px in (0, 1)
-        }
-        for (z1, x1, z2, x2), p in state.probs.items():
+        outcomes = {(pz, px): 0 for pz in (0, 1) for px in (0, 1)}
+        for (z1, x1, z2, x2), p in states:
             outcomes[(z1 ^ z2, x1 ^ x2)] += p
-        return outcomes
+        return {outcome: Fraction(p, den) for outcome, p in outcomes.items()}
     raise DomainError(
         f"unknown setting {setting!r}; expected one of {MEASUREMENT_SETTINGS}"
     )

@@ -9,7 +9,10 @@ emits a basis plus the zero events.  For the binary probe solve: the
 elimination on the 4x4 scenario matrix that its cached inverse
 replaced.  For the counterfactual core: the three-step
 abduction/action/prediction route, the observational side of a
-confounded model, and the validity test of a bit-pair epistemic state."""
+confounded model, and the validity test of a bit-pair epistemic state.
+For the linear functionals of a distribution, which the library sums as
+integers over the weights' one denominator: the same sums taken one
+``Fraction`` at a time."""
 
 import random
 from fractions import Fraction
@@ -331,4 +334,33 @@ def is_valid_epistemic_state(state):
     return all(
         tuple(ai ^ bi ^ ci for ai, bi, ci in zip(a, b, c)) in state.probs
         for a, b, c in product(support, repeat=3)
+    )
+
+
+def fraction_conditional(pF, x):
+    """``conditional``: p(f(x) = y) for every y, one weight at a time."""
+    vec = [F(0)] * pF.n_y
+    for table, w in pF.weights.items():
+        vec[table.outputs[x]] += w
+    return tuple(vec)
+
+
+def fraction_joint(pF, pairs):
+    """``joint_counterfactual``: the weights of the tables that map every
+    queried x to its y."""
+    hits = (w for t, w in pF.weights.items() if all(t.outputs[x] == y for x, y in pairs))
+    return sum(hits, F(0))
+
+
+def fraction_value_on(coefficients, pF):
+    """``LinearTarget.value_on`` (and the right-hand side of a constraint
+    row): sum over the tables of coefficient times weight."""
+    return sum((coefficients[t.index] * w for t, w in pF.weights.items()), F(0))
+
+
+def fraction_scenario_probability(pF, scenario):
+    """``scenario_probability_exact``: each table's Born probability times
+    its weight."""
+    return sum(
+        (scenario_coefficient(t, scenario) * w for t, w in pF.weights.items()), F(0)
     )

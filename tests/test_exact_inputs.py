@@ -4,9 +4,13 @@
 too long for ``str``."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ from cforacle import (
 )
 from cforacle import core, lp, modelio
 from cforacle.toy import ToyEpistemicState
+
+SRC = str(Path(core.__file__).resolve().parents[1])
 
 F = Fraction
 
@@ -255,10 +261,12 @@ HUGE_OUTPUTS = FunctionDistribution.point_mass(FunctionTable(1, HUGE, (0,)))
          "entries of a 2^16609 or more x 2^16609 or more density matrix"),
         (lambda: LinearTarget((1,)).value_on(HUGE_OUTPUTS),
          "the model (2^16609 or more)^1 tables"),
+        (lambda: core.conditional(HUGE_OUTPUTS, 0),
+         "2^16609 or more conditional probabilities: 2^16609 or more exceeds"),
     ],
     ids=["enumerate_functions", "from_vector", "from_query", "table_from_digits",
          "build_constraints", "reproduce_appendix_b", "enumerate_functions inputs",
-         "table_from_digits inputs", "build_rho_xy", "value_on"],
+         "table_from_digits inputs", "build_rho_xy", "value_on", "conditional"],
 )
 def test_oversized_cardinalities_are_refused_at_once(call, shown):
     start = time.perf_counter()
@@ -266,6 +274,53 @@ def test_oversized_cardinalities_are_refused_at_once(call, shown):
         call()
     assert time.perf_counter() - start < 1
     assert shown in str(excinfo.value) and len(str(excinfo.value)) < 300
+
+
+def test_reprs_show_outputs_too_long_to_print():
+    last = FunctionTable(1, HUGE, (HUGE - 1,))
+    assert repr(last) == "FunctionTable(1->2^16609 or more, [2^16609 or more])"
+    assert repr(HUGE_OUTPUTS) == "FunctionDistribution(1->2^16609 or more, {[0]: 1})"
+    # and as before on printable ones
+    assert repr(FunctionDistribution.point_mass(ONE_2X2)) == (
+        "FunctionDistribution(2->2, {[0, 1]: 1})"
+    )
+
+
+# 2**(10**10) is a 1.25 GB integer.  Each call runs in a child process
+# that first caps its own address space well below that, so a call that
+# takes the power in full ends there in MemoryError instead of filling the
+# host.
+HUGE_POWER_CALLS = {
+    "from_index": "FunctionTable.from_index(10**10, 2, 0)",
+    "from_index negative": "FunctionTable.from_index(10**10, 2, -1)",
+    "from_vector": "FunctionDistribution.from_vector(10**10, 2, [1])",
+    "ConstraintSystem": "ConstraintSystem(10**10, 2, (((1, 1), 1),))",
+    "ConstraintSystem without rows": "ConstraintSystem(10**10, 2, ())",
+}
+
+
+@pytest.mark.parametrize("call", HUGE_POWER_CALLS.values(), ids=HUGE_POWER_CALLS)
+def test_table_counts_are_compared_without_the_power(call):
+    script = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+        "from cforacle.core import FunctionDistribution, FunctionTable\n"
+        "from cforacle.errors import CfOracleError\n"
+        "from cforacle.identify import ConstraintSystem\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    {call}\n"
+        "except CfOracleError as exc:\n"
+        "    print(f'{time.perf_counter() - start:.3f}', exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=False,
+    )
+    assert result.returncode == 0, result.stderr[-500:]
+    seconds, _, message = result.stdout.partition(" ")
+    assert float(seconds) < 1
+    assert 0 < len(message) < 300
 
 
 def test_huge_exponent_is_refused_before_parsing():

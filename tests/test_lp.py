@@ -353,6 +353,22 @@ def test_lexmin_raises_when_the_final_vertex_is_off_the_face(monkeypatch):
             search([F(-1), F(-1), F(0)], a, [F(1)])
 
 
+@pytest.mark.parametrize(
+    "vertex",
+    [[F(2), F(-1), F(0)], [F(1, 2), F(1, 2), F(1, 3)]],
+    ids=["negative entry", "A x != b"],
+)
+def test_lexmin_raises_on_each_leg_of_the_final_check(monkeypatch, vertex):
+    # each point misses one leg only: x >= 0, A x = b, or c . x = the
+    # optimum -1 (the test above)
+    c, a, b = [F(-1), F(-1), F(0)], frac_rows([[1, 1, 1]]), [F(1)]
+    assert sum(ci * v for ci, v in zip(c, vertex)) == -1
+    monkeypatch.setattr(lp, "_basic_solution", lambda *_: vertex)
+    for search in (lexmin_optimal_vertex, lexmin_optimal_range, simplex_minimize):
+        with pytest.raises(InternalCheckError):
+            search(c, a, b)
+
+
 # --- The integer tableau against the Fraction tableau of reference.py.
 
 

@@ -303,6 +303,14 @@ SKEWED_EFFECT = MeasurementEffect(0.5 * np.eye(4) + 0.4e-10j * np.ones((4, 4)))
          ValidationError, "effect operator not Hermitian"),
         (lambda: DensityMatrix(np.zeros((0, 0))), ValidationError, "nonempty"),
         (lambda: MeasurementEffect(np.zeros((2, 3))), ValidationError, "square"),
+        (lambda: tomography_sweep(IDENTITY_RHO, Amplitudes.uniform(8)),
+         ValidationError, "does not divide"),
+        (lambda: Amplitudes("abc"), ValidationError,
+         "amplitudes must be complex numbers: complex() arg is a malformed string"),
+        (lambda: DensityMatrix([[1, "x"], [0, 0]]), ValidationError,
+         "density matrix must be complex numbers"),
+        (lambda: MeasurementEffect([[1, 0], [0]]), ValidationError,
+         "effect operator must be complex numbers"),
         (lambda: scenario_coefficient(FunctionTable(3, 2, (0, 0, 0)), "basis0"),
          DomainError, "require a 2 -> 2 table"),
         (lambda: scenario_probability_exact(
@@ -311,7 +319,9 @@ SKEWED_EFFECT = MeasurementEffect(0.5 * np.eye(4) + 0.4e-10j * np.ones((4, 4)))
     ],
     ids=["amplitude norm", "amplitudes do not divide", "imaginary marginal",
          "marginal above 1", "imaginary Born probability", "effect not Hermitian",
-         "empty matrix", "effect not square", "coefficient of a 3 -> 2 table",
+         "empty matrix", "effect not square", "sweep amplitudes longer than rho",
+         "amplitudes text", "density matrix text", "effect ragged",
+         "coefficient of a 3 -> 2 table",
          "probability of a 3 -> 2 model"],
 )
 def test_each_check_refuses_with_its_message(call, error, message):
