@@ -35,9 +35,7 @@ _EXPORTS = {
         "identify": (
             "Bounds", "ConstraintLevel", "ConstraintSystem",
             "IdentifiabilityResult", "LinearTarget", "build_constraints",
-            "constant_mixture", "is_identifiable", "lp_bounds",
-            "lp_bounds_with_witnesses", "permutation_mixture",
-            "reproduce_appendix_b", "reproduce_appendix_e_general",
+            "is_identifiable", "lp_bounds", "lp_bounds_with_witnesses",
             "restricted_tail_model", "solution_family_direction",
         ),
         "modelio": ("load_model", "parse_model", "save_model"),
@@ -50,6 +48,10 @@ _EXPORTS = {
             "tomography_sweep",
         ),
         "report": ("Claim", "ReproductionReport"),
+        "reproduce": (
+            "constant_mixture", "permutation_mixture", "reproduce_appendix_b",
+            "reproduce_appendix_e_general",
+        ),
         "toy": (
             "ToyEpistemicState", "apply_oracle_mixture", "toy_measure",
             "toy_prepare", "toy_scenario_probability",

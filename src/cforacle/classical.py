@@ -27,8 +27,8 @@ outputs).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -188,13 +188,8 @@ class TableSampler:
 
     def __init__(self, pF: FunctionDistribution):
         support = pF.support()
-        cumulative = Fraction(0)
-        thresholds = []
-        for table in support:
-            cumulative += pF.weights[table]
-            thresholds.append(
-                (cumulative.numerator << 64) // cumulative.denominator
-            )
+        # prefix sums of the weights, as integers over their one denominator
+        thresholds = [(s << 64) // pF._den for s in itertools.accumulate(pF._nums)]
         # the final threshold is 2**64 and can never be reached by a draw,
         # so it is dropped; searchsorted then lands in [0, len(support))
         self._cuts = np.array(thresholds[:-1], dtype=np.uint64)

@@ -235,10 +235,7 @@ class FunctionTable:
     def index(self) -> int:
         """Canonical index: the integer whose base-n_y digits are the
         outputs, most significant digit first (= f(0))."""
-        idx = 0
-        for y in self.outputs:
-            idx = idx * self.n_y + y
-        return idx
+        return _digits_value(self.outputs, self.n_y)
 
     @classmethod
     def from_index(cls, n_x: int, n_y: int, index: int) -> "FunctionTable":
@@ -250,11 +247,7 @@ class FunctionTable:
                 f"index {_describe_int(index)} outside range "
                 f"[0, {_describe_count(n_y, n_x)})"
             )
-        digits = []
-        for _ in range(n_x):
-            digits.append(index % n_y)
-            index //= n_y
-        return cls(n_x, n_y, tuple(reversed(digits)))
+        return cls(n_x, n_y, tuple(_value_digits(index, n_y, n_x)))
 
     @classmethod
     def identity(cls, n: int) -> "FunctionTable":
@@ -271,6 +264,39 @@ class FunctionTable:
 
     def __repr__(self) -> str:
         return f"FunctionTable({self.n_x}->{_describe_int(self.n_y)}, {_outputs(self)})"
+
+
+# Up to this many digits an index is converted one digit at a time.  Each
+# step of that loop works on the whole integer, so the loop is quadratic in
+# the digits; longer tables are split at a power of n_y instead, and a few
+# big-integer products and divisions do the work of the steps.
+_DIGIT_LOOP = 64
+
+
+def _digits_value(digits: Sequence[int], base: int) -> int:
+    """The integer whose base-``base`` digits are ``digits``, most
+    significant first."""
+    if len(digits) > _DIGIT_LOOP:
+        low = len(digits) // 2
+        high = _digits_value(digits[:-low], base)
+        return high * base**low + _digits_value(digits[-low:], base)
+    value = 0
+    for digit in digits:
+        value = value * base + digit
+    return value
+
+
+def _value_digits(value: int, base: int, count: int) -> list[int]:
+    """The ``count`` base-``base`` digits of ``value`` (below
+    ``base**count``), most significant first."""
+    if count > _DIGIT_LOOP:
+        low = count // 2
+        high, value = divmod(value, base**low)
+        return _value_digits(high, base, count - low) + _value_digits(value, base, low)
+    digits = [0] * count
+    for i in range(count - 1, -1, -1):
+        value, digits[i] = divmod(value, base)
+    return digits
 
 
 def _outputs(table: FunctionTable) -> str:
@@ -494,6 +520,13 @@ class CounterfactualQuery:
             _as_index(x, "antecedent", n_x)
             _as_index(y, "outcome", n_y)
 
+    def __repr__(self) -> str:
+        pairs = ", ".join(
+            f"({_describe_int(x)}, {_describe_int(y)})" for x, y in self.pairs
+        )
+        comma = "," if len(self.pairs) == 1 else ""
+        return f"CounterfactualQuery(pairs=({pairs}{comma}))"
+
 
 @dataclass(frozen=True)
 class Evidence:
@@ -505,6 +538,10 @@ class Evidence:
     def __post_init__(self):
         object.__setattr__(self, "x_obs", _as_index(self.x_obs, "observed input"))
         object.__setattr__(self, "y_obs", _as_index(self.y_obs, "observed output"))
+
+    def __repr__(self) -> str:
+        x_obs, y_obs = _describe_int(self.x_obs), _describe_int(self.y_obs)
+        return f"Evidence(x_obs={x_obs}, y_obs={y_obs})"
 
 
 def conditional(pF: FunctionDistribution, x: int) -> tuple[Fraction, ...]:
@@ -608,3 +645,11 @@ class ConfoundedModel:
         return FunctionDistribution(self.n_x, self.n_y, {
             table: Fraction(num, self._den) for table, num in nums.items()
         })
+
+    def __repr__(self) -> str:
+        parts = ", ".join(
+            f"({r_x}, {_outputs(t)}): {_describe_rational(w)}"
+            for (r_x, t), w in self.joint_weights.items()
+        )
+        n_y = _describe_int(self.n_y)
+        return f"ConfoundedModel({self.n_x}->{n_y}, {{{parts}}})"

@@ -7,6 +7,11 @@ counterfactual target is identifiable exactly when the induced linear
 program has width zero; otherwise the LP yields the tight
 partial-identification interval together with witness models at both
 endpoints.
+
+This module, with :mod:`core`, :mod:`lp` and :mod:`rational`, is the
+exact core: it imports only those, :mod:`errors` and the standard
+library.  The paper's scenarios, models and reports are built on it in
+:mod:`reproduce`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from . import lp
 from .core import (
@@ -32,13 +37,10 @@ from .core import (
     _describe_rational,
     _is_power,
     _set_cardinalities,
-    conditional,
     event_indicator,
-    joint_counterfactual,
 )
 from .errors import ValidationError
 from .rational import int_row, nullspace
-from .report import ReproductionReport
 
 _ZERO = Fraction(0)
 
@@ -356,71 +358,8 @@ def solution_family_direction(system: ConstraintSystem) -> list[list[Fraction]]:
     return nullspace(a)
 
 
-def permutation_mixture(n: int) -> FunctionDistribution:
-    """Equal mixture of all n! bijections of {0..n-1}."""
-    n, _ = _cardinalities(n, n)
-    tables = [FunctionTable(n, n, perm) for perm in permutations(range(n))]
-    return FunctionDistribution.uniform_over(tables)
-
-
-def constant_mixture(n: int) -> FunctionDistribution:
-    """Equal mixture of the n input-discarding constant maps."""
-    n, _ = _cardinalities(n, n)
-    tables = [FunctionTable.constant(n, n, y) for y in range(n)]
-    return FunctionDistribution.uniform_over(tables)
-
-
-def reproduce_appendix_b(n: int) -> ReproductionReport:
-    """Permutation versus constant mixtures of cardinality n.
-
-    Both agree on every conditional (all equal 1/n), yet assign 0 versus
-    1/n to every repeated-outcome pair p(Y_x = y, Y_x' = y) with x != x',
-    so those joints cannot be told apart by single-query statistics.
-    """
-    n, _ = _cardinalities(n, n)
-    if n < 2:
-        raise ValidationError("needs n >= 2")
-    _check_size(f"{_describe_power(n, n)} tables", n, n)
-    report = ReproductionReport(f"appendix_b[n={n}]")
-    perms = permutation_mixture(n)
-    consts = constant_mixture(n)
-    expected = Fraction(1, n)
-    perm_conditionals = {
-        conditional(perms, x)[y] for x in range(n) for y in range(n)
-    }
-    const_conditionals = {
-        conditional(consts, x)[y] for x in range(n) for y in range(n)
-    }
-    report.check(
-        f"permutation mixture: all conditionals equal 1/{n}",
-        {expected},
-        perm_conditionals,
-    )
-    report.check(
-        f"constant mixture: all conditionals equal 1/{n}",
-        {expected},
-        const_conditionals,
-    )
-    perm_joints = set()
-    const_joints = set()
-    for x, x_prime in combinations(range(n), 2):
-        for y in range(n):
-            query = CounterfactualQuery(((x, y), (x_prime, y)))
-            perm_joints.add(joint_counterfactual(perms, query))
-            const_joints.add(joint_counterfactual(consts, query))
-    report.check(
-        "permutation mixture: repeated-outcome two-way joints all zero",
-        {_ZERO},
-        perm_joints,
-    )
-    report.check(
-        f"constant mixture: repeated-outcome two-way joints all 1/{n}",
-        {expected},
-        const_joints,
-    )
-    return report
-
-
+# The one paper model kept here rather than in :mod:`reproduce`, because
+# perfbench/workloads.py calls it as ``identify.restricted_tail_model``.
 def restricted_tail_model(n: int, fixed_tail: tuple[int, ...]) -> FunctionDistribution:
     """Binary-output model on n inputs, uniform over the first three
     coordinates and deterministic on the rest.
@@ -442,38 +381,3 @@ def restricted_tail_model(n: int, fixed_tail: tuple[int, ...]) -> FunctionDistri
         for head in product((0, 1), repeat=3)
     ]
     return FunctionDistribution.uniform_over(tables)
-
-
-def reproduce_appendix_e_general(
-    n: int, fixed_tail: tuple[int, ...]
-) -> ReproductionReport:
-    """Single-query versus coherent-query bounds on an n-way joint.
-
-    The all-ones n-way target over the restricted tail model caps at 1/2
-    under one-way constraints (perfect correlation is feasible) but at 1/4
-    once all two-way marginals are pinned.
-    """
-    report = ReproductionReport(f"appendix_e_general[n={n}, tail={list(fixed_tail)}]")
-    model = restricted_tail_model(n, fixed_tail)
-    pairs = [(0, 1), (1, 1), (2, 1)] + [
-        (3 + i, v) for i, v in enumerate(fixed_tail)
-    ]
-    target = LinearTarget.from_query(CounterfactualQuery(tuple(pairs)), n, 2)
-    classical = build_constraints(model, ConstraintLevel.ONE_WAY)
-    quantum = build_constraints(model, ConstraintLevel.TWO_WAY)
-    classical_bounds = lp_bounds(target, classical)
-    quantum_bounds = lp_bounds(target, quantum)
-    report.check(
-        "one-way upper bound on the n-way joint", Fraction(1, 2), classical_bounds.hi
-    )
-    report.check("one-way lower bound", _ZERO, classical_bounds.lo)
-    report.check(
-        "two-way upper bound on the n-way joint", Fraction(1, 4), quantum_bounds.hi
-    )
-    report.check("two-way lower bound", _ZERO, quantum_bounds.lo)
-    report.check_that(
-        "two-way bound strictly tighter than one-way",
-        quantum_bounds.hi < classical_bounds.hi,
-        (quantum_bounds.hi, classical_bounds.hi),
-    )
-    return report

@@ -50,15 +50,20 @@ EXTRACTION_TOL = 1e-9
 
 
 def _complex_array(value, what: str) -> np.ndarray:
-    """``value`` as a complex numpy array, else ValidationError (numpy
-    raises ValueError, TypeError or OverflowError on what it cannot read)."""
+    """A read-only complex copy of ``value``, so that neither the caller nor
+    a reader can change it once checked; else ValidationError (numpy raises
+    ValueError, TypeError or OverflowError on what it cannot read)."""
     try:
-        return np.asarray(value, dtype=complex)
+        arr = np.array(value, dtype=complex)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"{what} must be complex numbers: {exc}") from exc
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+# The array-valued types below compare and hash by identity (eq=False):
+# the generated field-wise ``==`` and hash are undefined on an ndarray.
+@dataclass(frozen=True, eq=False)
 class Amplitudes:
     """A pure input-register state: one complex amplitude per input value."""
 
@@ -105,7 +110,7 @@ def _hermitian_spectrum(arr: np.ndarray, what: str, tol: float) -> np.ndarray:
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix on the composite register."""
 
@@ -129,7 +134,7 @@ class DensityMatrix:
         return int(self.entries.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementEffect:
     """A POVM effect: Hermitian with spectrum inside [0, 1]."""
 

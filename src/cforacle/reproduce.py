@@ -1,21 +1,28 @@
-"""Scripted end-to-end reproductions of the library's headline results.
+"""The paper's models, its Appendix B and E report builders, and the
+scripted end-to-end reproductions of its headline results.
 
 Each scenario builds its models from scratch, runs the relevant
 pipelines, and emits a :class:`ReproductionReport` whose claims are
 checked exactly (rational contexts) or at an explicit tolerance
 (floating contexts).  The CLI exposes these as ``reproduce <name>``.
+The identifiability core (:mod:`identify` and below) imports nothing
+from here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .core import (
     CounterfactualQuery,
     Evidence,
     FunctionDistribution,
     FunctionTable,
+    _cardinalities,
+    _check_size,
+    _describe_power,
     conditional,
     conditional_counterfactual,
     joint_counterfactual,
@@ -27,8 +34,7 @@ from .identify import (
     LinearTarget,
     build_constraints,
     is_identifiable,
-    reproduce_appendix_b,
-    reproduce_appendix_e_general,
+    lp_bounds,
     restricted_tail_model,
     solution_family_direction,
 )
@@ -77,11 +83,134 @@ def affine_ternary_model() -> FunctionDistribution:
     return FunctionDistribution.uniform_over(tables)
 
 
+def permutation_mixture(n: int) -> FunctionDistribution:
+    """Equal mixture of all n! bijections of {0..n-1}."""
+    n, _ = _cardinalities(n, n)
+    tables = [FunctionTable(n, n, perm) for perm in permutations(range(n))]
+    return FunctionDistribution.uniform_over(tables)
+
+
+def constant_mixture(n: int) -> FunctionDistribution:
+    """Equal mixture of the n input-discarding constant maps."""
+    n, _ = _cardinalities(n, n)
+    tables = [FunctionTable.constant(n, n, y) for y in range(n)]
+    return FunctionDistribution.uniform_over(tables)
+
+
+def _parity_mixture(parity: int) -> FunctionDistribution:
+    """Equal mixture of the four three-input binary tables whose outputs
+    sum to ``parity`` mod 2: the two-way witnesses of Appendix E."""
+    return FunctionDistribution.uniform_over(
+        FunctionTable(3, 2, bits)
+        for bits in product((0, 1), repeat=3)
+        if sum(bits) % 2 == parity
+    )
+
+
 def model_satisfies(system: ConstraintSystem, pF: FunctionDistribution) -> bool:
     """Exact feasibility check of a distribution against a system."""
     return all(
         LinearTarget(coeffs).value_on(pF) == rhs for coeffs, rhs in system.rows
     )
+
+
+def _conditional_values(pF: FunctionDistribution) -> set[Fraction]:
+    """The set of every conditional p(Y_x = y) of ``pF``."""
+    return {p for x in range(pF.n_x) for p in conditional(pF, x)}
+
+
+def _two_way_joints(
+    pF: FunctionDistribution, repeated_only: bool = False
+) -> set[Fraction]:
+    """The set of every two-way joint p(Y_x = y, Y_x' = y') with x < x'
+    of ``pF``; with ``repeated_only``, only those with y == y'."""
+    return {
+        joint_counterfactual(pF, CounterfactualQuery(((x, y), (x_prime, y_prime))))
+        for x, x_prime in combinations(range(pF.n_x), 2)
+        for y, y_prime in product(range(pF.n_y), repeat=2)
+        if not repeated_only or y == y_prime
+    }
+
+
+def _tail_problem(
+    n: int, fixed_tail: tuple[int, ...]
+) -> tuple[LinearTarget, ConstraintSystem, ConstraintSystem]:
+    """The Appendix E problem on n inputs: the all-ones n-way target over
+    the restricted tail model (the tail pinned to ``fixed_tail``), with
+    the model's one-way and two-way systems."""
+    model = restricted_tail_model(n, fixed_tail)
+    pairs = [(0, 1), (1, 1), (2, 1)] + [(3 + i, v) for i, v in enumerate(fixed_tail)]
+    target = LinearTarget.from_query(CounterfactualQuery(tuple(pairs)), n, 2)
+    one_way = build_constraints(model, ConstraintLevel.ONE_WAY)
+    two_way = build_constraints(model, ConstraintLevel.TWO_WAY)
+    return target, one_way, two_way
+
+
+def reproduce_appendix_b(n: int) -> ReproductionReport:
+    """Permutation versus constant mixtures of cardinality n.
+
+    Both agree on every conditional (all equal 1/n), yet assign 0 versus
+    1/n to every repeated-outcome pair p(Y_x = y, Y_x' = y) with x != x',
+    so those joints cannot be told apart by single-query statistics.
+    """
+    n, _ = _cardinalities(n, n)
+    if n < 2:
+        raise ValidationError("needs n >= 2")
+    _check_size(f"{_describe_power(n, n)} tables", n, n)
+    report = ReproductionReport(f"appendix_b[n={n}]")
+    perms = permutation_mixture(n)
+    consts = constant_mixture(n)
+    expected = Fraction(1, n)
+    report.check(
+        f"permutation mixture: all conditionals equal 1/{n}",
+        {expected},
+        _conditional_values(perms),
+    )
+    report.check(
+        f"constant mixture: all conditionals equal 1/{n}",
+        {expected},
+        _conditional_values(consts),
+    )
+    report.check(
+        "permutation mixture: repeated-outcome two-way joints all zero",
+        {_ZERO},
+        _two_way_joints(perms, repeated_only=True),
+    )
+    report.check(
+        f"constant mixture: repeated-outcome two-way joints all 1/{n}",
+        {expected},
+        _two_way_joints(consts, repeated_only=True),
+    )
+    return report
+
+
+def reproduce_appendix_e_general(
+    n: int, fixed_tail: tuple[int, ...]
+) -> ReproductionReport:
+    """Single-query versus coherent-query bounds on an n-way joint.
+
+    The all-ones n-way target over the restricted tail model caps at 1/2
+    under one-way constraints (perfect correlation is feasible) but at 1/4
+    once all two-way marginals are pinned.
+    """
+    report = ReproductionReport(f"appendix_e_general[n={n}, tail={list(fixed_tail)}]")
+    target, classical, quantum = _tail_problem(n, fixed_tail)
+    classical_bounds = lp_bounds(target, classical)
+    quantum_bounds = lp_bounds(target, quantum)
+    report.check(
+        "one-way upper bound on the n-way joint", Fraction(1, 2), classical_bounds.hi
+    )
+    report.check("one-way lower bound", _ZERO, classical_bounds.lo)
+    report.check(
+        "two-way upper bound on the n-way joint", Fraction(1, 4), quantum_bounds.hi
+    )
+    report.check("two-way lower bound", _ZERO, quantum_bounds.lo)
+    report.check_that(
+        "two-way bound strictly tighter than one-way",
+        quantum_bounds.hi < classical_bounds.hi,
+        (quantum_bounds.hi, classical_bounds.hi),
+    )
+    return report
 
 
 def scenario_binary() -> ReproductionReport:
@@ -146,19 +275,10 @@ def scenario_model_ab() -> ReproductionReport:
     model_b = affine_ternary_model()
     third = Fraction(1, 3)
     ninth = Fraction(1, 9)
-    cond_a = {conditional(model_a, x)[y] for x in range(3) for y in range(3)}
-    cond_b = {conditional(model_b, x)[y] for x in range(3) for y in range(3)}
-    report.check("model A conditionals all 1/3", {third}, cond_a)
-    report.check("model B conditionals all 1/3", {third}, cond_b)
-    joints_a = set()
-    joints_b = set()
-    for x, x_prime in combinations(range(3), 2):
-        for y, y_prime in product(range(3), repeat=2):
-            query = CounterfactualQuery(((x, y), (x_prime, y_prime)))
-            joints_a.add(joint_counterfactual(model_a, query))
-            joints_b.add(joint_counterfactual(model_b, query))
-    report.check("model A two-way joints all 1/9", {ninth}, joints_a)
-    report.check("model B two-way joints all 1/9", {ninth}, joints_b)
+    report.check("model A conditionals all 1/3", {third}, _conditional_values(model_a))
+    report.check("model B conditionals all 1/3", {third}, _conditional_values(model_b))
+    report.check("model A two-way joints all 1/9", {ninth}, _two_way_joints(model_a))
+    report.check("model B two-way joints all 1/9", {ninth}, _two_way_joints(model_b))
     diagonal = CounterfactualQuery(((0, 0), (1, 1), (2, 2)))
     report.check(
         "three-way joint under model A",
@@ -197,9 +317,7 @@ def scenario_model_ab() -> ReproductionReport:
 def scenario_appendix_b() -> ReproductionReport:
     report = ReproductionReport("appendix_b")
     for n in (2, 3):
-        sub = reproduce_appendix_b(n)
-        for claim in sub.claims:
-            report.claims.append(claim)
+        report.claims.extend(reproduce_appendix_b(n).claims)
     return report
 
 
@@ -207,18 +325,12 @@ def scenario_appendix_e() -> ReproductionReport:
     """Three binary inputs: the all-ones three-way joint is bounded by 1/2
     from one-way data but by 1/4 once two-way marginals are pinned."""
     report = ReproductionReport("appendix_e")
-    model = restricted_tail_model(3, ())
-    target = LinearTarget.from_query(
-        CounterfactualQuery(((0, 1), (1, 1), (2, 1))), 3, 2
-    )
-    quantum = build_constraints(model, ConstraintLevel.TWO_WAY)
-    classical = build_constraints(model, ConstraintLevel.ONE_WAY)
+    target, classical, quantum = _tail_problem(3, ())
     q_result = is_identifiable(target, quantum)
     c_result = is_identifiable(target, classical)
-    quarter = Fraction(1, 4)
     report.check(
         "two-way bounds on the three-way joint",
-        (_ZERO, quarter),
+        (_ZERO, Fraction(1, 4)),
         (q_result.bounds.lo, q_result.bounds.hi),
     )
     report.check(
@@ -226,47 +338,22 @@ def scenario_appendix_e() -> ReproductionReport:
         (_ZERO, Fraction(1, 2)),
         (c_result.bounds.lo, c_result.bounds.hi),
     )
-    perfectly_correlated = FunctionDistribution(
-        3,
-        2,
-        {
-            FunctionTable(3, 2, (0, 0, 0)): Fraction(1, 2),
-            FunctionTable(3, 2, (1, 1, 1)): Fraction(1, 2),
-        },
+    perfectly_correlated = FunctionDistribution.uniform_over(
+        FunctionTable.constant(3, 2, y) for y in (0, 1)
     )
     report.check(
         "one-way upper witness is the perfectly correlated model",
         perfectly_correlated,
         c_result.witness_hi,
     )
-    low_member = FunctionDistribution(
-        3,
-        2,
-        {
-            FunctionTable(3, 2, (0, 0, 0)): quarter,
-            FunctionTable(3, 2, (0, 1, 1)): quarter,
-            FunctionTable(3, 2, (1, 0, 1)): quarter,
-            FunctionTable(3, 2, (1, 1, 0)): quarter,
-        },
-    )
-    high_member = FunctionDistribution(
-        3,
-        2,
-        {
-            FunctionTable(3, 2, (0, 0, 1)): quarter,
-            FunctionTable(3, 2, (0, 1, 0)): quarter,
-            FunctionTable(3, 2, (1, 0, 0)): quarter,
-            FunctionTable(3, 2, (1, 1, 1)): quarter,
-        },
-    )
     report.check(
         "two-way lower witness is the even-parity mixture",
-        low_member,
+        _parity_mixture(0),
         q_result.witness_lo,
     )
     report.check(
         "two-way upper witness is the odd-parity mixture",
-        high_member,
+        _parity_mixture(1),
         q_result.witness_hi,
     )
     directions = solution_family_direction(quantum)
@@ -288,16 +375,12 @@ def scenario_appendix_e() -> ReproductionReport:
 def scenario_appendix_e_general() -> ReproductionReport:
     report = ReproductionReport("appendix_e_general")
     for n, tail in ((3, ()), (4, (0,)), (5, (1, 0))):
-        sub = reproduce_appendix_e_general(n, tail)
-        for claim in sub.claims:
-            report.claims.append(
-                type(claim)(
-                    f"n={n}, tail={list(tail)}: {claim.description}",
-                    claim.expected,
-                    claim.computed,
-                    claim.passed,
-                )
+        report.claims.extend(
+            dataclasses.replace(
+                claim, description=f"n={n}, tail={list(tail)}: {claim.description}"
             )
+            for claim in reproduce_appendix_e_general(n, tail).claims
+        )
     return report
 
 

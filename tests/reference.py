@@ -10,9 +10,12 @@ elimination on the 4x4 scenario matrix that its cached inverse
 replaced.  For the counterfactual core: the three-step
 abduction/action/prediction route, the observational side of a
 confounded model, and the validity test of a bit-pair epistemic state.
-For the linear functionals of a distribution, which the library sums as
-integers over the weights' one denominator: the same sums taken one
-``Fraction`` at a time."""
+For the linear functionals of a distribution and the table sampler's
+cuts, which the library sums as integers over the weights' one
+denominator: the same sums taken one ``Fraction`` at a time.  For the
+canonical table index, which the library converts by splitting the
+digits at a power of n_y: the loop of one operation per digit on the
+whole integer."""
 
 import random
 from fractions import Fraction
@@ -358,9 +361,38 @@ def fraction_value_on(coefficients, pF):
     return sum((coefficients[t.index] * w for t, w in pF.weights.items()), F(0))
 
 
+def fraction_cuts(pF):
+    """``TableSampler._cuts``: floor(2**64 times each cumulative weight),
+    the cumulative weight one ``Fraction`` at a time, the last cut (2**64)
+    dropped."""
+    cumulative, cuts = F(0), []
+    for w in pF.weights.values():
+        cumulative += w
+        cuts.append((cumulative.numerator << 64) // cumulative.denominator)
+    return cuts[:-1]
+
+
 def fraction_scenario_probability(pF, scenario):
     """``scenario_probability_exact``: each table's Born probability times
     its weight."""
     return sum(
         (scenario_coefficient(t, scenario) * w for t, w in pF.weights.items()), F(0)
     )
+
+
+def loop_index(outputs, n_y):
+    """``FunctionTable.index``: one multiply-add per output."""
+    index = 0
+    for y in outputs:
+        index = index * n_y + y
+    return index
+
+
+def loop_outputs(index, n_x, n_y):
+    """``FunctionTable.from_index(...).outputs``: one ``%`` and one ``//``
+    per output, least significant first."""
+    digits = []
+    for _ in range(n_x):
+        digits.append(index % n_y)
+        index //= n_y
+    return tuple(reversed(digits))

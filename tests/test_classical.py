@@ -33,6 +33,7 @@ from conftest import (
     assert_same_rows,
     binary_distribution,
 )
+from reference import fraction_cuts
 
 F = Fraction
 
@@ -272,6 +273,7 @@ LOOKUP_MODELS = {
 def test_bucket_lookup_matches_a_full_search(pf):
     sampler = TableSampler(pf)
     cuts = sampler._cuts
+    assert cuts.tolist() == fraction_cuts(pf)
     starts = np.arange(4096, dtype=np.uint64) << np.uint64(52)
     edges = np.concatenate([
         np.array([0, 2**64 - 1], dtype=np.uint64),

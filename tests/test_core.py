@@ -1,6 +1,7 @@
 """Exact-arithmetic checks of the causal core."""
 
 import random
+import time
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, compress
@@ -24,7 +25,7 @@ from cforacle import (
     enumerate_functions,
     joint_counterfactual,
 )
-from cforacle import classical, core, identify, modelio, quantum
+from cforacle import classical, core, identify, modelio, quantum, reproduce
 from cforacle.core import event_indicator
 from conftest import (
     CONST0,
@@ -57,6 +58,13 @@ class TestFunctionTable:
             for i, table in enumerate(enumerate_functions(n_x, n_y)):
                 assert table.index == i
                 assert FunctionTable.from_index(n_x, n_y, i) == table
+
+    def test_long_index_converts_without_a_step_per_digit(self):
+        # the loop of one operation per digit takes about 1.7 s on a 2-vCPU host
+        index = 2**10**5 - 1
+        start = time.perf_counter()
+        assert FunctionTable.from_index(10**5, 2, index).index == index
+        assert time.perf_counter() - start < 0.5
 
     def test_invalid_tables(self):
         with pytest.raises(ValidationError):
@@ -162,7 +170,7 @@ SIZE_CHECKS = {
         CounterfactualQuery(((0, 1), (2, 0))), 3, 2)),
     "build_constraints: rows x tables": (19 * 8, lambda: identify.build_constraints(
         identify.restricted_tail_model(3, ()), "two-way")),
-    "reproduce_appendix_b: n**n": (27, lambda: identify.reproduce_appendix_b(3)),
+    "reproduce_appendix_b: n**n": (27, lambda: reproduce.reproduce_appendix_b(3)),
     "build_rho_xy: dim**2": (16, lambda: quantum.build_rho_xy(
         FunctionDistribution.uniform(2, 2), quantum.Amplitudes.uniform(2))),
 }
@@ -293,13 +301,13 @@ RHO_2X2 = quantum.build_rho_xy(UNIFORM_2X2, quantum.Amplitudes.uniform(2))
          ValidationError, "queries_per_x must be an integer"),
         (lambda: classical.estimate_conditionals(UNIFORM_2X2, 1.5, 0),
          ValidationError, "queries_per_x must be an integer"),
-        (lambda: identify.reproduce_appendix_b("3"), ValidationError, "cardinalities"),
-        (lambda: identify.reproduce_appendix_b(2.5), ValidationError, "cardinalities"),
-        (lambda: identify.permutation_mixture("a"), ValidationError, "cardinalities"),
-        (lambda: identify.constant_mixture("a"), ValidationError, "cardinalities"),
+        (lambda: reproduce.reproduce_appendix_b("3"), ValidationError, "cardinalities"),
+        (lambda: reproduce.reproduce_appendix_b(2.5), ValidationError, "cardinalities"),
+        (lambda: reproduce.permutation_mixture("a"), ValidationError, "cardinalities"),
+        (lambda: reproduce.constant_mixture("a"), ValidationError, "cardinalities"),
         (lambda: identify.restricted_tail_model("a", ()), ValidationError,
          "cardinalities"),
-        (lambda: identify.reproduce_appendix_b(1), ValidationError, "needs n >= 2"),
+        (lambda: reproduce.reproduce_appendix_b(1), ValidationError, "needs n >= 2"),
         (lambda: identify.restricted_tail_model(2, ()), ValidationError,
          "needs n >= 3"),
         (lambda: classical.estimate_conditionals(UNIFORM_2X2, 0, 0), DomainError,

@@ -24,6 +24,7 @@ from cforacle import (
     ContractViolationError,
     CounterfactualQuery,
     DomainError,
+    Evidence,
     FunctionDistribution,
     FunctionTable,
     InfeasibleSystemError,
@@ -280,10 +281,19 @@ def test_reprs_show_outputs_too_long_to_print():
     last = FunctionTable(1, HUGE, (HUGE - 1,))
     assert repr(last) == "FunctionTable(1->2^16609 or more, [2^16609 or more])"
     assert repr(HUGE_OUTPUTS) == "FunctionDistribution(1->2^16609 or more, {[0]: 1})"
+    confounded = ConfoundedModel(1, HUGE, {(0, FunctionTable(1, HUGE, (0,))): 1})
+    assert repr(confounded) == "ConfoundedModel(1->2^16609 or more, {(0, [0]): 1})"
+    assert repr(Evidence(HUGE, 0)) == "Evidence(x_obs=2^16609 or more, y_obs=0)"
+    assert repr(CounterfactualQuery(((HUGE, 0),))) == (
+        "CounterfactualQuery(pairs=((2^16609 or more, 0),))"
+    )
     # and as before on printable ones
     assert repr(FunctionDistribution.point_mass(ONE_2X2)) == (
         "FunctionDistribution(2->2, {[0, 1]: 1})"
     )
+    assert repr(Evidence(1, 0)) == "Evidence(x_obs=1, y_obs=0)"
+    for pairs in (((0, 1),), ((0, 1), (2, 3))):
+        assert repr(CounterfactualQuery(pairs)) == f"CounterfactualQuery(pairs={pairs})"
 
 
 # 2**(10**10) is a 1.25 GB integer.  Each call runs in a child process

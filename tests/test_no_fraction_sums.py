@@ -1,7 +1,8 @@
 """Exact sums in the package add integers over one denominator and build
-one ``Fraction`` at the end; ``sum(..., Fraction(0))`` and
-``sum(..., _ZERO)``, which add ``Fraction`` objects one at a time, must
-not come back."""
+one ``Fraction`` at the end; ``sum(..., Fraction(0))``,
+``sum(..., _ZERO)`` and ``total = Fraction(0)`` followed by
+``total += ...``, which add ``Fraction`` objects one at a time, must not
+come back."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,49 @@ def fraction_sums(tree: ast.AST) -> list[int]:
     ]
 
 
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def scope_nodes(scope: ast.AST):
+    """The nodes of ``scope`` outside the functions and classes nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def fraction_accumulations(tree: ast.AST) -> list[int]:
+    """Lines of the ``name += ...`` statements on a name that the same
+    function (or the module) binds to a zero ``Fraction`` on an earlier
+    line."""
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, SCOPES):
+            continue
+        zeros = {}
+        for node in scope_nodes(scope):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):  # value None: a bare annotation
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and is_fraction_zero(node.value):
+                    zeros.setdefault(target.id, node.lineno)
+        found.update(
+            node.lineno
+            for node in scope_nodes(scope)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Name)
+            and zeros.get(node.target.id, node.lineno) < node.lineno
+        )
+    return sorted(found)
+
+
 def test_the_rule_finds_each_spelling():
     code = (
         "sum(xs, Fraction(0))\nsum(xs, _ZERO)\nsum(xs, start=Fraction(0))\n"
@@ -53,5 +97,33 @@ def test_package_sources_contain_no_fraction_sum():
         f"{path.name}:{line}"
         for path in SOURCES
         for line in fraction_sums(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_the_accumulation_rule_finds_each_spelling():
+    code = (
+        "def f(ws):\n"
+        "    total = Fraction(0)\n"
+        "    for w in ws:\n"
+        "        total += w\n"  # 4
+        "    acc: Fraction = _ZERO\n"
+        "    acc += ws[0]\n"  # 6
+        "    count = 0\n"
+        "    count += 1\n"
+        "    total -= 1\n"
+        "def g(ws):\n"
+        "    total += ws[0]\n"  # a name bound in f only
+        "    one = Fraction(1)\n"
+        "    one += 1\n"
+    )
+    assert fraction_accumulations(ast.parse(code)) == [4, 6]
+
+
+def test_package_sources_contain_no_fraction_accumulation():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in fraction_accumulations(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []

@@ -30,10 +30,13 @@ from cforacle import (
     toy_scenario_probability,
 )
 from cforacle import BINARY_SCENARIOS, lp
+from cforacle.core import _DIGIT_LOOP
 from conftest import brute_force_joint, product_model
 from reference import (
     abduct_act_predict,
     full_event_system,
+    loop_index,
+    loop_outputs,
     observational_joint,
     vertex_range,
 )
@@ -303,3 +306,23 @@ def test_toy_and_simulated_scenarios_match_the_exact_ones(pf):
         exact = scenario_probability_exact(pf, scenario)
         assert toy_scenario_probability(pf, scenario) == exact
         assert abs(scenario_probability_simulated(pf, scenario) - exact) <= 1e-12
+
+
+# table lengths on both sides of the digit loop's limit and of its splits
+TABLE_LENGTHS = st.one_of(
+    st.sampled_from([_DIGIT_LOOP, _DIGIT_LOOP + 1, 2 * _DIGIT_LOOP + 1]),
+    st.integers(1, 5 * _DIGIT_LOOP),
+)
+
+
+@given(TABLE_LENGTHS, st.integers(1, 7), st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_index_conversions_match_the_digit_loop(n_x, n_y, data):
+    outputs = tuple(
+        data.draw(st.lists(st.integers(0, n_y - 1), min_size=n_x, max_size=n_x))
+    )
+    index = loop_index(outputs, n_y)
+    assert loop_outputs(index, n_x, n_y) == outputs
+    table = FunctionTable(n_x, n_y, outputs)
+    assert table.index == index
+    assert FunctionTable.from_index(n_x, n_y, index) == table

@@ -237,6 +237,48 @@ class TestExtraction:
             assert abs(value - float(exact)) <= 1e-9
 
 
+# each array-valued type, a valid array for it, and the field that holds it
+ARRAY_VALUES = {
+    "Amplitudes": (Amplitudes, lambda: np.full(2, INV_SQRT2, dtype=complex), "alpha"),
+    "DensityMatrix": (DensityMatrix, lambda: np.eye(2, dtype=complex) / 2, "entries"),
+    "MeasurementEffect": (
+        MeasurementEffect, lambda: np.eye(2, dtype=complex), "operator",
+    ),
+}
+
+
+class TestArrayValues:
+    @pytest.mark.parametrize("kind", ARRAY_VALUES)
+    def test_equality_and_hash_are_identity(self, kind):
+        cls, make, _ = ARRAY_VALUES[kind]
+        array = make()
+        first, second = cls(array), cls(array)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+    @pytest.mark.parametrize("kind", ARRAY_VALUES)
+    def test_the_callers_array_is_copied(self, kind):
+        cls, make, field = ARRAY_VALUES[kind]
+        array = make()
+        value = cls(array)
+        array[0, ...] = 5
+        assert np.array_equal(getattr(value, field), make())
+
+    @pytest.mark.parametrize("kind", ARRAY_VALUES)
+    def test_the_array_is_read_only(self, kind):
+        cls, make, field = ARRAY_VALUES[kind]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cls(make()), field)[0, ...] = 5
+
+    def test_a_checked_state_reads_the_same_after_a_write_attempt(self, uniform_binary):
+        alpha = Amplitudes.uniform(2)
+        rho = build_rho_xy(uniform_binary, alpha)
+        assert extract_two_way(rho, alpha, 0, 1, 1, 0) == pytest.approx(0.25)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.entries[1, 2] = 0.1
+        assert extract_two_way(rho, alpha, 0, 1, 1, 0) == pytest.approx(0.25)
+
+
 class TestMeasurement:
     def test_basis_probe_statistics(self):
         pf = binary_distribution(F(1, 10), F(2, 5), F(3, 10), F(1, 5))
