@@ -434,8 +434,13 @@ class FunctionDistribution:
                 f"vector has {len(vector)} entries, "
                 f"expected {_describe_power(n_y, n_x)}"
             )
+        entries = [(k, w) for k, w in enumerate(vector) if w]
+        if entries:
+            _check_size(f"{_describe_int(n_x)} table outputs", n_x)
+        # every k is below the checked length, so from_index's checks hold
         return cls(n_x, n_y, {
-            FunctionTable.from_index(n_x, n_y, k): w for k, w in enumerate(vector) if w
+            FunctionTable(n_x, n_y, tuple(_value_digits(k, n_y, n_x))): w
+            for k, w in entries
         })
 
     @classmethod

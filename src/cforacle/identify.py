@@ -136,7 +136,9 @@ class ConstraintSystem:
 
     @property
     def dimension(self) -> int:
-        return self.n_y**self.n_x
+        """n_y**n_x, read off the checked rows (the normalization row is
+        always one of them) instead of taking the power."""
+        return len(self.rows[0][0])
 
     def matrix(self) -> tuple[list[list[int | Fraction]], list[Fraction]]:
         a = [list(coeffs) for coeffs, _ in self.rows]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -199,6 +199,67 @@ def _register_sizes(rho: DensityMatrix, alpha: Amplitudes) -> tuple[int, int]:
     return n_x, n_y
 
 
+def _extract(
+    rho: DensityMatrix,
+    alpha: Amplitudes,
+    n_y: int,
+    keys: np.ndarray,
+) -> list[float]:
+    """p(f(x)=y, f(x')=y') off the density matrix for each row
+    ``(x, x', y, y')`` of ``keys``, in-range indices: the one extraction
+    rule, over all keys at once.
+
+    The (x y, x' y') element is divided by alpha_x * conj(alpha_x'), which
+    requires both amplitudes to be nonzero; a diagonal element by
+    |alpha_x|^2 in real arithmetic, as a complex over a float divides.
+    For x == x' only y == y' has support; other outputs read 0.  The first
+    key that fails a check, in order, raises that check's error.
+    """
+    x, x_prime, y, y_prime = keys.T
+    amplitudes = alpha.alpha.tolist()
+    # |alpha_x| and |alpha_x|^2 as Python computes them, one per input
+    sizes = np.array([abs(a) for a in amplitudes])
+    squares = np.array([abs(a) ** 2 for a in amplitudes])
+    zero = (sizes[x] < STATE_TOL) | (sizes[x_prime] < STATE_TOL)
+    element = rho.entries[x * n_y + y, x_prime * n_y + y_prime]
+    # alpha_x * conj(alpha_x') from float products, each rounded once as in
+    # the scalar product: numpy's complex array product may fuse them
+    a, b = alpha.alpha[x], alpha.alpha[x_prime].conj()
+    product = np.empty(len(keys), dtype=complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    # a divisor of 1 where an amplitude is zero, so that no division warns
+    cross = element / np.where(zero, 1, product)
+    square = np.where(zero, 1, squares[x])
+    diagonal = x == x_prime
+    unsupported = diagonal & (y != y_prime)
+    real = np.where(
+        unsupported, 0.0, np.where(diagonal, element.real / square, cross.real)
+    )
+    imag = np.where(diagonal, element.imag / square, cross.imag)
+    imaginary = ~unsupported & (np.abs(imag) > EXTRACTION_TOL)
+    outside = (real < -EXTRACTION_TOL) | (real > 1 + EXTRACTION_TOL)
+    bad = np.flatnonzero(zero | imaginary | outside)
+    if bad.size:
+        k = bad[0]
+        if zero[k]:
+            raise ExtractionError(
+                f"cannot extract at inputs ({x[k]}, {x_prime[k]}): zero amplitude"
+            )
+        if imaginary[k]:
+            raise ExtractionError(
+                f"extracted value has imaginary part {float(imag[k]):g}; "
+                "matrix is not a valid oracle output"
+            )
+        # a value off the diagonal is shown as the numpy scalar it is
+        shown = real[k] if x[k] != x_prime[k] else float(real[k])
+        raise ExtractionError(
+            f"extracted value {shown!r} outside [0, 1] beyond tolerance"
+        )
+    # min(1.0, max(0.0, v)) per key, -0.0 read as 0.0
+    return np.where(real > 0, np.where(real < 1, real, 1.0), 0.0).tolist()
+
+
 def extract_two_way(
     rho: DensityMatrix,
     alpha: Amplitudes,
@@ -216,30 +277,7 @@ def extract_two_way(
     n_x, n_y = _register_sizes(rho, alpha)
     x, x_prime = _as_index(x, "x", n_x), _as_index(x_prime, "x_prime", n_x)
     y, y_prime = _as_index(y, "y", n_y), _as_index(y_prime, "y_prime", n_y)
-    a_x = complex(alpha.alpha[x])
-    a_xp = complex(alpha.alpha[x_prime])
-    if abs(a_x) < STATE_TOL or abs(a_xp) < STATE_TOL:
-        raise ExtractionError(
-            f"cannot extract at inputs ({x}, {x_prime}): zero amplitude"
-        )
-    if x == x_prime:
-        if y != y_prime:
-            return 0.0
-        value = complex(rho.entries[x * n_y + y, x * n_y + y]) / (abs(a_x) ** 2)
-    else:
-        element = complex(rho.entries[x * n_y + y, x_prime * n_y + y_prime])
-        value = element / (a_x * np.conj(a_xp))
-    if abs(value.imag) > EXTRACTION_TOL:
-        raise ExtractionError(
-            f"extracted value has imaginary part {value.imag:g}; "
-            "matrix is not a valid oracle output"
-        )
-    real = value.real
-    if real < -EXTRACTION_TOL or real > 1 + EXTRACTION_TOL:
-        raise ExtractionError(
-            f"extracted value {real!r} outside [0, 1] beyond tolerance"
-        )
-    return min(1.0, max(0.0, real))
+    return _extract(rho, alpha, n_y, np.array([[x, x_prime, y, y_prime]]))[0]
 
 
 def measure(rho: DensityMatrix, effect: MeasurementEffect) -> float:
@@ -306,15 +344,18 @@ def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
 
 
 @cache
-def _binary_rows() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``scenario_coefficient`` of the four 2 -> 2 tables: one row per
-    scenario of ``BINARY_SCENARIOS``, columns in canonical index order, as
-    integer rows over one denominator (4): ``(rows, den)``."""
-    tables = enumerate_functions(2, 2)
+def _binary_rows() -> tuple[
+    tuple[FunctionTable, ...], tuple[tuple[int, ...], ...], int
+]:
+    """The four 2 -> 2 tables in canonical index order, and their
+    ``scenario_coefficient``: one row per scenario of ``BINARY_SCENARIOS``,
+    one column per table, as integer rows over one denominator (4):
+    ``(tables, rows, den)``."""
+    tables = tuple(enumerate_functions(2, 2))
     flat, den = int_row(
         [scenario_coefficient(t, s) for s in BINARY_SCENARIOS for t in tables]
     )
-    return tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
+    return tables, tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
 
 
 # Both caches hold tuples only, so concurrent callers share nothing mutable.
@@ -322,7 +363,7 @@ def _binary_rows() -> tuple[tuple[tuple[int, ...], ...], int]:
 def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
     """The exact inverse of the scenario rows plus the all-ones row, as
     integer rows over one common denominator: ``(rows, den)``."""
-    rows, den = _binary_rows()
+    _, rows, den = _binary_rows()
     matrix = [[Fraction(v, den) for v in row] for row in rows] + [[1] * 4]
     columns = []
     for k in range(4):
@@ -338,12 +379,7 @@ def scenario_probability_exact(
     pF: FunctionDistribution, scenario: str
 ) -> Fraction:
     """Exact rational outcome probability of one probe scenario."""
-    if pF.n_x != 2 or pF.n_y != 2:
-        raise DomainError("binary scenarios require a 2 -> 2 model")
-    rows, den = _binary_rows()
-    row = rows[_scenario_position(scenario)]
-    total = sum(row[t.index] * num for t, num in zip(pF.weights, pF._nums))
-    return Fraction(total, den * pF._den)
+    return binary_forward_measurements(pF)[_scenario_position(scenario)]
 
 
 def scenario_probability_simulated(
@@ -361,8 +397,17 @@ def scenario_probability_simulated(
 def binary_forward_measurements(
     pF: FunctionDistribution,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (basis0, basis1, plus_bell) outcome probabilities."""
-    return tuple(scenario_probability_exact(pF, s) for s in BINARY_SCENARIOS)
+    """Exact (basis0, basis1, plus_bell) outcome probabilities: each
+    table's coefficients times its weight, summed in one pass."""
+    if pF.n_x != 2 or pF.n_y != 2:
+        raise DomainError("binary scenarios require a 2 -> 2 model")
+    _, rows, den = _binary_rows()
+    columns = tuple(zip(*rows))
+    sums = [0] * len(rows)
+    for table, num in zip(pF.weights, pF._nums):
+        for s, coefficient in enumerate(columns[table.index]):
+            sums[s] += coefficient * num
+    return tuple(Fraction(total, den * pF._den) for total in sums)
 
 
 def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
@@ -393,9 +438,10 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
         )
     clamped = [min(max(v, 0), scale) for v in nums]
     total = sum(clamped)
-    return FunctionDistribution.from_vector(
-        2, 2, [Fraction(v, total) for v in clamped]
-    )
+    tables, _, _ = _binary_rows()
+    return FunctionDistribution(2, 2, {
+        table: Fraction(v, total) for table, v in zip(tables, clamped)
+    })
 
 
 def tomography_sweep(
@@ -407,11 +453,17 @@ def tomography_sweep(
     the diagonal one-way marginals for x == x' (y == y' only).
     """
     n_x, n_y = _register_sizes(rho, alpha)
-    keys = [(x, x, y, y) for x in range(n_x) for y in range(n_y)]
-    keys += [
-        (x, x_prime, y, y_prime)
-        for x, x_prime in combinations(range(n_x), 2)
-        for y in range(n_y)
-        for y_prime in range(n_y)
-    ]
-    return [(*key, extract_two_way(rho, alpha, *key)) for key in keys]
+    # (x, x, y, y) for every input and output, then (x, x', y, y') for
+    # x < x' and every pair of outputs
+    x, y = np.divmod(np.arange(n_x * n_y), n_y)
+    first, second = np.triu_indices(n_x, 1)
+    out, out_prime = np.divmod(np.arange(n_y * n_y), n_y)
+    keys = np.concatenate([
+        np.column_stack([x, x, y, y]),
+        np.column_stack([
+            first.repeat(n_y * n_y), second.repeat(n_y * n_y),
+            np.tile(out, first.size), np.tile(out_prime, first.size),
+        ]),
+    ])
+    values = _extract(rho, alpha, n_y, keys)
+    return [(*key, value) for key, value in zip(keys.tolist(), values)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .core import FunctionDistribution, FunctionTable, _checked_weights, _set_weights
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
-from .quantum import BINARY_SCENARIOS, _scenario_position, scenario_probability_exact
+from .quantum import BINARY_SCENARIOS, _scenario_position, binary_forward_measurements
 
 #: Ontic state layout: (z1, x1, z2, x2).  Register 1 carries the input
 #: variable, register 2 the output ancilla (prepared at z2 = 0).
@@ -131,16 +131,28 @@ def toy_measure(state: ToyEpistemicState, setting: str):
     )
 
 
+#: Each binary probe scenario, in ``BINARY_SCENARIOS`` order, as a
+#: preparation, a measurement setting and the outcome read.
+_SCENARIO_PROBES = (
+    ("z0", "y_computational", 0),
+    ("z1", "y_computational", 0),
+    ("plus", "bell_parity", (0, 0)),
+)
+
+
+def _probe_probability(
+    prepared: ToyEpistemicState, setting: str, outcome, pF: FunctionDistribution
+) -> Fraction:
+    """The probability of reading ``outcome`` under ``setting`` once the
+    oracle mixture of ``pF`` has acted on the ``prepared`` state."""
+    return toy_measure(apply_oracle_mixture(prepared, pF), setting)[outcome]
+
+
 def toy_scenario_probability(pF: FunctionDistribution, scenario: str) -> Fraction:
     """Toy-model outcome probability of one of the binary probe scenarios,
     each a preparation, a measurement setting and the outcome read."""
-    preparation, setting, outcome = (
-        ("z0", "y_computational", 0),
-        ("z1", "y_computational", 0),
-        ("plus", "bell_parity", (0, 0)),
-    )[_scenario_position(scenario)]
-    state = apply_oracle_mixture(toy_prepare(preparation), pF)
-    return toy_measure(state, setting)[outcome]
+    preparation, setting, outcome = _SCENARIO_PROBES[_scenario_position(scenario)]
+    return _probe_probability(toy_prepare(preparation), setting, outcome, pF)
 
 
 @dataclass(frozen=True)
@@ -201,16 +213,18 @@ def equivalence_grid(num_mixtures: int = 10, seed: int = GRID_SEED):
 def verify_binary_equivalence() -> ToyEquivalenceReport:
     """Compare toy against exact coherent-probe probabilities on the full
     grid x scenario matrix.  Every comparison is an exact rational
-    equality; mismatches are collected, never swallowed."""
+    equality; mismatches are collected, never swallowed.  Each preparation
+    is built once, and each model's three coherent-probe probabilities
+    come from one pass over its tables."""
+    probes = [
+        (toy_prepare(preparation), setting, outcome)
+        for preparation, setting, outcome in _SCENARIO_PROBES
+    ]
     comparisons = []
     for pF in equivalence_grid():
-        for scenario in BINARY_SCENARIOS:
+        exact = binary_forward_measurements(pF)
+        for scenario, quantum, probe in zip(BINARY_SCENARIOS, exact, probes):
             comparisons.append(
-                ToyComparison(
-                    scenario,
-                    pF,
-                    scenario_probability_exact(pF, scenario),
-                    toy_scenario_probability(pF, scenario),
-                )
+                ToyComparison(scenario, pF, quantum, _probe_probability(*probe, pF))
             )
     return ToyEquivalenceReport(comparisons)

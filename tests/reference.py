@@ -15,11 +15,15 @@ cuts, which the library sums as integers over the weights' one
 denominator: the same sums taken one ``Fraction`` at a time.  For the
 canonical table index, which the library converts by splitting the
 digits at a power of n_y: the loop of one operation per digit on the
-whole integer."""
+whole integer.  For tomography, which the library extracts over all keys
+in one array routine: the per-key loop of scalar extractions it
+replaced."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from cforacle import (
     ConstraintLevel,
@@ -36,7 +40,13 @@ from cforacle import (
     restricted_tail_model,
 )
 from cforacle.core import event_indicator
-from cforacle.quantum import BINARY_SCENARIOS, scenario_coefficient
+from cforacle.errors import ExtractionError, ValidationError
+from cforacle.quantum import (
+    BINARY_SCENARIOS,
+    EXTRACTION_TOL,
+    STATE_TOL,
+    scenario_coefficient,
+)
 from cforacle.rational import rref, solve_unique
 from cforacle.reproduce import affine_ternary_model, uniform_ternary_model
 from conftest import random_distribution
@@ -396,3 +406,48 @@ def loop_outputs(index, n_x, n_y):
         digits.append(index % n_y)
         index //= n_y
     return tuple(reversed(digits))
+
+
+def loop_extract_two_way(rho, alpha, x, x_prime, y, y_prime):
+    """``extract_two_way`` on one in-range key, in scalar arithmetic."""
+    n_y = rho.dim // alpha.n_x
+    a_x = complex(alpha.alpha[x])
+    a_xp = complex(alpha.alpha[x_prime])
+    if abs(a_x) < STATE_TOL or abs(a_xp) < STATE_TOL:
+        raise ExtractionError(
+            f"cannot extract at inputs ({x}, {x_prime}): zero amplitude"
+        )
+    if x == x_prime:
+        if y != y_prime:
+            return 0.0
+        value = complex(rho.entries[x * n_y + y, x * n_y + y]) / (abs(a_x) ** 2)
+    else:
+        element = complex(rho.entries[x * n_y + y, x_prime * n_y + y_prime])
+        value = element / (a_x * np.conj(a_xp))
+    if abs(value.imag) > EXTRACTION_TOL:
+        raise ExtractionError(
+            f"extracted value has imaginary part {value.imag:g}; "
+            "matrix is not a valid oracle output"
+        )
+    real = value.real
+    if real < -EXTRACTION_TOL or real > 1 + EXTRACTION_TOL:
+        raise ExtractionError(
+            f"extracted value {real!r} outside [0, 1] beyond tolerance"
+        )
+    return min(1.0, max(0.0, real))
+
+
+def loop_tomography_sweep(rho, alpha):
+    """``tomography_sweep``: one ``loop_extract_two_way`` per key."""
+    n_x = alpha.n_x
+    n_y = rho.dim // n_x
+    if n_x * n_y != rho.dim:
+        raise ValidationError("amplitude count does not divide the matrix dimension")
+    keys = [(x, x, y, y) for x in range(n_x) for y in range(n_y)]
+    keys += [
+        (x, x_prime, y, y_prime)
+        for x, x_prime in combinations(range(n_x), 2)
+        for y in range(n_y)
+        for y_prime in range(n_y)
+    ]
+    return [(*key, loop_extract_two_way(rho, alpha, *key)) for key in keys]

@@ -365,6 +365,20 @@ class TestTomography:
         }
         assert pair_values == {"0.25"}
 
+    # the digests that perfbench/references.json records for these calls
+    @pytest.mark.parametrize("name, digest", [
+        ("appE.json",
+         "7715216f0711c95532d149a439aacef393a79a6909e795a32e8b26bbef8f5166"),
+        ("modelA.json",
+         "84a7932772573a6bb02473c1ce8a8d53342bb376e35d5721a6fbb5c040dcba52"),
+        ("modelB.json",
+         "84a7932772573a6bb02473c1ce8a8d53342bb376e35d5721a6fbb5c040dcba52"),
+    ])
+    def test_stdout_matches_the_recorded_digest(self, capsys, name, digest):
+        code, out, _ = run_cli(capsys, "tomography", "--model", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestToyCheck:
     def test_report(self, capsys):
@@ -376,7 +390,8 @@ class TestToyCheck:
         assert all(row["quantum"] == row["toy"] for row in rows)
 
     def test_stdout_matches_the_recorded_digest(self, capsys):
-        # recorded before toy mixtures skipped the per-table intermediate states
+        # recorded before toy mixtures skipped the per-table intermediate
+        # states; perfbench/references.json records the same digest
         code, out, _ = run_cli(capsys, "toy-check")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (

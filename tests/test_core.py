@@ -375,6 +375,18 @@ class TestDistribution:
         with pytest.raises(ValidationError, match=f"{len(vector)} entries"):
             FunctionDistribution.from_vector(2, 2, vector)
 
+    @pytest.mark.parametrize("n_x, n_y", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3)])
+    def test_from_vector_builds_what_from_index_builds(self, n_x, n_y):
+        rng = random.Random(n_x * 10 + n_y)
+        vector = [Fraction(rng.randint(0, 3)) for _ in range(n_y**n_x)]
+        vector[-1] += 1  # one nonzero weight at least, on the last index
+        vector = [w / sum(vector) for w in vector]
+        pf = FunctionDistribution.from_vector(n_x, n_y, vector)
+        assert pf == FunctionDistribution(n_x, n_y, {
+            FunctionTable.from_index(n_x, n_y, k): w for k, w in enumerate(vector)
+        })
+        assert pf.support()[-1].outputs == (n_y - 1,) * n_x
+
     def test_uniform(self):
         pf = FunctionDistribution.uniform(3, 3)
         assert len(pf.support()) == 27

@@ -74,6 +74,15 @@ class TestBuildConstraints:
         # p(f(x)=1) > 0, so r(x) = 1 and the f(x)=1 rows are implied
         assert len(system.rows) == 3
 
+    @pytest.mark.parametrize("level", ["one-way", "two-way"])
+    def test_dimension_is_the_table_count(self, level):
+        for n_x, n_y in RANDOM_SIZES:
+            for model in random_and_sparse(n_x, n_y):
+                system = build_constraints(model, level)
+                assert system.dimension == n_y**n_x
+                rebuilt = ConstraintSystem(n_x, n_y, system.rows)
+                assert rebuilt.dimension == n_y**n_x
+
     def test_two_way_contains_one_way(self):
         pf = random_distribution(random.Random(3), 3, 2)
         one = build_constraints(pf, ConstraintLevel.ONE_WAY)

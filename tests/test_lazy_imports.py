@@ -131,8 +131,16 @@ def test_each_export_is_its_submodules_object():
 
 # Exported with no caller: the Born-rule route through the density matrix
 # and measurement effects, kept as the reference that the tests check
-# ``scenario_probability_exact`` against.
-UNCALLED_EXPORTS = {"scenario_probability_simulated"}
+# ``scenario_probability_exact`` against; and the one-key or one-scenario
+# entries of rules that the package itself runs in batch form
+# (``tomography_sweep``, ``binary_forward_measurements`` and
+# ``verify_binary_equivalence`` state the same rule over every key).
+UNCALLED_EXPORTS = {
+    "scenario_probability_simulated",
+    "extract_two_way",
+    "scenario_probability_exact",
+    "toy_scenario_probability",
+}
 
 
 def code_names(path):

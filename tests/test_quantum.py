@@ -1,12 +1,17 @@
 """Density-matrix oracle simulation and the binary identification solve."""
 
 import hashlib
+import itertools
 import math
+import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforacle import (
     Amplitudes,
@@ -34,12 +39,35 @@ from cforacle import (
 from cforacle import ConfoundedModel, core, load_model, quantum, rational, toy
 from cforacle.quantum import scenario_coefficient
 from cforacle.reproduce import uniform_ternary_model
-from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
-from reference import binary_matrix, binary_solve_by_elimination
+from conftest import (
+    CONST0,
+    CONST1,
+    FLIP,
+    IDENTITY,
+    binary_distribution,
+    random_distribution,
+)
+from reference import (
+    binary_matrix,
+    binary_solve_by_elimination,
+    loop_extract_two_way,
+    loop_tomography_sweep,
+)
 
 F = Fraction
 INV_SQRT2 = 1 / math.sqrt(2)
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "cforacle" / "data"
+
+
+def probe_model(spec):
+    """The uniform model of ``spec`` = (n_x, n_y), or the bundled model file
+    ``spec`` (a confounded one by its response marginal)."""
+    if isinstance(spec, tuple):
+        return FunctionDistribution.uniform(*spec)
+    model = load_model(DATA_DIR / spec)
+    if isinstance(model, ConfoundedModel):
+        return model.response_marginal()
+    return model
 
 
 def post_oracle_projector(table, alpha):
@@ -153,12 +181,7 @@ class TestBuildRho:
          "c9aecb3645544ed6b08647f04a103a7f23d0fb6c6bcf10959a0772caf756bae6"),
     ], ids=["uniform 6x4", "uniform 8x3", "appE", "modelA", "modelB"])
     def test_matrix_bytes_match_the_recorded_digest(self, model, digest):
-        if isinstance(model, tuple):
-            model = FunctionDistribution.uniform(*model)
-        else:
-            model = load_model(DATA_DIR / model)
-            if isinstance(model, ConfoundedModel):
-                model = model.response_marginal()
+        model = probe_model(model)
         rho = build_rho_xy(model, Amplitudes.uniform(model.n_x))
         assert hashlib.sha256(rho.entries.tobytes()).hexdigest() == digest
 
@@ -372,6 +395,97 @@ def test_each_check_refuses_with_its_message(call, error, message):
     assert message in str(excinfo.value)
 
 
+def sweep_bits(sweep, rho, alpha):
+    """``sweep``'s rows with each value as ``float.hex`` (which tells -0.0
+    from 0.0), or the type and message of what it raised."""
+    try:
+        rows = sweep(rho, alpha)
+    except (ExtractionError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return [(*key, float(value).hex()) for *key, value in rows]
+
+
+# |psi><psi| of (|0, 0> - |1, 1>)/sqrt(2): its diagonal reads 1 under the
+# uniform probe, and its (0 0, 1 1) element reads -1
+ANTI_PSI = np.array([1, 0, 0, -1]) * INV_SQRT2
+ANTI_RHO = DensityMatrix(np.outer(ANTI_PSI, ANTI_PSI.conj()))
+
+
+class TestSweepAgainstTheLoop:
+    """The one-pass sweep against the per-key loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "model", [(6, 4), (8, 3), "appE.json", "modelA.json", "modelB.json"],
+        ids=["uniform 6x4", "uniform 8x3", "appE", "modelA", "modelB"],
+    )
+    def test_uniform_probe_values_repeat_bit_for_bit(self, model):
+        model = probe_model(model)
+        alpha = Amplitudes.uniform(model.n_x)
+        rho = build_rho_xy(model, alpha)
+        bits = sweep_bits(tomography_sweep, rho, alpha)
+        assert bits == sweep_bits(loop_tomography_sweep, rho, alpha)
+        assert len(bits) == model.n_x * model.n_y + math.comb(model.n_x, 2) * (
+            model.n_y**2
+        )
+
+    # Complex amplitudes, some of them zero: the products alpha_x *
+    # conj(alpha_x') are rounded as the scalar ones, so every value repeats
+    # bit for bit here too, and every refusal with the loop's message.
+    @given(
+        st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2)]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0, 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_complex_amplitudes_repeat_bit_for_bit(self, cards, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        n_x, n_y = cards
+        raw = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
+        raw[rng.random(n_x) < zero_share / 4] = 0
+        if not raw.any():
+            raw[0] = 1
+        alpha = Amplitudes(raw / np.linalg.norm(raw))
+        model = random_distribution(random.Random(seed), n_x, n_y)
+        rho = build_rho_xy(model, alpha)
+        bits = sweep_bits(tomography_sweep, rho, alpha)
+        assert bits == sweep_bits(loop_tomography_sweep, rho, alpha)
+        for key in itertools.product(range(n_x), range(n_x), range(n_y), range(n_y)):
+            one = sweep_bits(lambda r, a: [(extract_two_way(r, a, *key),)], rho, alpha)
+            loop = sweep_bits(
+                lambda r, a: [(loop_extract_two_way(r, a, *key),)], rho, alpha
+            )
+            assert one == loop
+
+    @pytest.mark.parametrize(
+        "rho, alpha, message",
+        [
+            (IDENTITY_RHO, Amplitudes.basis(2, 0),
+             "cannot extract at inputs (1, 1): zero amplitude"),
+            (PHASED_RHO, Amplitudes.uniform(2),
+             "extracted value has imaginary part -1; "
+             "matrix is not a valid oracle output"),
+            (IDENTITY_RHO, Amplitudes(np.array([0.6, 0.8])),
+             "extracted value 1.3888888888888886 outside [0, 1] beyond tolerance"),
+            (ANTI_RHO, Amplitudes.uniform(2),
+             "extracted value np.float64(-1.0) outside [0, 1] "
+             "beyond tolerance"),
+        ],
+        ids=["zero amplitude", "imaginary part", "diagonal above 1",
+             "off the diagonal below 0"],
+    )
+    def test_first_bad_key_raises_what_the_loop_raises(self, rho, alpha, message):
+        bits = sweep_bits(tomography_sweep, rho, alpha)
+        assert bits == (ExtractionError, message)
+        assert bits == sweep_bits(loop_tomography_sweep, rho, alpha)
+
+    def test_no_numpy_warning_escapes(self, uniform_binary):
+        rho = build_rho_xy(uniform_binary, Amplitudes.uniform(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExtractionError, match="zero amplitude"):
+                tomography_sweep(rho, Amplitudes.basis(2, 1))
+
+
 class TestSolveBinary:
     def test_uniform_from_forward_values(self, uniform_binary):
         stats = binary_forward_measurements(uniform_binary)
@@ -499,3 +613,14 @@ class TestSolveBinaryAgainstElimination:
         for _ in range(3):
             assert solve_binary_pF(*statistics) == uniform
         assert calls == []
+
+    def test_the_result_keys_are_the_cached_tables(self):
+        tables, _, _ = quantum._binary_rows()
+        assert [t.index for t in tables] == [0, 1, 2, 3]
+        for model in toy.equivalence_grid(20, 7):
+            recovered = solve_binary_pF(*binary_forward_measurements(model))
+            assert recovered == model
+            assert all(
+                any(table is cached for cached in tables)
+                for table in recovered.support()
+            )

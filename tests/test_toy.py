@@ -18,6 +18,7 @@ from cforacle import (
     toy_scenario_probability,
     verify_binary_equivalence,
 )
+from cforacle import toy
 from cforacle.quantum import scenario_coefficient
 from cforacle.toy import ToyEpistemicState, _toy_image, equivalence_grid
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
@@ -188,6 +189,29 @@ class TestEquivalence:
             set(row) == {"scenario", "pF", "quantum", "toy", "equal"}
             for row in rows
         )
+
+    def test_each_preparation_and_measurement_pass_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(toy, "toy_prepare", counting("prepare", toy_prepare))
+        monkeypatch.setattr(toy, "binary_forward_measurements", counting(
+            "measurements", toy.binary_forward_measurements
+        ))
+        assert verify_binary_equivalence().all_equal
+        assert calls.count("prepare") == 3
+        assert calls.count("measurements") == len(equivalence_grid()) == 14
+
+    def test_report_matches_the_one_scenario_entries(self):
+        for c in verify_binary_equivalence().comparisons:
+            assert c.quantum == scenario_probability_exact(c.pF, c.scenario)
+            assert c.toy == toy_scenario_probability(c.pF, c.scenario)
 
     def test_state_validation(self):
         from cforacle import ValidationError
