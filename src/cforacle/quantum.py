@@ -251,10 +251,8 @@ def _extract(
                 f"extracted value has imaginary part {float(imag[k]):g}; "
                 "matrix is not a valid oracle output"
             )
-        # a value off the diagonal is shown as the numpy scalar it is
-        shown = real[k] if x[k] != x_prime[k] else float(real[k])
         raise ExtractionError(
-            f"extracted value {shown!r} outside [0, 1] beyond tolerance"
+            f"extracted value {float(real[k])!r} outside [0, 1] beyond tolerance"
         )
     # min(1.0, max(0.0, v)) per key, -0.0 read as 0.0
     return np.where(real > 0, np.where(real < 1, real, 1.0), 0.0).tolist()

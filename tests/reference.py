@@ -17,7 +17,9 @@ canonical table index, which the library converts by splitting the
 digits at a power of n_y: the loop of one operation per digit on the
 whole integer.  For tomography, which the library extracts over all keys
 in one array routine: the per-key loop of scalar extractions it
-replaced."""
+replaced.  For the table sampler, which draws one chunk ahead on a
+helper thread and looks draws up through a bucket table: one serial draw
+of the whole stream and a full binary search per draw."""
 
 import random
 from fractions import Fraction
@@ -382,6 +384,16 @@ def fraction_cuts(pF):
     return cuts[:-1]
 
 
+def serial_table_indices(pF, rng, size):
+    """``size`` table indices as ``TableSampler`` draws them from ``rng``:
+    the generator's next ``size`` raw uint64 draws in one call, each
+    searched among the ``fraction_cuts``; the row order of
+    ``pF.support()``."""
+    draws = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+    cuts = np.array(fraction_cuts(pF), dtype=np.uint64)
+    return np.searchsorted(cuts, draws, side="right")
+
+
 def fraction_scenario_probability(pF, scenario):
     """``scenario_probability_exact``: each table's Born probability times
     its weight."""
@@ -429,7 +441,7 @@ def loop_extract_two_way(rho, alpha, x, x_prime, y, y_prime):
             f"extracted value has imaginary part {value.imag:g}; "
             "matrix is not a valid oracle output"
         )
-    real = value.real
+    real = float(value.real)
     if real < -EXTRACTION_TOL or real > 1 + EXTRACTION_TOL:
         raise ExtractionError(
             f"extracted value {real!r} outside [0, 1] beyond tolerance"

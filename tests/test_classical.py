@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from conftest import (
     assert_same_rows,
     binary_distribution,
 )
-from reference import fraction_cuts
+from reference import fraction_cuts, serial_table_indices
 
 F = Fraction
 
@@ -87,6 +88,17 @@ def test_out_of_range_input():
     for inputs in ([0, 5], [-1], [0.5], [2**70], [True], [[0, 1]], ["1"]):
         with pytest.raises(DomainError):
             simulate_log(pf, inputs, seed=0)
+
+
+@pytest.mark.parametrize(
+    "inputs, first",
+    [([0, 1, 7, -3], "7"), ([1, -3, 7], "-3"), ([2**40, 0], str(2**40))],
+)
+def test_out_of_range_message_names_the_first_bad_input(inputs, first):
+    pf = FunctionDistribution.uniform(2, 2)
+    with pytest.raises(DomainError) as raised:
+        simulate_log(pf, inputs, seed=0)
+    assert str(raised.value) == f"input {first} outside range [0, 2)"
 
 
 def test_binomial_concentration_on_balanced_mixture():
@@ -186,6 +198,117 @@ def test_chunked_outputs_match_one_gather(rows):
         outputs = sampler.draw_outputs(make_rng(3), x_in)
         assert outputs.dtype == np.int64
         assert np.array_equal(outputs, sampler.outputs[indices, x_in])
+
+
+STREAM_SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
+STREAM_SEEDS = [0, 31, 2**100]
+
+
+def rng_state(rng):
+    """The bit generator's state with its arrays as lists, comparable by ``==``."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("queries_per_x", STREAM_SIZES)
+def test_estimate_counts_match_one_serial_draw(queries_per_x):
+    for pf in (mix_identity_flip(), affine_ternary_model()):
+        outputs = np.array([t.outputs for t in pf.support()])
+        for seed in STREAM_SEEDS:
+            indices = serial_table_indices(pf, make_rng(seed), pf.n_x * queries_per_x)
+            # input x reads the x-th run of queries_per_x draws
+            per_x = indices.reshape(pf.n_x, queries_per_x)
+            expected = [
+                np.bincount(outputs[per_x[x], x], minlength=pf.n_y).tolist()
+                for x in range(pf.n_x)
+            ]
+            est = estimate_conditionals(pf, queries_per_x, seed)
+            assert est.counts.tolist() == expected
+
+
+@pytest.mark.parametrize("rows", STREAM_SIZES)
+def test_outputs_match_one_serial_draw(rows):
+    for pf in (mix_identity_flip(), affine_ternary_model(), LOG_MODELS["12->11"]):
+        sampler = TableSampler(pf)
+        x_in = np.random.default_rng(rows).integers(0, pf.n_x, rows)
+        for seed in STREAM_SEEDS:
+            indices = serial_table_indices(pf, make_rng(seed), rows)
+            outputs = sampler.draw_outputs(make_rng(seed), x_in)
+            assert np.array_equal(outputs, sampler.outputs[indices, x_in])
+
+
+@pytest.mark.parametrize("rows", STREAM_SIZES)
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+def test_draws_leave_the_serial_state(rows, drawn):
+    # 1 to 3 draws already made leave Philox's four-draw buffer mid-block
+    pf = affine_ternary_model()
+    sampler = TableSampler(pf)
+    x_in = np.random.default_rng(rows).integers(0, pf.n_x, rows)
+    rng, serial = make_rng(7), make_rng(7)
+    for generator in (rng, serial):
+        generator.integers(0, 2**64, size=drawn, dtype=np.uint64)
+    outputs = sampler.draw_outputs(rng, x_in)
+    indices = serial_table_indices(pf, serial, rows)
+    assert np.array_equal(outputs, sampler.outputs[indices, x_in])
+    assert rng_state(rng) == rng_state(serial)
+
+
+# calls of more than one chunk, which draw on a helper thread
+THREADED_CALLS = {
+    "simulate_log": lambda pf: simulate_log(
+        pf, np.zeros(3 * _CHUNK_ROWS, dtype=np.int64), seed=1
+    ),
+    "estimate_conditionals": lambda pf: estimate_conditionals(pf, 2 * _CHUNK_ROWS, seed=1),
+}
+
+
+@pytest.mark.parametrize("run", THREADED_CALLS.values(), ids=THREADED_CALLS.keys())
+def test_no_thread_outlives_a_call(run):
+    threads = threading.active_count()
+    run(affine_ternary_model())
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("run", THREADED_CALLS.values(), ids=THREADED_CALLS.keys())
+def test_no_thread_outlives_a_failed_call(monkeypatch, run):
+    threads = threading.active_count()
+    error = RuntimeError("lookup failed")
+    seen = []
+    lookup = TableSampler._lookup
+
+    def failing(self, draws):
+        seen.append(threading.active_count())
+        if len(seen) == 2:
+            raise error
+        return lookup(self, draws)
+
+    monkeypatch.setattr(TableSampler, "_lookup", failing)
+    with pytest.raises(RuntimeError) as raised:
+        run(affine_ternary_model())
+    assert raised.value is error
+    # the helper thread was running while the chunks were looked up
+    assert seen == [threads + 1] * 2
+    assert threading.active_count() == threads
+
+
+def test_one_chunk_of_draws_starts_no_thread(monkeypatch):
+    seen = []
+    lookup = TableSampler._lookup
+
+    def counting(self, draws):
+        seen.append(threading.active_count())
+        return lookup(self, draws)
+
+    monkeypatch.setattr(TableSampler, "_lookup", counting)
+    threads = threading.active_count()
+    pf = affine_ternary_model()
+    simulate_log(pf, np.zeros(_CHUNK_ROWS, dtype=np.int64), seed=1)
+    # three inputs, one chunk each, one chunk in all
+    estimate_conditionals(pf, _CHUNK_ROWS // 3, seed=1)
+    assert seen == [threads] * 4
 
 
 def test_estimates_refused_past_the_query_limit():

@@ -467,8 +467,7 @@ class TestSweepAgainstTheLoop:
             (IDENTITY_RHO, Amplitudes(np.array([0.6, 0.8])),
              "extracted value 1.3888888888888886 outside [0, 1] beyond tolerance"),
             (ANTI_RHO, Amplitudes.uniform(2),
-             "extracted value np.float64(-1.0) outside [0, 1] "
-             "beyond tolerance"),
+             "extracted value -1.0 outside [0, 1] beyond tolerance"),
         ],
         ids=["zero amplitude", "imaginary part", "diagonal above 1",
              "off the diagonal below 0"],
