@@ -219,18 +219,22 @@ class TableSampler:
     thresholds at or below it.  ``_lut`` holds that index for each bucket
     of draws sharing their top ``_BUCKET_BITS`` bits, or -1 where a
     threshold falls inside the bucket; only draws in those buckets are
-    looked up with ``searchsorted``.
+    looked up with ``searchsorted``.  A distribution whose n_y is beyond
+    2^63, so that no int64 holds its outputs, is refused here with
+    :class:`DomainError`, before any draw.
     """
 
     def __init__(self, pF: FunctionDistribution):
-        support = pF.support()
+        # row k is the outputs of support table k: outputs[k, x] is f_k(x),
+        # the distribution's store widened to int64 for the gather
+        store = pF._output_store()
+        outputs = np.frombuffer(store, dtype=store.typecode)
+        self.outputs = outputs.astype(np.int64).reshape(-1, pF.n_x)
         # prefix sums of the weights, as integers over their one denominator
         thresholds = [(s << 64) // pF._den for s in itertools.accumulate(pF._nums)]
         # the final threshold is 2**64 and can never be reached by a draw,
-        # so it is dropped; searchsorted then lands in [0, len(support))
+        # so it is dropped; searchsorted then lands in [0, len(outputs))
         self._cuts = np.array(thresholds[:-1], dtype=np.uint64)
-        # row k is the outputs of support[k]: outputs[k, x] is f_k(x)
-        self.outputs = np.array([t.outputs for t in support], dtype=np.int64)
         # the index is nondecreasing in the draw, so a bucket whose first
         # and last draws share an index gives every draw in it that index
         first = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << _BUCKET_SHIFT

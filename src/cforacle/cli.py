@@ -14,7 +14,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
@@ -31,6 +30,7 @@ from .core import (
     ConfoundedModel,
     CounterfactualQuery,
     FunctionDistribution,
+    _exact_str,
     _is_digits,
 )
 from .errors import CfOracleError, ValidationError
@@ -67,27 +67,6 @@ def _load_distribution(token: str) -> FunctionDistribution:
     return model
 
 
-@contextlib.contextmanager
-def _unlimited_int_str():
-    """Lift Python's int-to-str digit limit while a result is rendered.
-
-    Exact bounds and witness weights of a valid model can need more than
-    the default 4300 digits; input text and the enumeration cap bound
-    their length.  The previous limit is restored on exit, and library
-    functions never change it.  Older 3.10 releases have no limit.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    previous = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -110,15 +89,16 @@ def cmd_identification(args) -> int:
     system = build_constraints(model, level)
     target = LinearTarget.from_query(query, model.n_x, model.n_y)
     result = is_identifiable(target, system)
-    with _unlimited_int_str():
-        fields = {
-            "identifiable": result.identifiable,
-            "lo": str(result.bounds.lo),
-            "hi": str(result.bounds.hi),
-            "width": str(result.bounds.width),
-            "witness_lo": distribution_to_json_dict(result.witness_lo),
-            "witness_hi": distribution_to_json_dict(result.witness_hi),
-        }
+    # exact bounds and witness weights of a valid model can be longer than
+    # Python's default int-to-str limit; _exact_str prints any length
+    fields = {
+        "identifiable": result.identifiable,
+        "lo": _exact_str(result.bounds.lo),
+        "hi": _exact_str(result.bounds.hi),
+        "width": _exact_str(result.bounds.width),
+        "witness_lo": distribution_to_json_dict(result.witness_lo),
+        "witness_hi": distribution_to_json_dict(result.witness_hi),
+    }
     _emit_json({key: fields[key] for key in _RESULT_KEYS[args.command]})
     return 0
 

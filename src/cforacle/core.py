@@ -14,11 +14,12 @@ import itertools
 import numbers
 import operator
 import reprlib
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -65,6 +66,33 @@ def _describe_int(value: int) -> str:
     if bits <= _SHOWN_BITS:
         return str(value)
     return f"-2^{bits - 1} or less" if value < 0 else f"2^{bits - 1} or more"
+
+
+# Integers of at most this many bits (603 digits) are printed by ``str``
+# whatever the process's int-to-str digit limit: the limit is at least 640.
+_STR_BITS = 2000
+
+
+def _int_str(value: int) -> str:
+    """``str(value)`` for an integer of any length, whatever the process's
+    int-to-str digit limit, without changing it: a long integer is split
+    at a power of 10, as :func:`_value_digits` splits at a power of n_y."""
+    if value < 0:
+        return "-" + _int_str(-value)
+    bits = value.bit_length()
+    if bits <= _STR_BITS:
+        return str(value)
+    low = bits * 3 // 20  # half of a lower bound on the digits
+    high, value = divmod(value, 10**low)
+    return _int_str(high) + _int_str(value).zfill(low)
+
+
+def _exact_str(value: Fraction) -> str:
+    """``str(value)`` for a rational of any length, through :func:`_int_str`:
+    the one renderer of exact results and model weights."""
+    if value.denominator == 1:
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def _describe_power(base: int, exponent: int) -> str:
@@ -204,8 +232,14 @@ class FunctionTable:
     """One deterministic map f: {0..n_x-1} -> {0..n_y-1}.
 
     ``outputs[i]`` is f(i).  Tables are immutable and hashable so they can
-    key probability maps.
+    key probability maps.  The hash, ``hash((n_x, n_y, outputs))`` as a
+    frozen dataclass would compute it on every lookup, is computed once,
+    and so is ``index``; neither is a field.
     """
+
+    # slots instead of a __dict__ per table: with its hash and index kept,
+    # a table takes about the memory it took without them
+    __slots__ = ("n_x", "n_y", "outputs", "_hash", "_index")
 
     n_x: int
     n_y: int
@@ -227,6 +261,14 @@ class FunctionTable:
                 raise ValidationError(
                     f"outputs[{i}]={_describe_int(y)} outside range [0, {self.n_y})"
                 )
+        object.__setattr__(self, "_hash", hash((self.n_x, self.n_y, outputs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # frozen slots take no state through setattr: rebuild the table
+        return type(self), (self.n_x, self.n_y, self.outputs)
 
     def __call__(self, x: int) -> int:
         return self.outputs[_as_index(x, "input", self.n_x)]
@@ -234,8 +276,14 @@ class FunctionTable:
     @property
     def index(self) -> int:
         """Canonical index: the integer whose base-n_y digits are the
-        outputs, most significant digit first (= f(0))."""
-        return _digits_value(self.outputs, self.n_y)
+        outputs, most significant digit first (= f(0)); computed on the
+        first read and kept."""
+        try:
+            return self._index
+        except AttributeError:
+            index = _digits_value(self.outputs, self.n_y)
+            object.__setattr__(self, "_index", index)
+            return index
 
     @classmethod
     def from_index(cls, n_x: int, n_y: int, index: int) -> "FunctionTable":
@@ -393,6 +441,31 @@ def _set_weights(obj, name: str, checked: tuple[dict, tuple[int, ...], int]) -> 
     object.__setattr__(obj, "_den", den)
 
 
+def _trusted(cls, name: str, items: Iterable[tuple], den: int, **fields):
+    """A ``cls`` whose weights ``name`` are ``{key: num / den}`` over
+    ``items``, built without ``__post_init__``: the package's own
+    constructors only, whose keys are distinct, canonical and in canonical
+    order, whose numerators are nonnegative ``int``s summing to ``den``,
+    and whose other ``fields`` are checked.  Zero numerators are dropped
+    and the rest divided by their gcd with ``den``, so ``weights``,
+    ``_nums`` and ``_den`` are what :func:`_checked_weights` would give."""
+    kept = [(key, num) for key, num in items if num]
+    divisor = gcd(den, *(num for _, num in kept))
+    nums = tuple(num // divisor for _, num in kept)
+    den //= divisor
+    obj = object.__new__(cls)
+    for field_name, value in fields.items():
+        object.__setattr__(obj, field_name, value)
+    weights = {key: Fraction(num, den) for (key, _), num in zip(kept, nums)}
+    _set_weights(obj, name, (weights, nums, den))
+    return obj
+
+
+#: Item types of a distribution's output store, smallest first: signed, so
+#: that each mixes with int64, and the same C types in numpy's dtype codes.
+_STORE_TYPES = "bhiq"
+
+
 @dataclass(frozen=True)
 class FunctionDistribution:
     """An exact probability distribution over function tables.
@@ -403,7 +476,9 @@ class FunctionDistribution:
     ``weights`` keeps no zero weight and lists the tables in canonical
     index order; ``_nums`` holds the same weights, in the same order, as
     integers over the one denominator ``_den``, so a linear functional is
-    a sum of ``int``s with one ``Fraction`` built at the end.
+    a sum of ``int``s with one ``Fraction`` built at the end.  The tables'
+    outputs, in the same order, are one flat store, built on first use
+    (:meth:`_output_store`).
     """
 
     n_x: int
@@ -445,9 +520,10 @@ class FunctionDistribution:
 
     @classmethod
     def uniform(cls, n_x: int, n_y: int) -> "FunctionDistribution":
-        tables = enumerate_functions(n_x, n_y)
-        w = Fraction(1, len(tables))
-        return cls(n_x, n_y, {t: w for t in tables})
+        n_x, n_y = _cardinalities(n_x, n_y)
+        tables = enumerate_functions(n_x, n_y)  # in canonical order
+        items = zip(tables, itertools.repeat(1))
+        return _trusted(cls, "weights", items, len(tables), n_x=n_x, n_y=n_y)
 
     @classmethod
     def uniform_over(
@@ -464,6 +540,26 @@ class FunctionDistribution:
 
     def support(self) -> tuple[FunctionTable, ...]:
         return tuple(self.weights.keys())
+
+    def _output_store(self) -> array:
+        """Every support table's outputs, row-major in ``weights`` order
+        (entry ``k * n_x + x`` is f_k(x)), as one ``array`` of the smallest
+        item in ``_STORE_TYPES`` that holds n_y - 1.  Built on the first
+        call and kept: concurrent first calls build equal stores, and every
+        caller gets the one kept.  Raises :class:`DomainError` when n_y is
+        beyond 2^63, past every item."""
+        store = self.__dict__.get("_store")
+        if store is None:
+            bits = (self.n_y - 1).bit_length()
+            code = next((c for c in _STORE_TYPES if bits < 8 * array(c).itemsize), None)
+            if code is None:
+                raise DomainError(
+                    f"n_y = {_describe_int(self.n_y)} is beyond 2^63, the most "
+                    "outputs a table store holds"
+                )
+            outputs = itertools.chain.from_iterable(t.outputs for t in self.weights)
+            store = self.__dict__.setdefault("_store", array(code, outputs))
+        return store
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -647,9 +743,9 @@ class ConfoundedModel:
         nums: dict[FunctionTable, int] = {}
         for (_, table), num in zip(self.joint_weights, self._nums):
             nums[table] = nums.get(table, 0) + num
-        return FunctionDistribution(self.n_x, self.n_y, {
-            table: Fraction(num, self._den) for table, num in nums.items()
-        })
+        items = sorted(nums.items(), key=lambda item: item[0].index)
+        return _trusted(FunctionDistribution, "weights", items, self._den,
+                        n_x=self.n_x, n_y=self.n_y)
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -37,6 +37,8 @@ from .core import (
     _describe_rational,
     _is_power,
     _set_cardinalities,
+    _trusted,
+    _value_digits,
     event_indicator,
 )
 from .errors import ValidationError
@@ -324,10 +326,23 @@ def lp_bounds_with_witnesses(
         raise ValidationError("target dimension does not match the system")
     a, b = system.matrix()
     w_lo, w_hi = (
-        FunctionDistribution.from_vector(system.n_x, system.n_y, vertex)
+        _witness(system.n_x, system.n_y, vertex)
         for vertex in lp.lexmin_optimal_range(list(target.coefficients), a, b)
     )
     return Bounds(target.value_on(w_lo), target.value_on(w_hi)), w_lo, w_hi
+
+
+def _witness(n_x: int, n_y: int, vertex: list[Fraction]) -> FunctionDistribution:
+    """The distribution with weight ``vertex[k]`` on the table of canonical
+    index k.  :mod:`lp` has checked the vertex to be nonnegative and to meet
+    every row, the normalization row among them, so it is not checked again."""
+    support = [k for k, w in enumerate(vertex) if w]
+    nums, den = int_row([vertex[k] for k in support])
+    items = (
+        (FunctionTable(n_x, n_y, tuple(_value_digits(k, n_y, n_x))), num)
+        for k, num in zip(support, nums)
+    )
+    return _trusted(FunctionDistribution, "weights", items, den, n_x=n_x, n_y=n_y)
 
 
 @dataclass(frozen=True)

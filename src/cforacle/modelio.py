@@ -23,6 +23,7 @@ from .core import (
     _as_fraction,
     _cardinalities,
     _describe_int,
+    _exact_str,
     _is_digits,
 )
 from .errors import ValidationError
@@ -64,7 +65,7 @@ def distribution_to_json_dict(pF: FunctionDistribution) -> dict:
     return {
         "n_x": pF.n_x,
         "n_y": pF.n_y,
-        "pF": {table_to_digits(t): str(w) for t, w in pF.weights.items()},
+        "pF": {table_to_digits(t): _exact_str(w) for t, w in pF.weights.items()},
     }
 
 
@@ -73,7 +74,7 @@ def confounded_to_json_dict(model: ConfoundedModel) -> dict:
         "n_x": model.n_x,
         "n_y": model.n_y,
         "joint": {
-            f"{r_x}|{table_to_digits(t)}": str(w)
+            f"{r_x}|{table_to_digits(t)}": _exact_str(w)
             for (r_x, t), w in model.joint_weights.items()
         },
     }

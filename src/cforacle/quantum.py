@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .core import (
     _check_size,
     _describe_int,
     _describe_rational,
+    _trusted,
     enumerate_functions,
 )
 from .errors import (
@@ -47,6 +47,11 @@ from .rational import int_row, solve_unique
 STATE_TOL = 1e-12
 OPERATOR_TOL = 1e-10
 EXTRACTION_TOL = 1e-9
+
+#: Tables per slice of :func:`build_rho_xy`: the post-oracle states of at
+#: most this many tables are held at once, so its memory is bounded on
+#: every model within the caps.  A model of no more tables is one slice.
+_STATE_ROWS = 1 << 16
 
 
 def _complex_array(value, what: str) -> np.ndarray:
@@ -154,13 +159,10 @@ class MeasurementEffect:
         return int(self.operator.shape[0])
 
 
-def _oracle_states(tables: tuple[FunctionTable, ...], alpha: Amplitudes) -> np.ndarray:
+def _oracle_states(outputs: np.ndarray, n_y: int, alpha: Amplitudes) -> np.ndarray:
     """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of
-    f_k = ``tables[k]``."""
-    k, n_x, n_y = len(tables), tables[0].n_x, tables[0].n_y
-    outputs = np.fromiter(
-        chain.from_iterable(t.outputs for t in tables), np.int64, count=k * n_x
-    ).reshape(k, n_x)
+    the table f_k whose outputs are row k of ``outputs``."""
+    k, n_x = outputs.shape
     psi = np.zeros((k, n_x * n_y), dtype=complex)
     psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
     return psi
@@ -172,7 +174,9 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     Matrix element <x, y| rho |x', y'> equals
     alpha_x * conj(alpha_x') * p(f(x)=y, f(x')=y').  Raises
     :class:`EnumerationCapError`, before allocating, when the matrix would
-    have more entries than the enumeration cap.
+    have more entries than the enumeration cap.  The states are formed and
+    summed ``_STATE_ROWS`` tables at a time, read off the distribution's
+    output store.
     """
     if alpha.n_x != pF.n_x:
         raise ValidationError(
@@ -181,10 +185,17 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     dim = pF.n_x * pF.n_y
     shown = _describe_int(dim)
     _check_size(f"entries of a {shown} x {shown} density matrix", dim, 2)
-    psi = _oracle_states(pF.support(), alpha)
+    store = pF._output_store()
+    outputs = np.frombuffer(store, dtype=store.typecode).reshape(-1, pF.n_x)
     # int true division is correctly rounded, so each weight is float(w)
     weights = np.array([num / pF._den for num in pF._nums])
-    rho = (psi.T * weights) @ psi.conj()
+    rho = None
+    for start in range(0, len(weights), _STATE_ROWS):
+        rows = slice(start, start + _STATE_ROWS)
+        psi = _oracle_states(outputs[rows], pF.n_y, alpha)
+        part = (psi.T * weights[rows]) @ psi.conj()
+        # the first slice as it is: 0.0 + -0.0 would read 0.0
+        rho = part if rho is None else np.add(rho, part, out=rho)
     rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry
     return DensityMatrix(rho)
 
@@ -435,11 +446,9 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
             residual=residual,
         )
     clamped = [min(max(v, 0), scale) for v in nums]
-    total = sum(clamped)
     tables, _, _ = _binary_rows()
-    return FunctionDistribution(2, 2, {
-        table: Fraction(v, total) for table, v in zip(tables, clamped)
-    })
+    items = zip(tables, clamped)
+    return _trusted(FunctionDistribution, "weights", items, sum(clamped), n_x=2, n_y=2)
 
 
 def tomography_sweep(

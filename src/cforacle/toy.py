@@ -17,7 +17,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FunctionDistribution, FunctionTable, _checked_weights, _set_weights
+from .core import (
+    FunctionDistribution,
+    FunctionTable,
+    _checked_weights,
+    _set_weights,
+    _trusted,
+)
 from .errors import DomainError, UnsupportedTableError, ValidationError
 from .modelio import table_to_digits
 from .quantum import BINARY_SCENARIOS, _scenario_position, binary_forward_measurements
@@ -105,8 +111,9 @@ def apply_oracle_mixture(
         for s, p in zip(state.probs, state._nums):
             image = _toy_image(table.outputs, s)
             out[image] = out.get(image, 0) + w * p
-    den = pF._den * state._den
-    return ToyEpistemicState({s: Fraction(v, den) for s, v in out.items()})
+    # ontic states sort in their canonical order, as tuples
+    items = sorted(out.items())
+    return _trusted(ToyEpistemicState, "probs", items, pF._den * state._den)
 
 
 def toy_measure(state: ToyEpistemicState, setting: str):

@@ -19,6 +19,7 @@ from cforacle import (
     make_rng,
     simulate_log,
 )
+from cforacle import classical
 from cforacle.classical import _CHUNK_ROWS, TableSampler, _csv_rows, _put_digits
 from cforacle.core import MAX_QUERIES
 from cforacle.reproduce import (
@@ -309,6 +310,28 @@ def test_one_chunk_of_draws_starts_no_thread(monkeypatch):
     # three inputs, one chunk each, one chunk in all
     estimate_conditionals(pf, _CHUNK_ROWS // 3, seed=1)
     assert seen == [threads] * 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda pf: simulate_log(pf, [0, 1, 0], seed=0),
+    lambda pf: estimate_conditionals(pf, 3, seed=0),
+], ids=["simulate_log", "estimate_conditionals"])
+def test_outputs_past_int64_are_refused_before_any_draw(monkeypatch, call):
+    # a valid library model whose outputs no int64 holds: one DomainError
+    # naming n_y, where the sampler reads the output store
+    n_y = 2**70
+    tables = (FunctionTable(2, n_y, (0, 1)), FunctionTable(2, n_y, (n_y - 1, 5)))
+    pf = FunctionDistribution(2, n_y, dict.fromkeys(tables, F(1, 2)))
+
+    def no_draw(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(classical, "make_rng", no_draw)
+    with pytest.raises(DomainError) as raised:
+        call(pf)
+    assert str(raised.value) == (
+        f"n_y = {n_y} is beyond 2^63, the most outputs a table store holds"
+    )
 
 
 def test_estimates_refused_past_the_query_limit():

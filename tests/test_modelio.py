@@ -1,6 +1,8 @@
 """Model JSON schema round trips and validation messages."""
 
+import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +13,17 @@ from cforacle import (
     FunctionDistribution,
     FunctionTable,
     ValidationError,
+    enumerate_functions,
     load_model,
     parse_model,
     save_model,
 )
-from cforacle.core import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT, _as_fraction
+from cforacle.core import (
+    MAX_RATIONAL_CHARS,
+    MAX_RATIONAL_EXPONENT,
+    _as_fraction,
+    _exact_str,
+)
 from cforacle.modelio import (
     distribution_to_json_dict,
     table_from_digits,
@@ -176,3 +184,48 @@ def test_serialized_rationals_stay_exact():
     data = distribution_to_json_dict(pf)
     assert data["pF"]["00"] == "1/3"
     assert parse_model(data) == pf
+
+
+def unlimited_str(value):
+    """``str(value)`` with Python's int-to-str digit limit lifted for the
+    call only (older 3.10 releases have no limit)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [
+    F(0), F(-7), F(1, 3), F(-(10**600), 3), F(2**1999), F(2**2000), F(-(2**2001)),
+    F(10**5000), F(10**5000 - 1), F(1, 3**10000), F(7**9000 + 1, 2**31000),
+    F(-(10**4299 + 5) * 10**4400, 11),
+])
+def test_exact_text_is_str_at_any_length(value):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    assert _exact_str(value) == unlimited_str(value)
+    if get_limit:
+        assert get_limit() == limit  # the process's limit is never touched
+
+
+def test_weights_longer_than_the_int_str_limit_are_saved(tmp_path):
+    # 3**10000 has 4772 digits, beyond Python's default limit of 4300
+    den = 3**10000
+    tables = enumerate_functions(1, 2)
+    pF = FunctionDistribution(1, 2, dict(zip(tables, (F(1, den), F(den - 1, den)))))
+    path = tmp_path / "long.json"
+    save_model(pF, path)
+    weights = json.loads(path.read_text(encoding="utf-8"))["pF"]
+    assert weights == {
+        "0": f"1/{unlimited_str(den)}", "1": unlimited_str(F(den - 1, den))
+    }
+    joint = ConfoundedModel(1, 2, {(0, t): w for t, w in pF.weights.items()})
+    save_model(joint, path)
+    assert list(json.loads(path.read_text(encoding="utf-8"))["joint"].values()) == (
+        list(weights.values())
+    )

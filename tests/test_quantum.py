@@ -185,6 +185,28 @@ class TestBuildRho:
         rho = build_rho_xy(model, Amplitudes.uniform(model.n_x))
         assert hashlib.sha256(rho.entries.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("rows", [1, 7, 80, 81])
+    def test_slices_of_tables_sum_to_the_one_slice_matrix(self, monkeypatch, rows):
+        rng = random.Random(rows)
+        alpha = Amplitudes(np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)]))
+        models = [FunctionDistribution.uniform(4, 3), random_distribution(rng, 4, 3)]
+        whole = [build_rho_xy(model, alpha).entries for model in models]
+        sizes = []
+        states = quantum._oracle_states
+
+        def recorded(outputs, n_y, alpha):
+            sizes.append(len(outputs))
+            return states(outputs, n_y, alpha)
+
+        monkeypatch.setattr(quantum, "_STATE_ROWS", rows)
+        monkeypatch.setattr(quantum, "_oracle_states", recorded)
+        for model, expected in zip(models, whole):
+            sizes.clear()
+            sliced = build_rho_xy(model, alpha).entries
+            assert np.max(np.abs(sliced - expected)) <= 1e-15
+            k = len(model.weights)
+            assert sizes == [rows] * (k // rows) + ([k % rows] if k % rows else [])
+
 
 class TestExtraction:
     def test_uniform_pf(self, uniform_binary):
