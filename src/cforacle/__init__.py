@@ -33,19 +33,18 @@ _EXPORTS = {
             "UnsupportedTableError", "ValidationError",
         ),
         "identify": (
-            "Bounds", "ConstraintLevel", "ConstraintSystem",
-            "IdentifiabilityResult", "LinearTarget", "build_constraints",
-            "is_identifiable", "lp_bounds", "lp_bounds_with_witnesses",
-            "restricted_tail_model", "solution_family_direction",
+            "BINARY_SCENARIOS", "Bounds", "ConstraintLevel", "ConstraintSystem",
+            "IdentifiabilityResult", "LinearTarget", "binary_forward_measurements",
+            "build_constraints", "is_identifiable", "lp_bounds",
+            "lp_bounds_with_witnesses", "restricted_tail_model",
+            "scenario_probability_exact", "solution_family_direction",
+            "solve_binary_pF",
         ),
         "modelio": ("load_model", "parse_model", "save_model"),
         "quantum": (
-            "Amplitudes", "BINARY_SCENARIOS", "DensityMatrix",
-            "MeasurementEffect", "bell_effect", "binary_forward_measurements",
+            "Amplitudes", "DensityMatrix", "MeasurementEffect", "bell_effect",
             "build_rho_xy", "computational_effect", "extract_two_way",
-            "measure", "scenario_probability_exact",
-            "scenario_probability_simulated", "solve_binary_pF",
-            "tomography_sweep",
+            "measure", "scenario_probability_simulated", "tomography_sweep",
         ),
         "report": ("Claim", "ReproductionReport"),
         "reproduce": (

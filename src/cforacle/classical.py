@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import MAX_QUERIES, FunctionDistribution, _as_index, _describe_int
+from .core import MAX_QUERIES, FunctionDistribution, _as_index, _check_size, _describe_int
 from .errors import DomainError, ValidationError
 
 _SCALE = 1 << 64
@@ -319,6 +319,8 @@ def estimate_conditionals(
             f"exceed the query limit {MAX_QUERIES}"
         )
     sampler = TableSampler(pF)
+    shown = f"{pF.n_x} inputs x {_describe_int(pF.n_y)} outputs"
+    _check_size(f"output counts of {shown}", pF.n_y, 1, pF.n_x)
     rng = make_rng(seed)
     counts = np.zeros((pF.n_x, pF.n_y), dtype=np.int64)
     # each input's draws in chunks of their own; the full-range uint64

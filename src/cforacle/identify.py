@@ -6,7 +6,8 @@ coherent queries additionally fix all pairwise output marginals.  A
 counterfactual target is identifiable exactly when the induced linear
 program has width zero; otherwise the LP yields the tight
 partial-identification interval together with witness models at both
-endpoints.
+endpoints.  In the binary case three coherent-probe statistics and
+normalization fix the whole distribution, exactly (:func:`solve_binary_pF`).
 
 This module, with :mod:`core`, :mod:`lp` and :mod:`rational`, is the
 exact core: it imports only those, :mod:`errors` and the standard
@@ -21,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from . import lp
@@ -39,10 +41,16 @@ from .core import (
     _set_cardinalities,
     _trusted,
     _value_digits,
+    enumerate_functions,
     event_indicator,
 )
-from .errors import ValidationError
-from .rational import int_row, nullspace
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    MeasurementInconsistencyError,
+    ValidationError,
+)
+from .rational import int_row, nullspace, solve_unique
 
 _ZERO = Fraction(0)
 
@@ -207,6 +215,21 @@ class Bounds:
         return self.hi - self.lo
 
 
+def _marginal_counts(pF: FunctionDistribution, input_pairs) -> tuple[list, list]:
+    """Every p(f(x)=y), and every p(f(x)=y, f(x')=y') for ``(x, x')`` in
+    ``input_pairs``, in one pass over the support, as integer counts over
+    ``pF._den``: ``one[x][y]`` and ``two[k][y][y']`` for the k-th pair."""
+    one = [[0] * pF.n_y for _ in range(pF.n_x)]
+    two = [[[0] * pF.n_y for _ in range(pF.n_y)] for _ in input_pairs]
+    for table, count in zip(pF.weights, pF._nums):
+        outs = table.outputs
+        for x, y in enumerate(outs):
+            one[x][y] += count
+        for cell, (x, x_prime) in zip(two, input_pairs):
+            cell[outs[x]][outs[x_prime]] += count
+    return one, two
+
+
 def build_constraints(
     pF_true: FunctionDistribution,
     level: ConstraintLevel | str,
@@ -239,17 +262,8 @@ def build_constraints(
     what = f"cells of {_describe_int(n_rows)} rows over {tables} tables"
     _check_size(what, n_y, n_x, n_rows)
     input_pairs = list(combinations(range(n_x), 2)) if two_way else []
-    # Every marginal in one pass over the support, as integer counts over
-    # the weights' one denominator.
     den = pF_true._den
-    one = [[0] * n_y for _ in range(n_x)]
-    two = [[[0] * n_y for _ in range(n_y)] for _ in input_pairs]
-    for table, count in zip(pF_true.weights, pF_true._nums):
-        outs = table.outputs
-        for x, y in enumerate(outs):
-            one[x][y] += count
-        for cell, (x, x_prime) in zip(two, input_pairs):
-            cell[outs[x]][outs[x_prime]] += count
+    one, two = _marginal_counts(pF_true, input_pairs)
     ref = [max(y for y in range(n_y) if counts[y]) for counts in one]
     events = [
         (((x, y),), one[x][y]) for x in range(n_x) for y in range(n_y) if y != ref[x]
@@ -271,6 +285,126 @@ def build_constraints(
         marginals = tuple(tuple(Fraction(c, den) for c in counts) for counts in one)
         object.__setattr__(system, "marginals", marginals)
     return system
+
+
+#: The three binary probe settings that pin down a 2 -> 2 distribution:
+#: output statistics under each basis input, plus the Bell overlap of the
+#: superposed probe.
+BINARY_SCENARIOS = ("basis0", "basis1", "plus_bell")
+
+
+def _scenario_position(scenario: str) -> int:
+    """Where ``scenario`` sits in ``BINARY_SCENARIOS``: the one name check."""
+    if scenario not in BINARY_SCENARIOS:
+        raise DomainError(f"unknown scenario {scenario!r}")
+    return BINARY_SCENARIOS.index(scenario)
+
+
+def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
+    """Exact Born probability of the scenario outcome for a single table.
+
+    basis0 / basis1: probability of reading output 0 after preparing the
+    corresponding basis input, which is 1 iff f maps it to 0.
+    plus_bell: the Bell-state overlap of (|0, f(0)> + |1, f(1)>)/sqrt(2),
+    equal to (m/2)^2 with m the number of fixed points of f.  Each is an
+    amplitude squared: the sum of the scenario's w[x] over the inputs x
+    where f(x) equals its t[x].
+    """
+    if f.n_x != 2 or f.n_y != 2:
+        raise DomainError("binary scenarios require a 2 -> 2 table")
+    w, t = (
+        ((1, 0), (0, 0)),
+        ((0, 1), (0, 0)),
+        ((Fraction(1, 2),) * 2, (0, 1)),
+    )[_scenario_position(scenario)]
+    return Fraction(sum(w[x] for x, y in enumerate(f.outputs) if y == t[x])) ** 2
+
+
+@cache
+def _binary_rows() -> tuple[
+    tuple[FunctionTable, ...], tuple[tuple[int, ...], ...], int
+]:
+    """The four 2 -> 2 tables in canonical index order, and their
+    ``scenario_coefficient``: one row per scenario of ``BINARY_SCENARIOS``,
+    one column per table, as integer rows over one denominator (4):
+    ``(tables, rows, den)``."""
+    tables = tuple(enumerate_functions(2, 2))
+    flat, den = int_row(
+        [scenario_coefficient(t, s) for s in BINARY_SCENARIOS for t in tables]
+    )
+    return tables, tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
+
+
+# Both caches hold tuples only, so concurrent callers share nothing mutable.
+@cache
+def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The exact inverse of the scenario rows plus the all-ones row, as
+    integer rows over one common denominator: ``(rows, den)``."""
+    _, rows, den = _binary_rows()
+    matrix = [[Fraction(v, den) for v in row] for row in rows] + [[1] * 4]
+    columns = []
+    for k in range(4):
+        column = solve_unique(matrix, [Fraction(int(i == k)) for i in range(4)])
+        if column is None:
+            raise InternalCheckError("the binary identification matrix is singular")
+        columns.append(column)
+    flat, den = int_row([v for row in zip(*columns) for v in row])
+    return tuple(tuple(flat[i : i + 4]) for i in range(0, 16, 4)), den
+
+
+def scenario_probability_exact(
+    pF: FunctionDistribution, scenario: str
+) -> Fraction:
+    """Exact rational outcome probability of one probe scenario."""
+    return binary_forward_measurements(pF)[_scenario_position(scenario)]
+
+
+def binary_forward_measurements(
+    pF: FunctionDistribution,
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (basis0, basis1, plus_bell) outcome probabilities: each
+    table's coefficients times its weight, summed in one pass."""
+    if pF.n_x != 2 or pF.n_y != 2:
+        raise DomainError("binary scenarios require a 2 -> 2 model")
+    _, rows, den = _binary_rows()
+    columns = tuple(zip(*rows))
+    sums = [0] * len(rows)
+    for table, num in zip(pF.weights, pF._nums):
+        for s, coefficient in enumerate(columns[table.index]):
+            sums[s] += coefficient * num
+    return tuple(Fraction(total, den * pF._den) for total in sums)
+
+
+def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
+    """Recover the full binary table distribution from the three probe
+    statistics (plus normalization).
+
+    Inputs may be exact rationals or floats.  The 4x4 system always has a
+    unique algebraic solution: its cached exact inverse, in integers over
+    one common denominator, times the statistics.  If any component falls
+    outside [0, 1] by more than 1e-9 (tested exactly, in integers) the
+    statistics are inconsistent and an error reports the violation.
+    Otherwise components are clamped and renormalized.
+    """
+    statistics = [_as_fraction(v) for v in (c00, c01, bell)]
+    inverse, inv_den = _binary_inverse()
+    rhs, den = int_row(statistics + [Fraction(1)])
+    # component i of the solution is nums[i] / scale
+    scale = den * inv_den
+    nums = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    if max(-min(nums), max(nums) - scale, 0) * 10**9 > scale:
+        low, high = Fraction(min(nums), scale), Fraction(max(nums), scale)
+        residual = max(Fraction(0) - low, high - 1, Fraction(0))
+        raise MeasurementInconsistencyError(
+            "measured statistics admit no distribution: component range "
+            f"[{_describe_rational(low)}, {_describe_rational(high)}] exceeds "
+            f"[0, 1] by {_describe_rational(residual)}",
+            residual=residual,
+        )
+    clamped = [min(max(v, 0), scale) for v in nums]
+    tables, _, _ = _binary_rows()
+    items = zip(tables, clamped)
+    return _trusted(FunctionDistribution, "weights", items, sum(clamped), n_x=2, n_y=2)
 
 
 def _frechet_bounds(target: LinearTarget, system: ConstraintSystem) -> Bounds | None:

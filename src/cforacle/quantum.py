@@ -4,7 +4,8 @@ The oracle is the isometry |x> -> |x>|f(x)| applied to a superposed
 input; averaging over the table distribution yields a joint density
 matrix whose off-diagonal blocks carry every pairwise output marginal
 p(f(x)=y, f(x')=y').  Reading those elements back out (tomography) is
-what single classical queries cannot do.
+what single classical queries cannot do.  The binary probe scenarios are
+simulated here; their exact probabilities and solve are in :mod:`identify`.
 
 Composite indexing convention throughout: basis state |x>|y> sits at
 index x * n_y + y (input register most significant).
@@ -18,31 +19,19 @@ marginal read off rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
 from .core import (
     FunctionDistribution,
-    FunctionTable,
-    _as_fraction,
     _as_index,
     _cardinalities,
     _check_size,
     _describe_int,
-    _describe_rational,
-    _trusted,
-    enumerate_functions,
 )
-from .errors import (
-    DomainError,
-    ExtractionError,
-    InternalCheckError,
-    MeasurementInconsistencyError,
-    ValidationError,
-)
-from .rational import int_row, solve_unique
+from .errors import ExtractionError, ValidationError
+# the binary solve is also read as quantum.*, by perfbench and its tracer
+from .identify import _scenario_position, binary_forward_measurements, solve_binary_pF
 
 STATE_TOL = 1e-12
 OPERATOR_TOL = 1e-10
@@ -89,11 +78,13 @@ class Amplitudes:
     @classmethod
     def uniform(cls, n_x: int) -> "Amplitudes":
         n_x, _ = _cardinalities(n_x, 1)  # an input register only
+        _check_size("amplitudes of the input register", n_x)
         return cls(np.full(n_x, 1.0 / np.sqrt(n_x), dtype=complex))
 
     @classmethod
     def basis(cls, n_x: int, x: int) -> "Amplitudes":
         n_x, _ = _cardinalities(n_x, 1)
+        _check_size("amplitudes of the input register", n_x)
         vec = np.zeros(n_x, dtype=complex)
         vec[_as_index(x, "input", n_x)] = 1.0
         return cls(vec)
@@ -307,7 +298,10 @@ def computational_effect(n_x: int, n_y: int, y: int) -> MeasurementEffect:
     """Project the output register onto |y>, ignoring the input register."""
     n_x, n_y = _cardinalities(n_x, n_y)
     y = _as_index(y, "outcome", n_y)
-    op = np.zeros((n_x * n_y, n_x * n_y), dtype=complex)
+    dim = n_x * n_y
+    shown = _describe_int(dim)
+    _check_size(f"entries of a {shown} x {shown} effect", dim, 2)
+    op = np.zeros((dim, dim), dtype=complex)
     for x in range(n_x):
         op[x * n_y + y, x * n_y + y] = 1.0
     return MeasurementEffect(op)
@@ -317,78 +311,6 @@ def bell_effect() -> MeasurementEffect:
     """Rank-one projector onto the Bell state (|00> + |11>)/sqrt(2) (dim 4)."""
     vec = np.sqrt(0.5) * np.array((1, 0, 0, 1), dtype=complex)
     return MeasurementEffect(np.outer(vec, vec.conj()))
-
-
-#: The three binary probe settings that pin down a 2 -> 2 distribution:
-#: output statistics under each basis input, plus the Bell overlap of the
-#: superposed probe.
-BINARY_SCENARIOS = ("basis0", "basis1", "plus_bell")
-
-
-def _scenario_position(scenario: str) -> int:
-    """Where ``scenario`` sits in ``BINARY_SCENARIOS``: the one name check."""
-    if scenario not in BINARY_SCENARIOS:
-        raise DomainError(f"unknown scenario {scenario!r}")
-    return BINARY_SCENARIOS.index(scenario)
-
-
-def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
-    """Exact Born probability of the scenario outcome for a single table.
-
-    basis0 / basis1: probability of reading output 0 after preparing the
-    corresponding basis input, which is 1 iff f maps it to 0.
-    plus_bell: the Bell-state overlap of (|0, f(0)> + |1, f(1)>)/sqrt(2),
-    equal to (m/2)^2 with m the number of fixed points of f.  Each is an
-    amplitude squared: the sum of the scenario's w[x] over the inputs x
-    where f(x) equals its t[x].
-    """
-    if f.n_x != 2 or f.n_y != 2:
-        raise DomainError("binary scenarios require a 2 -> 2 table")
-    w, t = (
-        ((1, 0), (0, 0)),
-        ((0, 1), (0, 0)),
-        ((Fraction(1, 2),) * 2, (0, 1)),
-    )[_scenario_position(scenario)]
-    return Fraction(sum(w[x] for x, y in enumerate(f.outputs) if y == t[x])) ** 2
-
-
-@cache
-def _binary_rows() -> tuple[
-    tuple[FunctionTable, ...], tuple[tuple[int, ...], ...], int
-]:
-    """The four 2 -> 2 tables in canonical index order, and their
-    ``scenario_coefficient``: one row per scenario of ``BINARY_SCENARIOS``,
-    one column per table, as integer rows over one denominator (4):
-    ``(tables, rows, den)``."""
-    tables = tuple(enumerate_functions(2, 2))
-    flat, den = int_row(
-        [scenario_coefficient(t, s) for s in BINARY_SCENARIOS for t in tables]
-    )
-    return tables, tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
-
-
-# Both caches hold tuples only, so concurrent callers share nothing mutable.
-@cache
-def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The exact inverse of the scenario rows plus the all-ones row, as
-    integer rows over one common denominator: ``(rows, den)``."""
-    _, rows, den = _binary_rows()
-    matrix = [[Fraction(v, den) for v in row] for row in rows] + [[1] * 4]
-    columns = []
-    for k in range(4):
-        column = solve_unique(matrix, [Fraction(int(i == k)) for i in range(4)])
-        if column is None:
-            raise InternalCheckError("the binary identification matrix is singular")
-        columns.append(column)
-    flat, den = int_row([v for row in zip(*columns) for v in row])
-    return tuple(tuple(flat[i : i + 4]) for i in range(0, 16, 4)), den
-
-
-def scenario_probability_exact(
-    pF: FunctionDistribution, scenario: str
-) -> Fraction:
-    """Exact rational outcome probability of one probe scenario."""
-    return binary_forward_measurements(pF)[_scenario_position(scenario)]
 
 
 def scenario_probability_simulated(
@@ -401,54 +323,6 @@ def scenario_probability_simulated(
         (Amplitudes.uniform(2), bell_effect()),
     )[_scenario_position(scenario)]
     return measure(build_rho_xy(pF, alpha), effect)
-
-
-def binary_forward_measurements(
-    pF: FunctionDistribution,
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (basis0, basis1, plus_bell) outcome probabilities: each
-    table's coefficients times its weight, summed in one pass."""
-    if pF.n_x != 2 or pF.n_y != 2:
-        raise DomainError("binary scenarios require a 2 -> 2 model")
-    _, rows, den = _binary_rows()
-    columns = tuple(zip(*rows))
-    sums = [0] * len(rows)
-    for table, num in zip(pF.weights, pF._nums):
-        for s, coefficient in enumerate(columns[table.index]):
-            sums[s] += coefficient * num
-    return tuple(Fraction(total, den * pF._den) for total in sums)
-
-
-def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
-    """Recover the full binary table distribution from the three probe
-    statistics (plus normalization).
-
-    Inputs may be exact rationals or floats.  The 4x4 system always has a
-    unique algebraic solution: its cached exact inverse, in integers over
-    one common denominator, times the statistics.  If any component falls
-    outside [0, 1] by more than 1e-9 (tested exactly, in integers) the
-    statistics are inconsistent and an error reports the violation.
-    Otherwise components are clamped and renormalized.
-    """
-    statistics = [_as_fraction(v) for v in (c00, c01, bell)]
-    inverse, inv_den = _binary_inverse()
-    rhs, den = int_row(statistics + [Fraction(1)])
-    # component i of the solution is nums[i] / scale
-    scale = den * inv_den
-    nums = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
-    if max(-min(nums), max(nums) - scale, 0) * 10**9 > scale:
-        low, high = Fraction(min(nums), scale), Fraction(max(nums), scale)
-        residual = max(Fraction(0) - low, high - 1, Fraction(0))
-        raise MeasurementInconsistencyError(
-            "measured statistics admit no distribution: component range "
-            f"[{_describe_rational(low)}, {_describe_rational(high)}] exceeds "
-            f"[0, 1] by {_describe_rational(residual)}",
-            residual=residual,
-        )
-    clamped = [min(max(v, 0), scale) for v in nums]
-    tables, _, _ = _binary_rows()
-    items = zip(tables, clamped)
-    return _trusted(FunctionDistribution, "weights", items, sum(clamped), n_x=2, n_y=2)
 
 
 def tomography_sweep(

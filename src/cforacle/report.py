@@ -6,17 +6,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .core import _exact_str, _int_str
+
 
 def render_value(value: Any) -> str:
     """Render a computed/expected value as a stable string.
 
-    Rationals print as 'p/q'; floats with 12 significant digits; tuples
-    and lists recurse.
+    Rationals print as 'p/q' and integers in full, at any length; floats
+    with 12 significant digits; tuples and lists recurse.
     """
     if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
+        return _exact_str(value)
+    if isinstance(value, bool):  # ahead of int: a bool is an int
         return "true" if value else "false"
+    if isinstance(value, int):
+        return _int_str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, (tuple, list)):

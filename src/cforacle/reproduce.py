@@ -23,7 +23,6 @@ from .core import (
     _cardinalities,
     _check_size,
     _describe_power,
-    conditional,
     conditional_counterfactual,
     joint_counterfactual,
 )
@@ -32,18 +31,21 @@ from .identify import (
     ConstraintLevel,
     ConstraintSystem,
     LinearTarget,
+    _marginal_counts,
+    binary_forward_measurements,
     build_constraints,
     is_identifiable,
     lp_bounds,
     restricted_tail_model,
     solution_family_direction,
+    solve_binary_pF,
 )
 from .modelio import table_to_digits
 from .rational import is_scalar_multiple
 from .report import ReproductionReport
 
-# The quantum and toy layers (and with them numpy) are imported inside the
-# three scenarios that use them, so the exact scenarios run without numpy.
+# The quantum layer (and with it numpy) is imported inside the one scenario
+# that uses it, and the toy layer inside its own, so the others load neither.
 
 _ZERO = Fraction(0)
 
@@ -116,7 +118,8 @@ def model_satisfies(system: ConstraintSystem, pF: FunctionDistribution) -> bool:
 
 def _conditional_values(pF: FunctionDistribution) -> set[Fraction]:
     """The set of every conditional p(Y_x = y) of ``pF``."""
-    return {p for x in range(pF.n_x) for p in conditional(pF, x)}
+    one, _ = _marginal_counts(pF, ())
+    return {Fraction(count, pF._den) for counts in one for count in counts}
 
 
 def _two_way_joints(
@@ -124,9 +127,10 @@ def _two_way_joints(
 ) -> set[Fraction]:
     """The set of every two-way joint p(Y_x = y, Y_x' = y') with x < x'
     of ``pF``; with ``repeated_only``, only those with y == y'."""
+    _, two = _marginal_counts(pF, list(combinations(range(pF.n_x), 2)))
     return {
-        joint_counterfactual(pF, CounterfactualQuery(((x, y), (x_prime, y_prime))))
-        for x, x_prime in combinations(range(pF.n_x), 2)
+        Fraction(cell[y][y_prime], pF._den)
+        for cell in two
         for y, y_prime in product(range(pF.n_y), repeat=2)
         if not repeated_only or y == y_prime
     }
@@ -217,8 +221,6 @@ def scenario_binary() -> ReproductionReport:
     """Binary case: single queries leave a counterfactual completely open
     (width 0 to 1 after conditioning) while coherent probing pins the
     whole distribution."""
-    from .quantum import binary_forward_measurements, solve_binary_pF
-
     report = ReproductionReport("binary")
     truth = mix_identity_flip()
     system = build_constraints(truth, ConstraintLevel.ONE_WAY)

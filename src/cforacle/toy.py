@@ -5,9 +5,10 @@ may know at most one of them, so states of maximal knowledge are uniform
 distributions over 4-element affine subspaces of the 16 ontic states.
 The four binary oracles act as reversible phase-space permutations, and
 all three probe scenarios of the coherent-oracle analysis come out with
-exactly the same rational outcome probabilities.  The identification
-advantage over single classical queries therefore does not require
-quantum theory itself in the binary case.
+exactly the rational outcome probabilities that :mod:`identify` computes
+for them, with no density matrix.  The identification advantage over
+single classical queries therefore does not require quantum theory
+itself in the binary case.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _checked_weights,
+    _exact_str,
     _set_weights,
     _trusted,
 )
 from .errors import DomainError, UnsupportedTableError, ValidationError
+from .identify import BINARY_SCENARIOS, _scenario_position, binary_forward_measurements
 from .modelio import table_to_digits
-from .quantum import BINARY_SCENARIOS, _scenario_position, binary_forward_measurements
 
 #: Ontic state layout: (z1, x1, z2, x2).  Register 1 carries the input
 #: variable, register 2 the output ancilla (prepared at z2 = 0).
@@ -189,9 +191,9 @@ class ToyEquivalenceReport:
         return [
             {
                 "scenario": c.scenario,
-                "pF": {table_to_digits(t): str(w) for t, w in c.pF.weights.items()},
-                "quantum": str(c.quantum),
-                "toy": str(c.toy),
+                "pF": {table_to_digits(t): _exact_str(w) for t, w in c.pF.weights.items()},
+                "quantum": _exact_str(c.quantum),
+                "toy": _exact_str(c.toy),
                 "equal": c.equal,
             }
             for c in self.comparisons

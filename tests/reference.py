@@ -43,12 +43,8 @@ from cforacle import (
 )
 from cforacle.core import event_indicator
 from cforacle.errors import ExtractionError, ValidationError
-from cforacle.quantum import (
-    BINARY_SCENARIOS,
-    EXTRACTION_TOL,
-    STATE_TOL,
-    scenario_coefficient,
-)
+from cforacle.identify import BINARY_SCENARIOS, scenario_coefficient
+from cforacle.quantum import EXTRACTION_TOL, STATE_TOL
 from cforacle.rational import rref, solve_unique
 from cforacle.reproduce import affine_ternary_model, uniform_ternary_model
 from conftest import random_distribution

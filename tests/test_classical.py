@@ -12,6 +12,7 @@ import pytest
 
 from cforacle import (
     DomainError,
+    EnumerationCapError,
     FunctionDistribution,
     FunctionTable,
     conditional,
@@ -331,6 +332,24 @@ def test_outputs_past_int64_are_refused_before_any_draw(monkeypatch, call):
         call(pf)
     assert str(raised.value) == (
         f"n_y = {n_y} is beyond 2^63, the most outputs a table store holds"
+    )
+
+
+def test_counts_past_the_cap_are_refused_before_any_draw(monkeypatch):
+    # a valid model whose n_x * n_y counts would take 16 TiB: refused by
+    # the size guard after the sampler is built, before a generator is made
+    n_y = 2**40
+    pf = FunctionDistribution.point_mass(FunctionTable(2, n_y, (0, n_y - 1)))
+
+    def no_draw(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(classical, "make_rng", no_draw)
+    with pytest.raises(EnumerationCapError) as raised:
+        estimate_conditionals(pf, 3, seed=0)
+    assert str(raised.value) == (
+        f"output counts of 2 inputs x {n_y} outputs: {2 * n_y} exceeds the "
+        "enumeration cap 1000000"
     )
 
 

@@ -163,6 +163,10 @@ class TestEnumeration:
             enumerate_functions(10, 10)
 
 
+# Built outside the calls below, so that a lowered cap reaches the check
+# under test and not the enumeration that builds the model.
+THREE_BY_TWO = FunctionDistribution.point_mass(FunctionTable(3, 2, (0, 1, 0)))
+
 # Each size check, its count, and a call that reaches it.
 SIZE_CHECKS = {
     "enumerate_functions: n_y**n_x": (8, lambda: enumerate_functions(3, 2)),
@@ -173,6 +177,11 @@ SIZE_CHECKS = {
     "reproduce_appendix_b: n**n": (27, lambda: reproduce.reproduce_appendix_b(3)),
     "build_rho_xy: dim**2": (16, lambda: quantum.build_rho_xy(
         FunctionDistribution.uniform(2, 2), quantum.Amplitudes.uniform(2))),
+    "estimate_conditionals: n_x * n_y": (6, lambda: classical.estimate_conditionals(
+        THREE_BY_TWO, 1, seed=0)),
+    "computational_effect: dim**2": (36, lambda: quantum.computational_effect(3, 2, 0)),
+    "Amplitudes.uniform: n_x": (3, lambda: quantum.Amplitudes.uniform(3)),
+    "Amplitudes.basis: n_x": (3, lambda: quantum.Amplitudes.basis(3, 0)),
 }
 
 
@@ -185,6 +194,17 @@ def test_each_size_check_passes_at_the_cap_and_refuses_one_above(check, monkeypa
     with pytest.raises(EnumerationCapError) as excinfo:
         call()
     assert f"{count} exceeds the enumeration cap {count - 1}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quantum.computational_effect(10**5, 10**5, 0),
+    lambda: quantum.Amplitudes.uniform(10**12),
+    lambda: quantum.Amplitudes.basis(10**12, 0),
+], ids=["computational_effect", "Amplitudes.uniform", "Amplitudes.basis"])
+def test_float_arrays_past_the_cap_are_refused_before_allocating(call):
+    # each once ended in numpy's MemoryError or "array is too big"
+    with pytest.raises(EnumerationCapError, match="exceeds the enumeration cap"):
+        call()
 
 
 def test_the_cap_is_ten_to_the_sixth():

@@ -1,7 +1,10 @@
 """The exact identifiability core runs on the standard library alone:
 ``core``, ``rational``, ``lp`` and ``identify`` import only each other,
 ``errors`` and standard-library modules, so the paper's scenarios and
-reports (``reproduce``, ``report``) and numpy stay outside it."""
+reports (``reproduce``, ``report``) and numpy stay outside it.  Only the
+float simulators, ``classical`` and ``quantum``, import numpy: the exact
+core, ``errors``, ``modelio``, ``report`` and ``toy`` import neither
+simulator nor numpy."""
 
 import ast
 import sys
@@ -11,6 +14,9 @@ import cforacle
 
 PACKAGE = Path(cforacle.__file__).parent
 CORE = {"core", "rational", "lp", "identify"}
+NUMPY_FREE = CORE | {"errors", "modelio", "report", "toy"}
+# an absolute ``cforacle`` import could reach either simulator
+FLOAT_LAYERS = {"classical", "quantum", "numpy", "cforacle"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -28,6 +34,12 @@ def imported_modules(tree: ast.AST) -> set[str]:
     return found
 
 
+def module_imports(name: str) -> set[str]:
+    """``imported_modules`` of the package module ``name``."""
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    return imported_modules(ast.parse(source))
+
+
 def test_the_rule_reads_each_import_form():
     code = (
         "import numpy.linalg\nfrom . import lp, report\nfrom .core import x\n"
@@ -41,9 +53,12 @@ def test_the_rule_reads_each_import_form():
 
 def test_exact_core_imports_only_itself_errors_and_the_standard_library():
     allowed = CORE | {"errors"} | set(sys.stdlib_module_names)
-    outside = {
-        name: sorted(imported_modules(tree) - allowed)
-        for name in sorted(CORE)
-        for tree in [ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))]
-    }
+    outside = {name: sorted(module_imports(name) - allowed) for name in sorted(CORE)}
     assert outside == {name: [] for name in sorted(CORE)}
+
+
+def test_only_the_float_simulators_import_numpy():
+    found = {
+        name: sorted(module_imports(name) & FLOAT_LAYERS) for name in sorted(NUMPY_FREE)
+    }
+    assert found == {name: [] for name in sorted(NUMPY_FREE)}

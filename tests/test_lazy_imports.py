@@ -41,18 +41,18 @@ EXPORTS = {
         "UnsupportedTableError", "ValidationError",
     ),
     "identify": (
-        "Bounds", "ConstraintLevel", "ConstraintSystem", "IdentifiabilityResult",
-        "LinearTarget", "build_constraints", "is_identifiable", "lp_bounds",
+        "BINARY_SCENARIOS", "Bounds", "ConstraintLevel", "ConstraintSystem",
+        "IdentifiabilityResult", "LinearTarget", "binary_forward_measurements",
+        "build_constraints", "is_identifiable", "lp_bounds",
         "lp_bounds_with_witnesses", "restricted_tail_model",
-        "solution_family_direction",
+        "scenario_probability_exact", "solution_family_direction",
+        "solve_binary_pF",
     ),
     "modelio": ("load_model", "parse_model", "save_model"),
     "quantum": (
-        "Amplitudes", "BINARY_SCENARIOS", "DensityMatrix", "MeasurementEffect",
-        "bell_effect", "binary_forward_measurements", "build_rho_xy",
-        "computational_effect", "extract_two_way", "measure",
-        "scenario_probability_exact", "scenario_probability_simulated",
-        "solve_binary_pF", "tomography_sweep",
+        "Amplitudes", "DensityMatrix", "MeasurementEffect", "bell_effect",
+        "build_rho_xy", "computational_effect", "extract_two_way", "measure",
+        "scenario_probability_simulated", "tomography_sweep",
     ),
     "report": ("Claim", "ReproductionReport"),
     "reproduce": (
@@ -214,6 +214,9 @@ def test_bare_cli_import_loads_no_numpy_layer():
         ["reproduce", "appendix_b"],
         ["reproduce", "appendix_e"],
         ["reproduce", "appendix_e_general"],
+        ["reproduce", "binary"],
+        ["reproduce", "toy"],
+        ["toy-check"],
         ["--help"],
     ],
     ids=" ".join,

@@ -29,6 +29,8 @@ from cforacle.modelio import (
     table_from_digits,
     table_to_digits,
 )
+from cforacle.report import ReproductionReport, render_value
+from cforacle.toy import ToyComparison, ToyEquivalenceReport
 from conftest import CONST0, CONST1, IDENTITY, binary_distribution
 
 F = Fraction
@@ -211,6 +213,39 @@ def test_exact_text_is_str_at_any_length(value):
     assert _exact_str(value) == unlimited_str(value)
     if get_limit:
         assert get_limit() == limit  # the process's limit is never touched
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, 2**1999, 2**2000, 10**5000, 10**5000 - 1, -(3**10000), 7**9000 + 1,
+], ids=lambda value: f"{value.bit_length()} bits")
+def test_reports_render_integers_and_rationals_at_any_length(value):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    assert render_value(value) == unlimited_str(value)
+    assert render_value(F(value, 3)) == unlimited_str(F(value, 3))
+    assert render_value((value, F(1, 3**10000))) == (
+        f"({unlimited_str(value)}, 1/{unlimited_str(3**10000)})"
+    )
+    report = ReproductionReport("x")
+    assert not report.check("d", F(3**10000), value)
+    assert report.claims[0].expected == unlimited_str(3**10000)
+    assert report.claims[0].computed == unlimited_str(value)
+    if get_limit:
+        assert get_limit() == limit
+
+
+def test_toy_reports_render_weights_at_any_length():
+    den = 3**10000
+    pF = binary_distribution(F(1, den), 0, 0, F(den - 1, den))
+    comparison = ToyComparison("basis0", pF, F(1, den), F(den - 1, den))
+    [row] = ToyEquivalenceReport([comparison]).to_json_list()
+    assert row == {
+        "scenario": "basis0",
+        "pF": {"00": f"1/{unlimited_str(den)}", "11": unlimited_str(F(den - 1, den))},
+        "quantum": f"1/{unlimited_str(den)}",
+        "toy": unlimited_str(F(den - 1, den)),
+        "equal": False,
+    }
 
 
 def test_weights_longer_than_the_int_str_limit_are_saved(tmp_path):

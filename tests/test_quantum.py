@@ -36,8 +36,8 @@ from cforacle import (
     solve_binary_pF,
     tomography_sweep,
 )
-from cforacle import ConfoundedModel, core, load_model, quantum, rational, toy
-from cforacle.quantum import scenario_coefficient
+from cforacle import ConfoundedModel, core, identify, load_model, quantum, rational, toy
+from cforacle.identify import scenario_coefficient
 from cforacle.reproduce import uniform_ternary_model
 from conftest import (
     CONST0,
@@ -602,7 +602,7 @@ class TestSolveBinaryAgainstElimination:
             assert got[1] == excess
 
     def test_cached_inverse_is_exact(self):
-        rows, den = quantum._binary_inverse()
+        rows, den = identify._binary_inverse()
         columns = list(zip(*binary_matrix()))
         product = [
             [sum(F(a, den) * b for a, b in zip(row, column)) for column in columns]
@@ -623,10 +623,10 @@ class TestSolveBinaryAgainstElimination:
         uniform = FunctionDistribution.uniform(2, 2)
         monkeypatch.setattr(rational, "rref", counting("rref", rational.rref))
         counted = counting("enumerate_functions", core.enumerate_functions)
-        for module in (core, quantum):
+        for module in (core, identify):
             monkeypatch.setattr(module, "enumerate_functions", counted)
-        quantum._binary_rows.cache_clear()
-        quantum._binary_inverse.cache_clear()
+        identify._binary_rows.cache_clear()
+        identify._binary_inverse.cache_clear()
         statistics = (F(1, 2), F(1, 2), F(3, 8))
         solve_binary_pF(*statistics)
         assert "rref" in calls and "enumerate_functions" in calls
@@ -636,7 +636,7 @@ class TestSolveBinaryAgainstElimination:
         assert calls == []
 
     def test_the_result_keys_are_the_cached_tables(self):
-        tables, _, _ = quantum._binary_rows()
+        tables, _, _ = identify._binary_rows()
         assert [t.index for t in tables] == [0, 1, 2, 3]
         for model in toy.equivalence_grid(20, 7):
             recovered = solve_binary_pF(*binary_forward_measurements(model))

@@ -19,7 +19,7 @@ from cforacle import (
     verify_binary_equivalence,
 )
 from cforacle import toy
-from cforacle.quantum import scenario_coefficient
+from cforacle.identify import scenario_coefficient
 from cforacle.toy import ToyEpistemicState, _toy_image, equivalence_grid
 from conftest import CONST0, CONST1, FLIP, IDENTITY, binary_distribution
 from reference import is_valid_epistemic_state

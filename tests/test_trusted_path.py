@@ -126,7 +126,7 @@ TRUSTED_CALLERS = {
     "core.FunctionDistribution.uniform",
     "core.ConfoundedModel.response_marginal",
     "identify._witness",
-    "quantum.solve_binary_pF",
+    "identify.solve_binary_pF",
     "toy.apply_oracle_mixture",
 }
 
