@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -371,16 +371,32 @@ def event_indicator(
 ) -> tuple[int, ...]:
     """Entry k (an ``int``) is 1 if f_k(x) = y for every (x, y) in ``pairs``
     and 0 otherwise.  f_k(x) is digit x of k in base n_y, most significant
-    first, so ``{f(x) = y}`` is a run of n_y**(n_x-1-x) ones at offset y in
-    each block of n_y**(n_x-x) tables: no table is built."""
+    first; the row is built by :func:`_event_row`, and no table is built."""
     n_x, n_y = _cardinalities(n_x, n_y)
-    runs = []
+    checked = [
+        (_as_index(x, "input", n_x), _as_index(y, "output", n_y)) for x, y in pairs
+    ]
+    return _event_row(n_x, n_y, checked)
+
+
+def _event_row(n_x: int, n_y: int, pairs) -> tuple[int, ...]:
+    """:func:`event_indicator` of checked ``int`` arguments.  From the last
+    input outward, a free input repeats the row n_y times and f(x) = y puts
+    it at block y of n_y blocks, the others zero; an input given two
+    outputs gives the all-zero row."""
+    fixed: dict[int, int] = {}
     for x, y in pairs:
-        x, y = _as_index(x, "input", n_x), _as_index(y, "output", n_y)
-        run = n_y ** (n_x - 1 - x)
-        block = (0,) * (y * run) + (1,) * run + (0,) * ((n_y - 1 - y) * run)
-        runs.append(block * n_y**x)
-    return tuple(reduce(partial(map, operator.and_), runs, (1,) * n_y**n_x))
+        if fixed.setdefault(x, y) != y:
+            return (0,) * n_y**n_x
+    row = (1,)
+    for x in range(n_x - 1, -1, -1):
+        y = fixed.get(x)
+        if y is None:
+            row *= n_y
+        else:
+            zeros = (0,) * len(row)
+            row = zeros * y + row + zeros * (n_y - 1 - y)
+    return row
 
 
 def _as_table(n_x: int, n_y: int, table) -> FunctionTable:

@@ -37,12 +37,12 @@ from .core import (
     _describe_int,
     _describe_power,
     _describe_rational,
+    _event_row,
     _is_power,
     _set_cardinalities,
     _trusted,
     _value_digits,
     enumerate_functions,
-    event_indicator,
 )
 from .errors import (
     DomainError,
@@ -122,14 +122,16 @@ class ConstraintSystem:
             ) from exc
         normalized_rows = []
         ones = 0
+        length = None  # the previous row's, already checked
         for coeffs, rhs in rows:
             coeffs = _exact(coeffs)
             rhs = _as_fraction(rhs)
-            if not _is_power(len(coeffs), n_y, n_x):
+            if len(coeffs) != length and not _is_power(len(coeffs), n_y, n_x):
                 raise ValidationError(
                     f"coefficient vector has {len(coeffs)} entries, "
                     f"expected {_describe_count(n_y, n_x)}"
                 )
+            length = len(coeffs)
             if coeffs.count(1) == len(coeffs):
                 ones += 1
                 if rhs != 1:
@@ -177,9 +179,10 @@ class LinearTarget:
         cls, query: CounterfactualQuery, n_x: int, n_y: int
     ) -> "LinearTarget":
         """Indicator coefficients of a joint counterfactual event."""
+        n_x, n_y = _cardinalities(n_x, n_y)
         query.validate_for(n_x, n_y)
         _check_size(f"{_describe_power(n_y, n_x)} target coefficients", n_y, n_x)
-        target = cls(event_indicator(n_x, n_y, query.pairs))
+        target = cls(_event_row(n_x, n_y, query.pairs))
         object.__setattr__(target, "source", (query, n_x, n_y))
         return target
 
@@ -276,7 +279,7 @@ def build_constraints(
         if (y != ref[x] and y_prime != ref[x_prime]) or not cell[y][y_prime]
     ]
     rows = [
-        (event_indicator(n_x, n_y, pairs), Fraction(count, den))
+        (_event_row(n_x, n_y, pairs), Fraction(count, den))
         for pairs, count in events
     ]
     rows.append(((1,) * n_y**n_x, Fraction(1)))

@@ -1,17 +1,19 @@
 """Exact linear programming over small probability polytopes.
 
 One route: a two-phase primal simplex, exact and with no floating point
-anywhere, whose row operation is :func:`cforacle.rational.pivot`.  Its
-tableau is fraction-free: each row is a list of ``int`` over one positive
-``int`` denominator, kept in lowest terms, so every entry has the rational
-value a :class:`fractions.Fraction` tableau would hold and every pivot
-choice is the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by
-the lcm of their denominators; :class:`~fractions.Fraction` values are
-built only for what is returned (solutions, optima, certificates).
-Phase 1 finds a feasible basis once; each objective is then optimized
-from the current basis of that one tableau.  The lexicographic witness
-search walks the optimal face in place, adding no rows and never
-restarting; the witnesses for both directions share one phase 1.
+anywhere, whose pivot is :func:`cforacle.rational.pivot`.  Its tableau is
+fraction-free: each row is a list of ``int`` over one positive ``int``
+denominator, kept in lowest terms, so every entry has the rational value
+a :class:`fractions.Fraction` tableau would hold and every pivot choice is
+the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by the lcm
+of their denominators; :class:`~fractions.Fraction` values are built only
+for what is returned (solutions, optima, certificates).  Pricing takes
+no pivot: the basic rows are unit columns, so one integer combination of
+them gives the reduced costs a pivot on each would.  Phase 1 finds a
+feasible basis once; each objective is then optimized from the current
+basis of that one tableau.  The lexicographic witness search walks the
+optimal face in place, adding no rows and never restarting; the
+witnesses for both directions share one phase 1.
 
 Every entry point first presolves: a row with right-hand side 0 and
 coefficients of one sign forces its columns to zero, so those columns,
@@ -30,6 +32,9 @@ normalization row, so feasible sets are bounded polytopes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import lcm
+from operator import sub
 
 from .core import _describe_rational
 from .errors import (
@@ -108,11 +113,21 @@ def _iterate(
 
 def _price(rows: IntMatrix, dens: list[int], basis: list[int]) -> None:
     """Turn the last row, ``c`` followed by 0, into the reduced costs of
-    ``c`` by pivoting on each basic row whose column it does not yet clear.
-    Its last slot ends up as the negated objective value."""
-    for i, bvar in enumerate(basis):
-        if rows[-1][bvar]:
-            pivot(rows, dens, i, bvar)
+    ``c``, ``c - sum_i c[basis[i]] row_i``, formed over the lcm of those
+    rows' denominators and reduced once: basic columns are unit columns,
+    so this is the row a pivot on each basic row gives.  Its last slot
+    ends up as the negated objective value."""
+    cost = rows[-1]
+    terms = [(cost[bvar], i) for i, bvar in enumerate(basis) if cost[bvar]]
+    if not terms:
+        return
+    den = lcm(*(dens[i] for _, i in terms))
+    combo = list(map(den.__mul__, cost))
+    for factor, i in terms:
+        scale = factor * (den // dens[i])
+        combo = list(map(sub, combo, map(scale.__mul__, rows[i])))
+    cost[:] = combo
+    dens[-1] = reduce_row(cost, dens[-1] * den)
 
 
 def _check_shape(c: Vector, a: Matrix, b: Vector) -> None:
@@ -234,27 +249,25 @@ def _presolve(
     m, n = len(a), len(a[0])
     live = [True] * n
     pins: list[tuple[int, list[int]]] = []
-    candidates = [
-        (i, [(j, v) for j, v in enumerate(a[i]) if v]) for i in range(m) if b[i] == 0
-    ]
+    candidates = [(i, list(compress(range(n), a[i]))) for i in range(m) if b[i] == 0]
     found = True
     while found:
         found = False
         rest = []
-        for i, entries in candidates:
-            entries = [(j, v) for j, v in entries if live[j]]
-            if not entries:
+        for i, support in candidates:
+            support = list(compress(support, map(live.__getitem__, support)))
+            if not support:
                 continue
-            if len({v > 0 for _, v in entries}) == 1:
-                pins.append((i, [j for j, _ in entries]))
-                for j, _ in entries:
+            if len({v > 0 for v in map(a[i].__getitem__, support)}) == 1:
+                pins.append((i, support))
+                for j in support:
                     live[j] = False
                 found = True
             else:
-                rest.append((i, entries))
+                rest.append((i, support))
         candidates = rest
-    cols = [j for j in range(n) if live[j]]
-    rows = [i for i in range(m) if b[i] != 0 or any(a[i][j] for j in cols)]
+    cols = list(compress(range(n), live))
+    rows = [i for i in range(m) if b[i] != 0 or any(map(a[i].__getitem__, cols))]
     if not rows:
         return list(range(n)), list(range(m)), []
     return cols, rows, pins
@@ -274,7 +287,7 @@ def _check_presolve(
     each dropped row is zero on the kept columns with right-hand side 0."""
     dropped: set[int] = set()
     for i, pinned in pins:
-        support = [j for j, v in enumerate(a[i]) if v and j not in dropped]
+        support = [j for j in compress(range(len(a[i])), a[i]) if j not in dropped]
         if b[i] != 0 or support != pinned or len({a[i][j] > 0 for j in support}) != 1:
             raise InternalCheckError(f"presolve: row {i} does not pin {pinned}")
         dropped.update(support)
@@ -282,7 +295,7 @@ def _check_presolve(
         raise InternalCheckError("presolve dropped a column no row forces to zero")
     kept = set(rows)
     for i in range(len(a)):
-        if i not in kept and (b[i] != 0 or any(a[i][j] for j in cols)):
+        if i not in kept and (b[i] != 0 or any(map(a[i].__getitem__, cols))):
             raise InternalCheckError(f"presolve dropped the nonzero row {i}")
 
 

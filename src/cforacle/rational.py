@@ -1,8 +1,10 @@
 """Small exact linear-algebra toolkit over the rationals.
 
-:func:`pivot` is the package's only row operation: :func:`rref` (and so
-:func:`solve_unique` and :func:`nullspace`) and every simplex pivot and
-pricing step in :mod:`cforacle.lp` go through it.
+:func:`pivot` is the package's one Gauss-Jordan step: :func:`rref` (and
+so :func:`solve_unique` and :func:`nullspace`) and every simplex pivot in
+:mod:`cforacle.lp` go through it.  Pricing there subtracts basic rows from
+the cost row in one integer combination, which gives the row that a
+:func:`pivot` on each of them would.
 
 The kernel is fraction-free: a row is a list of Python ``int`` plus one
 positive ``int`` denominator, and stands for ``row / den``.  After each

@@ -3,9 +3,13 @@
 For the LP tests, independent of :mod:`cforacle.lp`: brute-force vertex
 enumeration, and the ``Fraction`` tableau that the fraction-free kernel
 replaced (every entry a ``Fraction``, every row update a ``Fraction``
-Gauss-Jordan step, with the library's pricing rule).  For the event
-systems: every one-way and two-way event, of which ``build_constraints``
-emits a basis plus the zero events.  For the binary probe solve: the
+Gauss-Jordan step, with the library's pricing rule); and for the reduced
+costs, which the library forms as one integer combination of the basic
+rows, one ``rational.pivot`` per basic row.  For the event systems: every
+one-way and two-way event, of which ``build_constraints`` emits a basis
+plus the zero events; and for an event row, which the library grows by
+tuple repetition from the last input outward, the AND of one full-length
+run tuple per pair.  For the binary probe solve: the
 elimination on the 4x4 scenario matrix that its cached inverse
 replaced.  For the counterfactual core: the three-step
 abduction/action/prediction route, the observational side of a
@@ -21,8 +25,10 @@ replaced.  For the table sampler, which draws one chunk ahead on a
 helper thread and looks draws up through a bucket table: one serial draw
 of the whole stream and a full binary search per draw."""
 
+import operator
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -45,7 +51,7 @@ from cforacle.core import event_indicator
 from cforacle.errors import ExtractionError, ValidationError
 from cforacle.identify import BINARY_SCENARIOS, scenario_coefficient
 from cforacle.quantum import EXTRACTION_TOL, STATE_TOL
-from cforacle.rational import rref, solve_unique
+from cforacle.rational import pivot, rref, solve_unique
 from cforacle.reproduce import affine_ternary_model, uniform_ternary_model
 from conftest import random_distribution
 
@@ -139,6 +145,15 @@ def fraction_price(tableau, basis):
             fraction_pivot(tableau, i, bvar)
 
 
+def pivot_price(rows, dens, basis):
+    """``lp._price`` of the integer tableau ``(rows, dens)``: one
+    ``rational.pivot`` on each basic row whose column the cost row does
+    not yet clear."""
+    for i, bvar in enumerate(basis):
+        if rows[-1][bvar]:
+            pivot(rows, dens, i, bvar)
+
+
 def fraction_phase1(c, a, b):
     m, n = len(a), len(a[0])
     signs = [-1 if v < 0 else 1 for v in b]
@@ -203,6 +218,18 @@ def events(n_x, n_y, level):
             for y_prime in range(n_y)
         ]
     return found
+
+
+def run_and_indicator(n_x, n_y, pairs):
+    """``core.event_indicator`` for pairs in range: ``{f(x) = y}`` is a run
+    of n_y**(n_x-1-x) ones at offset y in each block of n_y**(n_x-x)
+    tables, and the row is the entrywise AND of one such tuple per pair."""
+    runs = []
+    for x, y in pairs:
+        run = n_y ** (n_x - 1 - x)
+        block = (0,) * (y * run) + (1,) * run + (0,) * ((n_y - 1 - y) * run)
+        runs.append(block * n_y**x)
+    return tuple(reduce(partial(map, operator.and_), runs, (1,) * n_y**n_x))
 
 
 def full_event_system(pF, level):

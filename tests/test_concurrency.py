@@ -2,7 +2,9 @@
 
 Four threads run a fixed mix of calls for a few rounds; two of the calls
 start a helper thread each.  Two others share one distribution whose
-output store is not built yet, so the threads race its lazy build.
+output store is not built yet, so the threads race its lazy build, and
+two share one two-way constraint system, on which ``is_identifiable``
+runs the face walk.
 Every result must equal its serial value bit for bit, and no thread may
 outlive the run."""
 
@@ -20,6 +22,7 @@ from cforacle import (
     build_constraints,
     build_rho_xy,
     estimate_conditionals,
+    is_identifiable,
     lp_bounds,
     simulate_log,
     solve_binary_pF,
@@ -70,6 +73,11 @@ def the_mix(shared):
         result = lp_bounds(target, system)
         return result.lo, result.hi
 
+    def identify():
+        result = is_identifiable(target, system)
+        witnesses = (result.witness_lo, result.witness_hi)
+        return result.identifiable, result.bounds, [repr(w) for w in witnesses]
+
     return {
         "build_rho_xy": rho_bytes,
         "tomography_sweep": sweep,
@@ -78,6 +86,7 @@ def the_mix(shared):
         "simulate_log": simulate,
         "estimate_conditionals": estimate,
         "lp_bounds": bounds,
+        "is_identifiable": identify,
     }
 
 

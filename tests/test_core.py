@@ -8,6 +8,8 @@ from itertools import combinations, compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforacle import (
     ConfoundedModel,
@@ -36,7 +38,12 @@ from conftest import (
     brute_force_joint,
     product_model,
 )
-from reference import abduct_act_predict, input_marginal, observational_joint
+from reference import (
+    abduct_act_predict,
+    input_marginal,
+    observational_joint,
+    run_and_indicator,
+)
 
 F = Fraction
 
@@ -134,6 +141,22 @@ class TestEventIndicator:
             assert event_indicator(n_x, n_y, pairs) == reference_indicator(
                 tables[n_x, n_y], pairs
             )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_equal_the_run_and_reference(self, data):
+        n_x, n_y = data.draw(st.sampled_from(SHAPES))
+        output = st.integers(0, n_y - 1)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n_x - 1), output),
+                                   max_size=n_x + 2))
+        if pairs:  # a pair again, and one input again with any output
+            pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+            x, _ = data.draw(st.sampled_from(pairs))
+            pairs.append((x, data.draw(output)))
+        row = event_indicator(n_x, n_y, pairs)
+        expected = run_and_indicator(n_x, n_y, pairs)
+        assert type(row) is tuple and row == expected
+        assert list(map(type, row)) == list(map(type, expected))
 
     def test_no_pairs_and_out_of_range_pairs(self):
         assert event_indicator(2, 3, ()) == (1,) * 9

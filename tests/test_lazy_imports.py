@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cforacle
+from cforacle import cli, reproduce
 from cforacle.cli import main
 
 PACKAGE = Path(cforacle.__file__).resolve().parent
@@ -204,6 +205,30 @@ def test_bare_cli_import_loads_no_numpy_layer():
     )
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.decode().splitlines() == ["[]", "True True"]
+
+
+def test_reproduce_choices_are_the_scenarios():
+    assert cli._SCENARIO_NAMES == tuple(sorted(reproduce.SCENARIOS))
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_float_commands_load_no_scenario_layer(command):
+    # a fresh interpreter, as in test_bare_cli_import_loads_no_numpy_layer
+    argv = [command, "--model", "uniform2.json"]
+    argv += ["--queries", "3"] if command == "simulate" else []
+    result = run_python(
+        "-c",
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from cforacle.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, sorted({'cforacle.reproduce', 'cforacle.report'}"
+        " & set(sys.modules)))\n",
+        *argv,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode() == "0 []\n"
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cforacle import (
     Bounds,
@@ -42,6 +45,7 @@ from reference import (
     full_event_system,
     ladder,
     lexmin_by_enumeration,
+    pivot_price,
     random_and_sparse,
     vertex_range,
     vertices,
@@ -454,6 +458,81 @@ def test_face_walk_matches_the_fraction_reference_on_witness_systems(c, a, b):
     assert list(lexmin_optimal_range(c, a, b)) == expected
 
 
+# --- Pricing: one integer combination of the basic rows, against one
+# rational.pivot per basic row.
+
+
+def priced(price, rows, dens, basis):
+    """``(rows, dens)`` after ``price`` on copies of the tableau."""
+    rows, dens = [list(row) for row in rows], list(dens)
+    price(rows, dens, list(basis))
+    return rows, dens
+
+
+def priced_tableaux(c, a, b):
+    """Copies of every tableau that ``lp._price`` is handed while both
+    witnesses of ``(c, a, b)`` are searched: the phase-1 start, then, on a
+    feasible system, the phase-2 cost row of ``c`` and the face walks'
+    unit rows."""
+    seen = []
+    real = lp._price
+
+    def spy(rows, dens, basis):
+        seen.append(([list(row) for row in rows], list(dens), list(basis)))
+        real(rows, dens, basis)
+
+    with mock.patch.object(lp, "_price", spy):
+        try:
+            lexmin_optimal_range(c, a, b)
+        except (InfeasibleSystemError, UnboundedProgramError):
+            pass
+    return seen
+
+
+def assert_prices_alike(rows, dens, basis):
+    assert priced(lp._price, rows, dens, basis) == priced(
+        pivot_price, rows, dens, basis
+    )
+
+
+PRICING = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@PRICING
+@given(st.integers(0, 2**32))
+def test_price_matches_a_pivot_per_row_at_the_phase1_start(seed):
+    tableaux = priced_tableaux(*random_system(random.Random(seed)))
+    assert_prices_alike(*tableaux[0])
+
+
+@PRICING
+@given(st.integers(0, 2**32), st.data())
+def test_price_matches_a_pivot_per_row_with_a_phase2_cost(seed, data):
+    tableaux = priced_tableaux(*random_system(random.Random(seed)))
+    if len(tableaux) > 1:
+        rows, dens, basis = tableaux[1]
+        assert_prices_alike(rows, dens, basis)  # the cost row of c
+        n = len(rows[0]) - 1
+        rows[-1] = data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+        rows[-1].append(0)
+        dens[-1] = data.draw(st.integers(1, 12))
+        assert_prices_alike(rows, dens, basis)
+
+
+@PRICING
+@given(st.integers(0, 2**32))
+def test_price_matches_a_pivot_per_row_on_face_walk_unit_rows(seed):
+    tableaux = priced_tableaux(*random_system(random.Random(seed)))
+    for rows, dens, basis in tableaux[2:]:  # the face walks' own
+        assert_prices_alike(rows, dens, basis)
+    if len(tableaux) > 1:
+        rows, dens, basis = tableaux[1]
+        n = len(rows[0]) - 1
+        for j in range(n):
+            rows[-1], dens[-1] = [int(k == j) for k in range(n + 1)], 1
+            assert_prices_alike(rows, dens, basis)
+
+
 # --- Presolve (objective_range, lexmin_optimal_*, simplex_minimize),
 # checked against the same pricing on the full system.
 
@@ -587,7 +666,7 @@ def test_event_basis_has_the_solutions_of_every_event(model, level, pairs):
 
 def test_tail_two_way_bounds_take_few_pivots(monkeypatch):
     # guards presolve strength: with every event row (no basis) these took
-    # 54, 54 and 64 pivots
+    # 54, 54 and 64 pivots, counted when pricing also pivoted
     pivots = 0
     real_pivot = lp.pivot
 
@@ -608,7 +687,7 @@ def test_tail_two_way_bounds_take_few_pivots(monkeypatch):
         assert lp_bounds(LinearTarget.from_query(query, n, 2), system) == Bounds(
             0, F(1, 4)
         )
-        assert pivots <= 18, (tail, pivots)
+        assert pivots <= 10, (tail, pivots)
 
 
 def test_presolve_drops_forced_zero_columns_of_a_tail_model():
