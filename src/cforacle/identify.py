@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -182,9 +182,10 @@ class LinearTarget:
         n_x, n_y = _cardinalities(n_x, n_y)
         query.validate_for(n_x, n_y)
         _check_size(f"{_describe_power(n_y, n_x)} target coefficients", n_y, n_x)
-        target = cls(_event_row(n_x, n_y, query.pairs))
-        object.__setattr__(target, "source", (query, n_x, n_y))
-        return target
+        return _built(
+            cls, coefficients=_event_row(n_x, n_y, query.pairs),
+            source=(query, n_x, n_y),
+        )
 
     def value_on(self, pF: FunctionDistribution) -> Fraction:
         if not _is_power(len(self.coefficients), pF.n_y, pF.n_x):
@@ -195,6 +196,19 @@ class LinearTarget:
         # the coefficients on the support over their own one denominator
         coeffs, den = int_row([self.coefficients[t.index] for t in pF.weights])
         return Fraction(sum(map(operator.mul, coeffs, pF._nums)), den * pF._den)
+
+
+def _built(cls, **values):
+    """A ``cls``, :class:`ConstraintSystem` or :class:`LinearTarget`, with
+    its fields set to ``values`` (a field not given keeps its default),
+    built without ``__post_init__``: the package's own systems and targets
+    only, whose coefficients are ``int`` 0/1 and right-hand sides
+    ``Fraction``, n_y**n_x of them per row, with the normalization row
+    once, so the checks would keep every entry as it is."""
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values.get(f.name, f.default))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -283,11 +297,12 @@ def build_constraints(
         for pairs, count in events
     ]
     rows.append(((1,) * n_y**n_x, Fraction(1)))
-    system = ConstraintSystem(n_x, n_y, tuple(rows))
-    if not two_way:
-        marginals = tuple(tuple(Fraction(c, den) for c in counts) for counts in one)
-        object.__setattr__(system, "marginals", marginals)
-    return system
+    marginals = None if two_way else tuple(
+        tuple(Fraction(c, den) for c in counts) for counts in one
+    )
+    return _built(
+        ConstraintSystem, n_x=n_x, n_y=n_y, rows=tuple(rows), marginals=marginals
+    )
 
 
 #: The three binary probe settings that pin down a 2 -> 2 distribution:

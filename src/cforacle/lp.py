@@ -7,13 +7,17 @@ denominator, kept in lowest terms, so every entry has the rational value
 a :class:`fractions.Fraction` tableau would hold and every pivot choice is
 the same.  Phase 1 scales each ``[a_i | b_i]`` and ``c`` once by the lcm
 of their denominators; :class:`~fractions.Fraction` values are built only
-for what is returned (solutions, optima, certificates).  Pricing takes
-no pivot: the basic rows are unit columns, so one integer combination of
-them gives the reduced costs a pivot on each would.  Phase 1 finds a
-feasible basis once; each objective is then optimized from the current
-basis of that one tableau.  The lexicographic witness search walks the
-optimal face in place, adding no rows and never restarting; the
-witnesses for both directions share one phase 1.
+for what is returned (solutions, optima, certificates).  Its artificial
+variables are basis markers with no column: only the original columns
+are priced, so an artificial that leaves the basis never re-enters, and
+the tableau is never wider than ``A``.  On an infeasible system the
+Farkas certificate is solved for once, exactly, from the final basis.
+Pricing takes no pivot: the basic rows are unit columns, so one integer
+combination of them gives the reduced costs a pivot on each would.
+Phase 1 finds a feasible basis once; each objective is then optimized
+from the current basis of that one tableau.  The lexicographic witness
+search walks the optimal face in place, adding no rows and never
+restarting; the witnesses for both directions share one phase 1.
 
 Every entry point first presolves: a row with right-hand side 0 and
 coefficients of one sign forces its columns to zero, so those columns,
@@ -50,6 +54,7 @@ from .rational import (
     int_row,
     pivot,
     reduce_row,
+    solve_unique,
 )
 
 _ZERO = Fraction(0)
@@ -149,42 +154,40 @@ def _phase1(
 ) -> tuple[IntMatrix, list[int], list[int]]:
     """Phase 1: a feasible tableau of ``{A x = b, x >= 0}`` and its basis,
     on the original columns, redundant rows dropped, cost row of ``c`` last.
-    Raises :class:`InfeasibleSystemError` with a Farkas certificate."""
+    Raises :class:`InfeasibleSystemError` with a Farkas certificate.
+
+    The artificial variables have no column: artificial i is the basis
+    marker ``n + i`` of row i, and only the n original columns are priced,
+    so an artificial that leaves the basis never re-enters.  The phase-1
+    cost row, the sum of the artificials priced against that basis, is
+    minus the sum of the rows."""
     m, n = len(a), len(a[0])
-    # Artificials form the starting basis; rows with b_i < 0 are negated.
-    # Row i is [a_i | b_i] over the lcm of its denominators, so the
-    # artificial's unit entry is that lcm.
+    # Rows with b_i < 0 are negated.  Row i is [a_i | b_i] over the lcm of
+    # its denominators, which int_row leaves in lowest terms.
     signs = [-1 if v < 0 else 1 for v in b]
-    width = n + m
     rows: IntMatrix = []
     dens: list[int] = []
     for i, sign in enumerate(signs):
         ints, den = int_row([*a[i], b[i]])
-        if sign < 0:
-            ints = [-v for v in ints]
-        unit = [den if k == i else 0 for k in range(m)]
-        rows.append(ints[:n] + unit + ints[n:])
+        rows.append([-v for v in ints] if sign < 0 else ints)
         dens.append(den)
     basis = [n + i for i in range(m)]
-    rows.append([0] * n + [1] * m + [0])
-    dens.append(1)
-    _price(rows, dens, basis)
-    _iterate(rows, dens, basis, width)
+    den = lcm(*dens)
+    cost = [0] * (n + 1)
+    for row, row_den in zip(rows, dens):
+        cost = list(map(sub, cost, map((den // row_den).__mul__, row)))
+    rows.append(cost)
+    dens.append(reduce_row(cost, den))
+    _iterate(rows, dens, basis, n)
 
     cost, cost_den = rows[m], dens[m]
     if cost[-1] < 0:
         value1 = Fraction(-cost[-1], cost_den)
-        # y_k = sign_k (c_B B^-1)_k, and the artificial column n+k of the
-        # cost row holds 1 - (c_B B^-1)_k.
-        certificate = [
-            signs[k] * Fraction(cost_den - cost[n + k], cost_den) for k in range(m)
-        ]
-        _check_certificate(certificate, a, b)
         raise InfeasibleSystemError(
             "constraint system is infeasible (phase-1 residual "
             f"{_describe_rational(value1)})",
             residual=value1,
-            certificate=certificate,
+            certificate=_phase1_certificate(a, b, signs, basis),
         )
 
     # Drive artificial variables out of the basis; drop redundant rows.
@@ -197,14 +200,34 @@ def _phase1(
             pivot(rows, dens, i, enter)
             basis[i] = enter
         keep.append(i)
-    rows2: IntMatrix = [rows[i][:n] + rows[i][-1:] for i in keep]
-    dens2 = [reduce_row(row, dens[i]) for row, i in zip(rows2, keep)]
     cost_ints, cost_den = int_row([*c, 0])
-    rows2.append(cost_ints)
-    dens2.append(cost_den)
+    rows2 = [rows[i] for i in keep] + [cost_ints]
+    dens2 = [dens[i] for i in keep] + [cost_den]
     basis2 = [basis[i] for i in keep]
     _price(rows2, dens2, basis2)
     return rows2, dens2, basis2
+
+
+def _phase1_certificate(
+    a: Matrix, b: Vector, signs: list[int], basis: list[int]
+) -> Vector:
+    """The Farkas certificate of an infeasible phase 1 that ended at
+    ``basis``: ``y = c_B B^-1`` on the sign-adjusted system, with ``c_B``
+    1 on the artificials and 0 elsewhere, signed back to ``(A, b)`` and
+    checked there."""
+    m, n = len(a), len(a[0])
+    # row k of B^T is the column of basis[k]: a_j signed, or the unit e_i
+    columns = [
+        [signs[i] * a[i][j] for i in range(m)] if j < n
+        else [int(i == j - n) for i in range(m)]
+        for j in basis
+    ]
+    y = solve_unique(columns, [Fraction(int(j >= n)) for j in basis])
+    if y is None:
+        raise InternalCheckError("phase 1 ended on a singular basis")
+    certificate = [sign * v for sign, v in zip(signs, y)]
+    _check_certificate(certificate, a, b)
+    return certificate
 
 
 def _dot(u: Vector, v: Vector) -> Fraction:

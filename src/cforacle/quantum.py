@@ -167,7 +167,7 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     :class:`EnumerationCapError`, before allocating, when the matrix would
     have more entries than the enumeration cap.  The states are formed and
     summed ``_STATE_ROWS`` tables at a time, read off the distribution's
-    output store.
+    output store and its kept float weights.
     """
     if alpha.n_x != pF.n_x:
         raise ValidationError(
@@ -178,8 +178,7 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     _check_size(f"entries of a {shown} x {shown} density matrix", dim, 2)
     store = pF._output_store()
     outputs = np.frombuffer(store, dtype=store.typecode).reshape(-1, pF.n_x)
-    # int true division is correctly rounded, so each weight is float(w)
-    weights = np.array([num / pF._den for num in pF._nums])
+    weights = np.frombuffer(pF._float_weights(), dtype=np.float64)
     rho = None
     for start in range(0, len(weights), _STATE_ROWS):
         rows = slice(start, start + _STATE_ROWS)

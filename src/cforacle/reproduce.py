@@ -260,7 +260,7 @@ def scenario_binary() -> ReproductionReport:
     report.check(
         "two-way: same target becomes identifiable",
         True,
-        is_identifiable(target, two_way).identifiable,
+        lp_bounds(target, two_way).width == 0,
     )
     recovered = solve_binary_pF(*binary_forward_measurements(truth))
     report.check("probe statistics invert to the true model", truth, recovered)
@@ -301,17 +301,17 @@ def scenario_model_ab() -> ReproductionReport:
     )
     system = build_constraints(model_a, ConstraintLevel.TWO_WAY)
     target = LinearTarget.from_query(diagonal, 3, 3)
-    result = is_identifiable(target, system)
+    bounds = lp_bounds(target, system)
     report.check(
         "three-way target not identifiable from two-way data",
         False,
-        result.identifiable,
+        bounds.width == 0,
     )
     report.check_that(
         "both model values lie inside the two-way bounds",
-        result.bounds.lo <= Fraction(1, 27) <= result.bounds.hi
-        and result.bounds.lo <= ninth <= result.bounds.hi,
-        (result.bounds.lo, result.bounds.hi),
+        bounds.lo <= Fraction(1, 27) <= bounds.hi
+        and bounds.lo <= ninth <= bounds.hi,
+        (bounds.lo, bounds.hi),
     )
     return report
 

@@ -3,7 +3,9 @@
 For the LP tests, independent of :mod:`cforacle.lp`: brute-force vertex
 enumeration, and the ``Fraction`` tableau that the fraction-free kernel
 replaced (every entry a ``Fraction``, every row update a ``Fraction``
-Gauss-Jordan step, with the library's pricing rule); and for the reduced
+Gauss-Jordan step, with the library's pricing rule), whose phase 1 also
+runs in the wide form, with priced artificial columns, that the library's
+narrow phase 1 replaced; and for the reduced
 costs, which the library forms as one integer combination of the basic
 rows, one ``rational.pivot`` per basic row.  For the event systems: every
 one-way and two-way event, of which ``build_constraints`` emits a basis
@@ -154,7 +156,13 @@ def pivot_price(rows, dens, basis):
             pivot(rows, dens, i, bvar)
 
 
-def fraction_phase1(c, a, b):
+def fraction_phase1(c, a, b, wide=False):
+    """``lp._phase1`` on a ``Fraction`` tableau that keeps the artificial
+    columns.  Only the original columns are priced, so an artificial that
+    leaves the basis never re-enters, as in the library; the artificial
+    columns carry ``B^-1``, from which an infeasible system's certificate
+    is read.  With ``wide``, the artificial columns are priced too, as in
+    the two-phase method the library's narrow phase 1 replaced."""
     m, n = len(a), len(a[0])
     signs = [-1 if v < 0 else 1 for v in b]
     # Fraction entries even for int rows, whose int/int pivots would be floats
@@ -167,7 +175,7 @@ def fraction_phase1(c, a, b):
     basis = [n + i for i in range(m)]
     tableau.append([F(0)] * n + [F(1)] * m + [F(0)])
     fraction_price(tableau, basis)
-    fraction_iterate(tableau, basis, n + m)
+    fraction_iterate(tableau, basis, n + m if wide else n)
     value1 = -tableau[m][-1]
     if value1 > 0:
         certificate = [signs[k] * (1 - tableau[m][n + k]) for k in range(m)]

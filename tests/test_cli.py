@@ -18,14 +18,16 @@ from cforacle import (
     ValidationError,
     cli,
     core,
+    build_constraints,
     identify,
+    lp,
     quantum,
     save_model,
 )
 from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
-from cforacle.reproduce import run_scenario
+from cforacle.reproduce import mix_identity_flip, run_scenario
 from conftest import assert_same_rows
 
 
@@ -124,6 +126,28 @@ class TestReproduce:
         code, out, _ = run_cli(capsys, "reproduce", scenario)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_DIGESTS[scenario]
+
+    @pytest.mark.parametrize(
+        "scenario, levels", [("model_ab", []), ("binary", ["one-way"] * 2)]
+    )
+    def test_only_witnesses_the_report_reads_are_searched(
+        self, capsys, monkeypatch, scenario, levels
+    ):
+        # model_ab and binary's two-way check ask for a width only, so the
+        # face walk runs for binary's two one-way witnesses alone
+        walked = []
+        real = lp._face_walk
+
+        def spy(rows, dens, basis, cols, c, a, b):
+            walked.append((a, b))
+            return real(rows, dens, basis, cols, c, a, b)
+
+        monkeypatch.setattr(lp, "_face_walk", spy)
+        code, out, _ = run_cli(capsys, "reproduce", scenario)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_DIGESTS[scenario]
+        truth = mix_identity_flip()
+        assert walked == [build_constraints(truth, level).matrix() for level in levels]
 
     @pytest.mark.parametrize(
         "example",

@@ -471,9 +471,8 @@ def priced(price, rows, dens, basis):
 
 def priced_tableaux(c, a, b):
     """Copies of every tableau that ``lp._price`` is handed while both
-    witnesses of ``(c, a, b)`` are searched: the phase-1 start, then, on a
-    feasible system, the phase-2 cost row of ``c`` and the face walks'
-    unit rows."""
+    witnesses of ``(c, a, b)`` are searched: on a feasible system, the
+    phase-2 cost row of ``c``, then the face walks' unit rows."""
     seen = []
     real = lp._price
 
@@ -489,6 +488,45 @@ def priced_tableaux(c, a, b):
     return seen
 
 
+def phase1_start(c, a, b):
+    """A copy of the tableau and basis that ``lp._phase1`` hands to its
+    first ``lp._iterate``: the rows of ``(a, b)`` and the phase-1 cost row."""
+    seen = []
+    real = lp._iterate
+
+    def spy(rows, dens, basis, *args):
+        if not seen:
+            seen.append(([list(row) for row in rows], list(dens), list(basis)))
+        real(rows, dens, basis, *args)
+
+    with mock.patch.object(lp, "_iterate", spy):
+        try:
+            lp._phase1(c, a, b)
+        except InfeasibleSystemError:
+            pass
+    return seen[0]
+
+
+def wide_phase1_start(a, b):
+    """The phase-1 start with artificial columns, in integer form: row i
+    is ``[a_i | d_i e_i | b_i]`` over the lcm d_i of its denominators,
+    negated where b_i < 0, and the cost row of the artificials,
+    ``[0 | 1 | 0]``, priced by one ``rational.pivot`` per basic row."""
+    m, n = len(a), len(a[0])
+    rows, dens = [], []
+    for i in range(m):
+        ints, den = rational.int_row([*a[i], b[i]])
+        if b[i] < 0:
+            ints = [-v for v in ints]
+        rows.append(ints[:n] + [den if k == i else 0 for k in range(m)] + ints[n:])
+        dens.append(den)
+    rows.append([0] * n + [1] * m + [0])
+    dens.append(1)
+    basis = [n + i for i in range(m)]
+    pivot_price(rows, dens, basis)
+    return rows, dens, basis
+
+
 def assert_prices_alike(rows, dens, basis):
     assert priced(lp._price, rows, dens, basis) == priced(
         pivot_price, rows, dens, basis
@@ -501,16 +539,22 @@ PRICING = settings(max_examples=150, deadline=None, derandomize=True)
 @PRICING
 @given(st.integers(0, 2**32))
 def test_price_matches_a_pivot_per_row_at_the_phase1_start(seed):
-    tableaux = priced_tableaux(*random_system(random.Random(seed)))
-    assert_prices_alike(*tableaux[0])
+    # the narrow start, minus the sum of the rows, is the wide start
+    # without its artificial columns, which pricing has cleared
+    c, a, b = random_system(random.Random(seed))
+    m, n = len(a), len(a[0])
+    rows, dens, basis = wide_phase1_start(a, b)
+    assert all(v == 0 for v in rows[-1][n : n + m])
+    narrow = [row[:n] + row[n + m :] for row in rows]
+    assert phase1_start(c, a, b) == (narrow, dens, basis)
 
 
 @PRICING
 @given(st.integers(0, 2**32), st.data())
 def test_price_matches_a_pivot_per_row_with_a_phase2_cost(seed, data):
     tableaux = priced_tableaux(*random_system(random.Random(seed)))
-    if len(tableaux) > 1:
-        rows, dens, basis = tableaux[1]
+    if tableaux:
+        rows, dens, basis = tableaux[0]
         assert_prices_alike(rows, dens, basis)  # the cost row of c
         n = len(rows[0]) - 1
         rows[-1] = data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
@@ -523,10 +567,10 @@ def test_price_matches_a_pivot_per_row_with_a_phase2_cost(seed, data):
 @given(st.integers(0, 2**32))
 def test_price_matches_a_pivot_per_row_on_face_walk_unit_rows(seed):
     tableaux = priced_tableaux(*random_system(random.Random(seed)))
-    for rows, dens, basis in tableaux[2:]:  # the face walks' own
+    for rows, dens, basis in tableaux[1:]:  # the face walks' own
         assert_prices_alike(rows, dens, basis)
-    if len(tableaux) > 1:
-        rows, dens, basis = tableaux[1]
+    if tableaux:
+        rows, dens, basis = tableaux[0]
         n = len(rows[0]) - 1
         for j in range(n):
             rows[-1], dens[-1] = [int(k == j) for k in range(n + 1)], 1
@@ -565,6 +609,39 @@ def assert_full_certificate(err, a, b):
     assert sum(p * q for p, q in zip(y, b)) > 0
     for j in range(len(a[0])):
         assert sum(y[i] * a[i][j] for i in range(len(a))) <= 0
+
+
+def wide_reference(c, a, b):
+    """Bounds and both lexicographic witnesses from the wide ``Fraction``
+    phase 1, whose artificial columns may re-enter, and
+    ``fraction_face_walk``, on the full system: ``((lo, hi), (x_lo, x_hi))``."""
+    witnesses = tuple(
+        fraction_face_walk(*fraction_phase1(d, a, b, wide=True), len(c))[0]
+        for d in (c, [-v for v in c])
+    )
+    lo, hi = (sum(p * q for p, q in zip(c, x)) for x in witnesses)
+    return (lo, hi), witnesses
+
+
+def test_narrow_phase1_matches_the_wide_reference_on_random_systems():
+    # the two may take other pivots and, on an infeasible system, give
+    # other certificates; the outcome, bounds and witnesses are unique
+    rng = random.Random(1983)
+    kinds = {"solved": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        c, a, b = random_system(rng)
+        reference = outcome(wide_reference, c, a, b)
+        got = outcome(full_system_reference, c, a, b)
+        bounds = outcome(objective_range, c, a, b)
+        assert (got[0], bounds[0]) == (reference[0], reference[0])
+        if reference[0] == "solved":
+            assert got[1] == reference[1]
+            assert bounds[1] == reference[1][0]
+        elif reference[0] == "infeasible":
+            for err in (reference[1], got[1], bounds[1]):
+                assert_full_certificate(err, a, b)
+        kinds[reference[0]] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def assert_matches_full_system(c, a, b):

@@ -1,10 +1,12 @@
 """Validation happens once, at the boundary.
 
 The package's own constructors build distributions through one private
-trusted path, ``core._trusted``, which does not check again; these tests
-show that it builds what the checked constructors build, and list every
-caller, so that no route from user input reaches it unnoticed.  Tables
-hash once, and a distribution keeps one output store."""
+trusted path, ``core._trusted``, and their constraint systems and
+targets through another, ``identify._built``; neither checks again.
+These tests show that each builds what the checked constructors build,
+and list every caller, so that no route from user input reaches them
+unnoticed.  Tables hash once, and a distribution keeps one output store
+and one store of float weights."""
 
 import ast
 import dataclasses
@@ -22,10 +24,14 @@ from hypothesis import strategies as st
 import cforacle
 from cforacle import (
     ConfoundedModel,
+    ConstraintSystem,
+    CounterfactualQuery,
     DomainError,
     FunctionDistribution,
     FunctionTable,
+    LinearTarget,
     ToyEpistemicState,
+    build_constraints,
     enumerate_functions,
 )
 from cforacle.core import _trusted
@@ -120,7 +126,36 @@ def test_the_package_built_constructors_match_the_checked_path():
         same_object(FunctionDistribution.uniform(n_x, n_y), checked, "weights")
 
 
-# Every caller of the trusted constructor, as module.qualified.name.  Each
+def entry_types(rows):
+    return [(tuple(map(type, coeffs)), type(rhs)) for coeffs, rhs in rows]
+
+
+@given(st.sampled_from(CARDS), st.sampled_from(["one-way", "two-way"]), st.data())
+@SETTINGS
+def test_a_trusted_system_and_target_are_the_checked_ones(cards, level, data):
+    n_x, n_y = cards
+    tables = enumerate_functions(n_x, n_y)
+    nums, den = data.draw(numerators(len(tables)))
+    model = FunctionDistribution(
+        n_x, n_y, {t: Fraction(num, den) for t, num in zip(tables, nums)}
+    )
+    trusted = build_constraints(model, level)
+    checked = ConstraintSystem(n_x, n_y, trusted.rows)
+    assert trusted == checked
+    assert entry_types(trusted.rows) == entry_types(checked.rows)
+    assert (type(trusted), repr(trusted)) == (type(checked), repr(checked))
+    inputs = data.draw(st.lists(st.integers(0, n_x - 1), min_size=1, unique=True))
+    pairs = tuple((x, data.draw(st.integers(0, n_y - 1))) for x in inputs)
+    target = LinearTarget.from_query(CounterfactualQuery(pairs), n_x, n_y)
+    checked_target = LinearTarget(target.coefficients)
+    assert target == checked_target
+    assert [type(c) for c in target.coefficients] == [
+        type(c) for c in checked_target.coefficients
+    ]
+    assert (type(target), repr(target)) == (type(checked_target), repr(checked_target))
+
+
+# Every caller of each trusted constructor, as module.qualified.name.  Each
 # builds from values the package made itself, never from a caller's input.
 TRUSTED_CALLERS = {
     "core.FunctionDistribution.uniform",
@@ -129,6 +164,7 @@ TRUSTED_CALLERS = {
     "identify.solve_binary_pF",
     "toy.apply_oracle_mixture",
 }
+BUILT_CALLERS = {"identify.LinearTarget.from_query", "identify.build_constraints"}
 
 
 def callers(name):
@@ -155,6 +191,7 @@ def callers(name):
 
 def test_the_trusted_constructor_has_only_the_listed_callers():
     assert callers("_trusted") == TRUSTED_CALLERS
+    assert callers("_built") == BUILT_CALLERS
 
 
 def test_every_table_hashes_as_the_generated_hash():
@@ -185,6 +222,19 @@ def test_the_output_store_is_row_major_and_kept():
     assert store.tolist() == [y for t in pF.support() for y in t.outputs]
     assert pF._output_store() is store
     assert "_store" not in {f.name for f in dataclasses.fields(pF)}
+    assert pF == FunctionDistribution(pF.n_x, pF.n_y, pF.weights)
+
+
+def test_the_float_weights_are_each_weight_rounded_and_kept():
+    pF = FunctionDistribution(2, 2, {
+        FunctionTable(2, 2, (0, 1)): Fraction(1, 3),
+        FunctionTable(2, 2, (1, 0)): Fraction(2, 3),
+    })
+    weights = pF._float_weights()
+    assert weights.typecode == "d"
+    assert weights.tolist() == [float(w) for w in pF.weights.values()]
+    assert pF._float_weights() is weights
+    assert "_floats" not in {f.name for f in dataclasses.fields(pF)}
     assert pF == FunctionDistribution(pF.n_x, pF.n_y, pF.weights)
 
 
