@@ -15,11 +15,9 @@ that no threshold splits holds a single table index, read straight off.
 Only draws in a split bucket (at most one bucket per threshold) are
 searched, so every draw gets the index a full binary search would give.
 
-Draws and the CSV are both made one ``_CHUNK_ROWS`` chunk at a time.
-While one chunk of draws is looked up, a helper thread draws the next
-(numpy releases the GIL while it draws); only one thread at a time uses
-the generator, one chunk after the other, so the stream is the serial
-one.  A chunk's CSV is one byte matrix per run of rows whose
+Draws and the CSV are both made one ``_CHUNK_ROWS`` chunk at a time, on
+the calling thread, each chunk drawn and then looked up, so the stream
+is the serial one.  A chunk's CSV is one byte matrix per run of rows whose
 ``query_index`` has one width: its low four digits are a slice of a
 tiled digit table, the digits above them are constant over each block
 of 10**4 rows, and one-digit x and y are written as
@@ -29,10 +27,8 @@ mixes widths (ten or more inputs or outputs).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -68,32 +64,6 @@ def make_rng(seed: int) -> np.random.Generator:
 def _chunk_sizes(total: int) -> list[int]:
     """``total`` rows split into ``_CHUNK_ROWS`` chunks, the last one short."""
     return [min(_CHUNK_ROWS, total - start) for start in range(0, total, _CHUNK_ROWS)]
-
-
-def _drawn_ahead(rng: np.random.Generator, sizes: list[int]) -> Iterator[np.ndarray]:
-    """The generator's next raw uint64 draws, one chunk per entry of
-    ``sizes``: chunk k + 1 is drawn on a helper thread while the caller
-    uses chunk k.  The thread starts a draw only once the one before it
-    has returned, and the caller never touches ``rng`` before the last
-    chunk is handed over, so the stream and the generator's final state
-    are those of one serial draw.  Draws that fit in one chunk in all
-    are made on the calling thread, where a thread would cost more than
-    it saves.  Close the iterator (``contextlib.closing``) so that the
-    thread is shut down however the caller leaves it."""
-    draw = functools.partial(rng.integers, 0, _SCALE, dtype=np.uint64)
-    if sum(sizes) <= _CHUNK_ROWS:
-        yield from map(draw, sizes)
-        return
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        pending = pool.submit(draw, sizes[0])
-        for size in sizes[1:]:
-            chunk = pending.result()
-            pending = pool.submit(draw, size)
-            yield chunk
-        yield pending.result()
-    finally:
-        pool.shutdown()
 
 
 @dataclass(eq=False)
@@ -253,29 +223,28 @@ class TableSampler:
         return indices
 
     def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The next ``size`` table indices, drawn in one call on the calling
-        thread: the stream that the chunked draws split."""
+        """The table indices of the generator's next ``size`` raw uint64
+        draws.  Every draw of the classical oracle goes through here, one
+        ``_CHUNK_ROWS`` chunk per call; the full-range stream is the same
+        however it is split."""
         return self._lookup(rng.integers(0, _SCALE, size=size, dtype=np.uint64))
 
     def draw_outputs(self, rng: np.random.Generator, x_in: np.ndarray) -> np.ndarray:
         """f(x_in[i]), x_in[i] in [0, n_x), a fresh table drawn per query.
 
-        Drawn, looked up and gathered one ``_CHUNK_ROWS`` chunk at a time,
-        the next chunk drawn ahead; the full-range uint64 stream is the
-        same however it is split."""
+        Drawn, looked up and gathered one ``_CHUNK_ROWS`` chunk at a time."""
         # a flat gather is about twice as fast as the 2-D one
         n_x = self.outputs.shape[1]
         flat = self.outputs.ravel()
         y_out = np.empty(len(x_in), dtype=np.int64)
         start = 0
-        with contextlib.closing(_drawn_ahead(rng, _chunk_sizes(len(x_in)))) as chunks:
-            for draws in chunks:
-                stop = start + len(draws)
-                cells = self._lookup(draws) * n_x + x_in[start:stop]
-                # every cell is in range; "clip" skips the buffered copy
-                # that take's default "raise" makes of its output
-                np.take(flat, cells, out=y_out[start:stop], mode="clip")
-                start = stop
+        for size in _chunk_sizes(len(x_in)):
+            stop = start + size
+            cells = self.draw_indices(rng, size) * n_x + x_in[start:stop]
+            # every cell is in range; "clip" skips the buffered copy
+            # that take's default "raise" makes of its output
+            np.take(flat, cells, out=y_out[start:stop], mode="clip")
+            start = stop
         return y_out
 
 
@@ -326,13 +295,12 @@ def estimate_conditionals(
     # each input's draws in chunks of their own; the full-range uint64
     # stream is the same however it is split
     sizes = _chunk_sizes(queries_per_x)
-    with contextlib.closing(_drawn_ahead(rng, sizes * pF.n_x)) as chunks:
-        for x in range(pF.n_x):
-            # draws per table
-            tally = np.zeros(len(sampler.outputs), dtype=np.int64)
-            for draws in itertools.islice(chunks, len(sizes)):
-                tally += np.bincount(sampler._lookup(draws), minlength=len(tally))
-            np.add.at(counts[x], sampler.outputs[:, x], tally)
+    for x in range(pF.n_x):
+        # draws per table
+        tally = np.zeros(len(sampler.outputs), dtype=np.int64)
+        for size in sizes:
+            tally += np.bincount(sampler.draw_indices(rng, size), minlength=len(tally))
+        np.add.at(counts[x], sampler.outputs[:, x], tally)
     p_hat = counts / float(queries_per_x)
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / queries_per_x)
     return ConditionalEstimates(counts, p_hat, std_err)

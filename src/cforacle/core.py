@@ -366,24 +366,13 @@ def enumerate_functions(n_x: int, n_y: int) -> list[FunctionTable]:
     ]
 
 
-def event_indicator(
-    n_x: int, n_y: int, pairs: Iterable[tuple[int, int]]
-) -> tuple[int, ...]:
-    """Entry k (an ``int``) is 1 if f_k(x) = y for every (x, y) in ``pairs``
-    and 0 otherwise.  f_k(x) is digit x of k in base n_y, most significant
-    first; the row is built by :func:`_event_row`, and no table is built."""
-    n_x, n_y = _cardinalities(n_x, n_y)
-    checked = [
-        (_as_index(x, "input", n_x), _as_index(y, "output", n_y)) for x, y in pairs
-    ]
-    return _event_row(n_x, n_y, checked)
-
-
 def _event_row(n_x: int, n_y: int, pairs) -> tuple[int, ...]:
-    """:func:`event_indicator` of checked ``int`` arguments.  From the last
-    input outward, a free input repeats the row n_y times and f(x) = y puts
-    it at block y of n_y blocks, the others zero; an input given two
-    outputs gives the all-zero row."""
+    """Entry k (an ``int``) is 1 if f_k(x) = y for every (x, y) in
+    ``pairs``, checked ``int`` arguments in range, and 0 otherwise; f_k(x)
+    is digit x of k in base n_y, most significant first, and no table is
+    built.  From the last input outward, a free input repeats the row n_y
+    times and f(x) = y puts it at block y of n_y blocks, the others zero;
+    an input given two outputs gives the all-zero row."""
     fixed: dict[int, int] = {}
     for x, y in pairs:
         if fixed.setdefault(x, y) != y:
@@ -457,24 +446,32 @@ def _set_weights(obj, name: str, checked: tuple[dict, tuple[int, ...], int]) -> 
     object.__setattr__(obj, "_den", den)
 
 
-def _trusted(cls, name: str, items: Iterable[tuple], den: int, **fields):
+def _built(cls, **values):
+    """A frozen dataclass ``cls`` whose fields, every one of them, are set
+    to ``values``, built without ``__post_init__``: the one unchecked
+    constructor, for objects the package made itself from values its
+    checks would keep as they are.  :func:`_trusted` builds distributions
+    through it, and ``identify`` its constraint systems and targets."""
+    obj = object.__new__(cls)
+    # a frozen dataclass without slots keeps its fields in its __dict__
+    vars(obj).update(values)
+    return obj
+
+
+def _trusted(cls, name: str, items: Iterable[tuple], den: int, **values):
     """A ``cls`` whose weights ``name`` are ``{key: num / den}`` over
-    ``items``, built without ``__post_init__``: the package's own
-    constructors only, whose keys are distinct, canonical and in canonical
-    order, whose numerators are nonnegative ``int``s summing to ``den``,
-    and whose other ``fields`` are checked.  Zero numerators are dropped
-    and the rest divided by their gcd with ``den``, so ``weights``,
-    ``_nums`` and ``_den`` are what :func:`_checked_weights` would give."""
+    ``items``, built by :func:`_built`: the package's own constructors
+    only, whose keys are distinct, canonical and in canonical order, whose
+    numerators are nonnegative ``int``s summing to ``den``, and whose other
+    field ``values`` are checked.  Zero numerators are dropped and the rest
+    divided by their gcd with ``den``, so ``weights``, ``_nums`` and
+    ``_den`` are what :func:`_checked_weights` would give."""
     kept = [(key, num) for key, num in items if num]
     divisor = gcd(den, *(num for _, num in kept))
     nums = tuple(num // divisor for _, num in kept)
     den //= divisor
-    obj = object.__new__(cls)
-    for field_name, value in fields.items():
-        object.__setattr__(obj, field_name, value)
     weights = {key: Fraction(num, den) for (key, _), num in zip(kept, nums)}
-    _set_weights(obj, name, (weights, nums, den))
-    return obj
+    return _built(cls, **values, **{name: weights, "_nums": nums, "_den": den})
 
 
 #: Item types of a distribution's output store, smallest first: signed, so

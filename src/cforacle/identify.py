@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -31,6 +31,7 @@ from .core import (
     FunctionDistribution,
     FunctionTable,
     _as_fraction,
+    _built,
     _cardinalities,
     _check_size,
     _describe_count,
@@ -196,19 +197,6 @@ class LinearTarget:
         # the coefficients on the support over their own one denominator
         coeffs, den = int_row([self.coefficients[t.index] for t in pF.weights])
         return Fraction(sum(map(operator.mul, coeffs, pF._nums)), den * pF._den)
-
-
-def _built(cls, **values):
-    """A ``cls``, :class:`ConstraintSystem` or :class:`LinearTarget`, with
-    its fields set to ``values`` (a field not given keeps its default),
-    built without ``__post_init__``: the package's own systems and targets
-    only, whose coefficients are ``int`` 0/1 and right-hand sides
-    ``Fraction``, n_y**n_x of them per row, with the normalization row
-    once, so the checks would keep every entry as it is."""
-    obj = object.__new__(cls)
-    for f in fields(cls):
-        object.__setattr__(obj, f.name, values.get(f.name, f.default))
-    return obj
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ canonical table index, which the library converts by splitting the
 digits at a power of n_y: the loop of one operation per digit on the
 whole integer.  For tomography, which the library extracts over all keys
 in one array routine: the per-key loop of scalar extractions it
-replaced.  For the table sampler, which draws one chunk ahead on a
-helper thread and looks draws up through a bucket table: one serial draw
-of the whole stream and a full binary search per draw."""
+replaced.  For the table sampler, which draws one chunk at a time and
+looks draws up through a bucket table: one serial draw of the whole
+stream and a full binary search per draw."""
 
 import operator
 import random
@@ -49,7 +49,7 @@ from cforacle import (
     joint_counterfactual,
     restricted_tail_model,
 )
-from cforacle.core import event_indicator
+from cforacle.core import _event_row
 from cforacle.errors import ExtractionError, ValidationError
 from cforacle.identify import BINARY_SCENARIOS, scenario_coefficient
 from cforacle.quantum import EXTRACTION_TOL, STATE_TOL
@@ -229,7 +229,7 @@ def events(n_x, n_y, level):
 
 
 def run_and_indicator(n_x, n_y, pairs):
-    """``core.event_indicator`` for pairs in range: ``{f(x) = y}`` is a run
+    """``core._event_row`` for pairs in range: ``{f(x) = y}`` is a run
     of n_y**(n_x-1-x) ones at offset y in each block of n_y**(n_x-x)
     tables, and the row is the entrywise AND of one such tuple per pair."""
     runs = []
@@ -245,7 +245,7 @@ def full_event_system(pF, level):
     ``joint_counterfactual``, then the normalization row."""
     rows = [
         (
-            event_indicator(pF.n_x, pF.n_y, pairs),
+            _event_row(pF.n_x, pF.n_y, pairs),
             joint_counterfactual(pF, CounterfactualQuery(pairs)),
         )
         for pairs in events(pF.n_x, pF.n_y, level)

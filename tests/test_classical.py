@@ -258,24 +258,44 @@ def test_draws_leave_the_serial_state(rows, drawn):
     assert rng_state(rng) == rng_state(serial)
 
 
-# calls of more than one chunk, which draw on a helper thread
-THREADED_CALLS = {
-    "simulate_log": lambda pf: simulate_log(
-        pf, np.zeros(3 * _CHUNK_ROWS, dtype=np.int64), seed=1
+# calls of several chunks of draws, the last one short, and of one chunk
+# in all, each with the sizes of its draws, chunk by chunk; every draw is
+# made on the calling thread
+DRAWING_CALLS = {
+    "simulate_log": (
+        lambda pf: simulate_log(
+            pf, np.zeros(2 * _CHUNK_ROWS + 5, dtype=np.int64), seed=1
+        ),
+        [_CHUNK_ROWS, _CHUNK_ROWS, 5],
     ),
-    "estimate_conditionals": lambda pf: estimate_conditionals(pf, 2 * _CHUNK_ROWS, seed=1),
+    # three inputs, two chunks each
+    "estimate_conditionals": (
+        lambda pf: estimate_conditionals(pf, _CHUNK_ROWS + 7, seed=1),
+        [_CHUNK_ROWS, 7] * 3,
+    ),
+    "simulate_log_one_chunk": (
+        lambda pf: simulate_log(pf, np.zeros(_CHUNK_ROWS, dtype=np.int64), seed=1),
+        [_CHUNK_ROWS],
+    ),
+    # three inputs, one chunk each, one chunk in all
+    "estimate_conditionals_one_chunk": (
+        lambda pf: estimate_conditionals(pf, _CHUNK_ROWS // 3, seed=1),
+        [_CHUNK_ROWS // 3] * 3,
+    ),
 }
+MULTI_CHUNK_CALLS = ["simulate_log", "estimate_conditionals"]
 
 
-@pytest.mark.parametrize("run", THREADED_CALLS.values(), ids=THREADED_CALLS.keys())
-def test_no_thread_outlives_a_call(run):
+@pytest.mark.parametrize("name", MULTI_CHUNK_CALLS)
+def test_no_thread_outlives_a_call(name):
     threads = threading.active_count()
+    run, _ = DRAWING_CALLS[name]
     run(affine_ternary_model())
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("run", THREADED_CALLS.values(), ids=THREADED_CALLS.keys())
-def test_no_thread_outlives_a_failed_call(monkeypatch, run):
+@pytest.mark.parametrize("name", MULTI_CHUNK_CALLS)
+def test_no_thread_outlives_a_failed_call(monkeypatch, name):
     threads = threading.active_count()
     error = RuntimeError("lookup failed")
     seen = []
@@ -288,15 +308,17 @@ def test_no_thread_outlives_a_failed_call(monkeypatch, run):
         return lookup(self, draws)
 
     monkeypatch.setattr(TableSampler, "_lookup", failing)
+    run, _ = DRAWING_CALLS[name]
     with pytest.raises(RuntimeError) as raised:
         run(affine_ternary_model())
     assert raised.value is error
-    # the helper thread was running while the chunks were looked up
-    assert seen == [threads + 1] * 2
+    # no thread was running while the chunks were looked up
+    assert seen == [threads] * 2
     assert threading.active_count() == threads
 
 
-def test_one_chunk_of_draws_starts_no_thread(monkeypatch):
+@pytest.mark.parametrize("name", DRAWING_CALLS)
+def test_no_call_starts_a_thread(monkeypatch, name):
     seen = []
     lookup = TableSampler._lookup
 
@@ -306,11 +328,32 @@ def test_one_chunk_of_draws_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(TableSampler, "_lookup", counting)
     threads = threading.active_count()
-    pf = affine_ternary_model()
-    simulate_log(pf, np.zeros(_CHUNK_ROWS, dtype=np.int64), seed=1)
-    # three inputs, one chunk each, one chunk in all
-    estimate_conditionals(pf, _CHUNK_ROWS // 3, seed=1)
-    assert seen == [threads] * 4
+    run, chunks = DRAWING_CALLS[name]
+    run(affine_ternary_model())
+    assert seen == [threads] * len(chunks)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("name", DRAWING_CALLS)
+def test_each_chunk_is_one_draw_indices_call(monkeypatch, name):
+    # every draw goes through TableSampler.draw_indices, one call per
+    # _chunk_sizes chunk: the calls the tracer counts draws on
+    sizes = []
+    draw_indices = TableSampler.draw_indices
+
+    def spying(self, rng, size):
+        sizes.append(size)
+        return draw_indices(self, rng, size)
+
+    monkeypatch.setattr(TableSampler, "draw_indices", spying)
+    run, chunks = DRAWING_CALLS[name]
+    result = run(affine_ternary_model())
+    assert sizes == chunks
+    # one draw per query: the tracer's classical.draws
+    if name.startswith("simulate_log"):
+        assert sum(sizes) == len(result.y_out)
+    else:
+        assert sum(sizes) == result.counts.sum()
 
 
 @pytest.mark.parametrize("call", [

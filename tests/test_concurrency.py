@@ -1,10 +1,10 @@
 """The library from several threads at once.
 
 Four threads run a fixed mix of calls for a few rounds; two of the calls
-start a helper thread each.  Two others share one distribution whose
-output store is not built yet, so the threads race its lazy build, and
-two share one two-way constraint system, on which ``is_identifiable``
-runs the face walk.
+draw several chunks from a generator of their own.  Two others share one
+distribution whose output store is not built yet, so the threads race
+its lazy build, and two share one two-way constraint system, on which
+``is_identifiable`` runs the face walk.
 Every result must equal its serial value bit for bit, and no thread may
 outlive the run."""
 
@@ -43,7 +43,7 @@ def the_mix(shared):
     alpha = Amplitudes.uniform(shared.n_x)
     grid = equivalence_grid(num_mixtures=30)
     sampled = affine_ternary_model()
-    # more than one chunk of draws: each call runs a helper thread
+    # more than one chunk of draws, each drawn on the calling thread
     inputs = np.arange(3 * _CHUNK_ROWS + 5) % sampled.n_x
     system = build_constraints(FunctionDistribution.uniform(3, 2), "two-way")
     target = LinearTarget.from_query(

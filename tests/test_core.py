@@ -28,7 +28,7 @@ from cforacle import (
     joint_counterfactual,
 )
 from cforacle import classical, core, identify, modelio, quantum, reproduce
-from cforacle.core import event_indicator
+from cforacle.core import _event_row
 from conftest import (
     CONST0,
     CONST1,
@@ -122,7 +122,7 @@ class TestEventIndicator:
                 members[tuple(outs[x] for x in xs)].append(k)
             assert len(members) == n_y ** len(xs)
             for ys, expected in members.items():
-                row = event_indicator(n_x, n_y, tuple(zip(xs, ys)))
+                row = _event_row(n_x, n_y, tuple(zip(xs, ys)))
                 assert len(row) == len(outputs)
                 assert set(map(type, row)) == {int} and set(row) <= {0, 1}
                 assert list(compress(range(len(outputs)), row)) == expected
@@ -138,7 +138,7 @@ class TestEventIndicator:
             n_x, n_y = rng.choice(sorted(tables))
             xs = rng.sample(range(n_x), rng.randint(3, n_x))
             pairs = tuple((x, rng.randrange(n_y)) for x in xs)
-            assert event_indicator(n_x, n_y, pairs) == reference_indicator(
+            assert _event_row(n_x, n_y, pairs) == reference_indicator(
                 tables[n_x, n_y], pairs
             )
 
@@ -153,16 +153,18 @@ class TestEventIndicator:
             pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=2))
             x, _ = data.draw(st.sampled_from(pairs))
             pairs.append((x, data.draw(output)))
-        row = event_indicator(n_x, n_y, pairs)
+        row = _event_row(n_x, n_y, pairs)
         expected = run_and_indicator(n_x, n_y, pairs)
         assert type(row) is tuple and row == expected
         assert list(map(type, row)) == list(map(type, expected))
 
     def test_no_pairs_and_out_of_range_pairs(self):
-        assert event_indicator(2, 3, ()) == (1,) * 9
+        assert _event_row(2, 3, ()) == (1,) * 9
+        # the row takes checked pairs; a target row, built from a query,
+        # refuses pairs out of range
         for pair in ((2, 0), (0, 3), (-1, 0), (0, -1)):
             with pytest.raises(DomainError):
-                event_indicator(2, 3, (pair,))
+                identify.LinearTarget.from_query(CounterfactualQuery((pair,)), 2, 3)
 
 
 class TestEnumeration:
@@ -249,7 +251,6 @@ BAD_CARDINALITIES = {
         2, n, [1]
     ),
     "ConfoundedModel": lambda n: ConfoundedModel(2, n, {}),
-    "event_indicator": lambda n: event_indicator(n, 2, ()),
     "CounterfactualQuery.validate_for": lambda n: CounterfactualQuery(
         ((0, 0),)
     ).validate_for(2, n),

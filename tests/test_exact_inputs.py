@@ -210,7 +210,7 @@ UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
         (lambda: core.joint_counterfactual(
             UNIFORM_2X2, CounterfactualQuery(((0, -HUGE),))), DomainError,
          "outcome -2^16609 or less outside range [0, 2)"),
-        (lambda: core.event_indicator(2, 2, ((HUGE, 0),)), DomainError,
+        (lambda: FunctionTable(2, 2, (0, 1))(HUGE), DomainError,
          "input 2^16609 or more outside range [0, 2)"),
         (lambda: FunctionTable.from_index(2, 2, HUGE), DomainError,
          "index 2^16609 or more outside range [0, 4)"),
@@ -223,7 +223,7 @@ UNIFORM_2X2 = FunctionDistribution.uniform(2, 2)
         (lambda: CounterfactualQuery.from_string("0:" + "1" * 5000),
          ContractViolationError, "target pair side of 5000 digits, too many"),
     ],
-    ids=["validate_for", "from_query", "joint_counterfactual", "event_indicator",
+    ids=["validate_for", "from_query", "joint_counterfactual", "table call",
          "from_index", "table output", "joint key setting", "repeated antecedent",
          "from_string"],
 )

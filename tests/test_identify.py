@@ -31,7 +31,7 @@ from cforacle import (
     solution_family_direction,
 )
 from cforacle import core, identify, lp
-from cforacle.core import event_indicator
+from cforacle.core import _event_row
 from cforacle.rational import is_scalar_multiple
 from cforacle.reproduce import (
     affine_ternary_model,
@@ -304,7 +304,7 @@ DECLINED = {
     "sum of two indicators": (
         LinearTarget([
             p + q for p, q in zip(
-                event_indicator(2, 3, ((0, 1),)), event_indicator(2, 3, ((1, 2),))
+                _event_row(2, 3, ((0, 1),)), _event_row(2, 3, ((1, 2),))
             )
         ]),
         ONE_WAY_2X3,
@@ -347,8 +347,8 @@ class TestOneWayClosedForm:
         ids=["sum above 1", "missing value negative", "negative value"],
     )
     def test_infeasible_marginals_still_raise_with_a_checked_certificate(self, rhs):
-        rows = [(event_indicator(2, 2, ((0, y),)), v) for y, v in enumerate(rhs)]
-        rows += [(event_indicator(2, 2, ((1, 0),)), F(1, 2)), ((1,) * 4, 1)]
+        rows = [(_event_row(2, 2, ((0, y),)), v) for y, v in enumerate(rhs)]
+        rows += [(_event_row(2, 2, ((1, 0),)), F(1, 2)), ((1,) * 4, 1)]
         system = ConstraintSystem(2, 2, tuple(rows))
         target = LinearTarget.from_query(CounterfactualQuery(((0, 0), (1, 0))), 2, 2)
         assert identify._frechet_bounds(target, system) is None

@@ -1,11 +1,11 @@
 """Validation happens once, at the boundary.
 
-The package's own constructors build distributions through one private
-trusted path, ``core._trusted``, and their constraint systems and
-targets through another, ``identify._built``; neither checks again.
-These tests show that each builds what the checked constructors build,
-and list every caller, so that no route from user input reaches them
-unnoticed.  Tables hash once, and a distribution keeps one output store
+The package's own constructors build their objects through one private
+unchecked constructor, ``core._built``, which skips ``__post_init__``:
+distributions through ``core._trusted``, which computes their weights
+first, and constraint systems and targets directly.  These tests show
+that each builds what the checked constructors build, and list every
+caller, so that no route from user input reaches them unnoticed.  Tables hash once, and a distribution keeps one output store
 and one store of float weights."""
 
 import ast
@@ -164,7 +164,11 @@ TRUSTED_CALLERS = {
     "identify.solve_binary_pF",
     "toy.apply_oracle_mixture",
 }
-BUILT_CALLERS = {"identify.LinearTarget.from_query", "identify.build_constraints"}
+BUILT_CALLERS = {
+    "core._trusted",
+    "identify.LinearTarget.from_query",
+    "identify.build_constraints",
+}
 
 
 def callers(name):
