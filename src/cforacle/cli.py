@@ -14,9 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from importlib.resources import files
@@ -145,12 +143,10 @@ def cmd_tomography(args) -> int:
     model = _load_distribution(args.model)
     alpha = Amplitudes.uniform(model.n_x)
     rho = build_rho_xy(model, alpha)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x", "x_prime", "y", "y_prime", "value"])
+    # ints and %.12g values need no CSV quoting
+    sys.stdout.write("x,x_prime,y,y_prime,value\n")
     for x, x_prime, y, y_prime, value in tomography_sweep(rho, alpha):
-        writer.writerow([x, x_prime, y, y_prime, f"{value:.12g}"])
-    sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(f"{x},{x_prime},{y},{y_prime},{value:.12g}\n")
     return 0
 
 
@@ -176,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce", help="run a scripted scenario and report its claims"
     )
     p_rep.add_argument("example", choices=_SCENARIO_NAMES)
-    p_rep.add_argument("--output", choices=["json"], default="json")
     p_rep.set_defaults(func=cmd_reproduce)
 
     for name, help_text in (
@@ -191,27 +186,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--target", required=True, help="joint counterfactual, e.g. '0:1,1:1'"
         )
-        p.add_argument("--output", choices=["json"], default="json")
         p.set_defaults(func=cmd_identification)
 
     p_sim = sub.add_parser("simulate", help="log classical oracle queries as CSV")
     p_sim.add_argument("--model", required=True)
     p_sim.add_argument("--queries", required=True, help="total query count")
     p_sim.add_argument("--seed", default="0")
-    p_sim.add_argument("--output", choices=["csv"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_tomo = sub.add_parser(
         "tomography", help="extract all pairwise marginals from the probe state"
     )
     p_tomo.add_argument("--model", required=True)
-    p_tomo.add_argument("--output", choices=["csv"], default="csv")
     p_tomo.set_defaults(func=cmd_tomography)
 
     p_toy = sub.add_parser(
         "toy-check", help="bit-pair model versus exact coherent probabilities"
     )
-    p_toy.add_argument("--output", choices=["json"], default="json")
     p_toy.set_defaults(func=cmd_toy_check)
 
     return parser

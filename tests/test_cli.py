@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from cforacle import (
     identify,
     lp,
     quantum,
+    restricted_tail_model,
     save_model,
 )
 from cforacle.classical import _CHUNK_ROWS, simulate_log
@@ -29,6 +32,9 @@ from cforacle.cli import main
 from cforacle.modelio import load_model
 from cforacle.reproduce import mix_identity_flip, run_scenario
 from conftest import assert_same_rows
+
+# the package's source root, for child interpreters
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -128,13 +134,19 @@ class TestReproduce:
         assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_DIGESTS[scenario]
 
     @pytest.mark.parametrize(
-        "scenario, levels", [("model_ab", []), ("binary", ["one-way"] * 2)]
+        "scenario, levels",
+        [
+            ("model_ab", []),
+            ("binary", ["one-way"] * 2),
+            ("appendix_e", ["two-way"] * 2 + ["one-way"]),
+        ],
     )
     def test_only_witnesses_the_report_reads_are_searched(
         self, capsys, monkeypatch, scenario, levels
     ):
         # model_ab and binary's two-way check ask for a width only, so the
-        # face walk runs for binary's two one-way witnesses alone
+        # face walk runs for binary's two one-way witnesses alone;
+        # appendix_e reads both two-way witnesses and the one-way upper one
         walked = []
         real = lp._face_walk
 
@@ -146,7 +158,10 @@ class TestReproduce:
         code, out, _ = run_cli(capsys, "reproduce", scenario)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_DIGESTS[scenario]
-        truth = mix_identity_flip()
+        truth = (
+            restricted_tail_model(3, ()) if scenario == "appendix_e"
+            else mix_identity_flip()
+        )
         assert walked == [build_constraints(truth, level).matrix() for level in levels]
 
     @pytest.mark.parametrize(
@@ -402,6 +417,22 @@ class TestTomography:
         code, out, _ = run_cli(capsys, "tomography", "--model", name)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_stdout_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # rho's last bits can depend on the thread count (on this model they
+        # differ between 1 and 2 under OpenBLAS 0.3.31, which splits its sum
+        # by thread count); its %.12g values must not
+        model = tmp_path / "uniform8x3.json"
+        save_model(FunctionDistribution.uniform(8, 3), model)
+        argv = [sys.executable, "-m", "cforacle.cli", "tomography", "--model", str(model)]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(argv, capture_output=True, env=env, check=False)
+            assert result.returncode == 0, result.stderr.decode()
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + 8 * 3 + 28 * 9
 
 
 class TestToyCheck:

@@ -88,7 +88,7 @@ options:
   -h, --help            show this help message and exit
 """,
     "reproduce --help": """\
-usage: cforacle reproduce [-h] [--output {json}]
+usage: cforacle reproduce [-h]
                           {appendix_b,appendix_e,appendix_e_general,binary,model_ab,toy}
 
 positional arguments:
@@ -96,7 +96,6 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --output {json}
 """,
 }
 
