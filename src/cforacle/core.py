@@ -490,9 +490,8 @@ class FunctionDistribution:
     index order; ``_nums`` holds the same weights, in the same order, as
     integers over the one denominator ``_den``, so a linear functional is
     a sum of ``int``s with one ``Fraction`` built at the end.  The tables'
-    outputs, in the same order, are one flat store, and the weights one
-    flat store of floats, each built on first use (:meth:`_output_store`,
-    :meth:`_float_weights`).
+    outputs, in the same order, are one flat store, built on first use
+    (:meth:`_output_store`).
     """
 
     n_x: int
@@ -574,17 +573,6 @@ class FunctionDistribution:
             outputs = itertools.chain.from_iterable(t.outputs for t in self.weights)
             store = self.__dict__.setdefault("_store", array(code, outputs))
         return store
-
-    def _float_weights(self) -> array:
-        """Every support weight as the nearest float, ``num / _den`` (int
-        true division is correctly rounded), in ``weights`` order, as one
-        ``array('d')``; built on the first call and kept, as
-        :meth:`_output_store` is."""
-        weights = self.__dict__.get("_floats")
-        if weights is None:
-            floats = array("d", [num / self._den for num in self._nums])
-            weights = self.__dict__.setdefault("_floats", floats)
-        return weights
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -3,9 +3,10 @@
 The oracle is the isometry |x> -> |x>|f(x)| applied to a superposed
 input; averaging over the table distribution yields a joint density
 matrix whose off-diagonal blocks carry every pairwise output marginal
-p(f(x)=y, f(x')=y').  Reading those elements back out (tomography) is
-what single classical queries cannot do.  The binary probe scenarios are
-simulated here; their exact probabilities and solve are in :mod:`identify`.
+p(f(x)=y, f(x')=y'), and :func:`build_rho_xy` builds it from those
+marginals.  Reading them back out (tomography) is what single classical
+queries cannot do.  The binary probe scenarios are simulated here; their
+exact probabilities and solve are in :mod:`identify`.
 
 Composite indexing convention throughout: basis state |x>|y> sits at
 index x * n_y + y (input register most significant).
@@ -30,17 +31,17 @@ from .core import (
     _describe_int,
 )
 from .errors import ExtractionError, ValidationError
+from .identify import _marginal_counts, _scenario_position
 # the binary solve is also read as quantum.*, by perfbench and its tracer
-from .identify import _scenario_position, binary_forward_measurements, solve_binary_pF
+from .identify import binary_forward_measurements, solve_binary_pF
 
 STATE_TOL = 1e-12
 OPERATOR_TOL = 1e-10
 EXTRACTION_TOL = 1e-9
 
-#: Tables per slice of :func:`build_rho_xy`: the post-oracle states of at
-#: most this many tables are held at once, so its memory is bounded on
-#: every model within the caps.  A model of no more tables is one slice.
-_STATE_ROWS = 1 << 16
+#: Output cells per slice of :func:`_pairwise_marginals`: a slice holds
+#: max(1, _SLICE_CELLS // n_x) tables, so no temporary grows with the model.
+_SLICE_CELLS = 1 << 18
 
 
 def _complex_array(value, what: str) -> np.ndarray:
@@ -150,24 +151,49 @@ class MeasurementEffect:
         return int(self.operator.shape[0])
 
 
-def _oracle_states(outputs: np.ndarray, n_y: int, alpha: Amplitudes) -> np.ndarray:
-    """Row k is the post-oracle pure state sum_x alpha_x |x>|f_k(x)> of
-    the table f_k whose outputs are row k of ``outputs``."""
-    k, n_x = outputs.shape
-    psi = np.zeros((k, n_x * n_y), dtype=complex)
-    psi[np.arange(k)[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
-    return psi
+def _conjugate_products(a: np.ndarray, b: np.ndarray, scale=1.0) -> np.ndarray:
+    """a * conj(b) * scale, broadcast, from float products each rounded once
+    as in the scalar product: numpy's complex array product may fuse them,
+    which would make a * conj(a) complex and rho not Hermitian exactly."""
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    product.real = (a.real * b.real + a.imag * b.imag) * scale
+    product.imag = (a.imag * b.real - a.real * b.imag) * scale
+    return product
+
+
+def _pairwise_marginals(pF: FunctionDistribution) -> np.ndarray:
+    """P[x n_y + y, x' n_y + y'] = p(f(x)=y, f(x')=y'), correctly rounded:
+    sums of the numerators ``_nums``, divided once by ``_den``.  The sums
+    are float64 bincounts, one per input x and slice of tables, exact while
+    ``_den < 2^53`` as no partial sum exceeds ``_den``; else Python ints."""
+    n_x, n_y, den = pF.n_x, pF.n_y, pF._den
+    dim = n_x * n_y
+    if den >= 1 << 53:
+        _, two = _marginal_counts(pF, [divmod(k, n_x) for k in range(n_x**2)])
+        p = np.array([[count / den for count in row] for cell in two for row in cell])
+        return p.reshape(n_x, n_x, n_y, n_y).transpose(0, 2, 1, 3).reshape(dim, dim)
+    store = pF._output_store()
+    outputs = np.frombuffer(store, dtype=store.typecode).reshape(-1, n_x)
+    nums = np.array(pF._nums, dtype=np.float64)
+    rows = max(1, _SLICE_CELLS // n_x)
+    counts = np.zeros((n_x, n_y * dim))
+    for start in range(0, len(nums), rows):
+        out = outputs[start:start + rows].astype(np.intp)
+        columns = out + np.arange(0, dim, n_y)  # x' n_y + f(x')
+        weights = np.repeat(nums[start:start + rows], n_x)
+        for x in range(n_x):
+            keys = (out[:, x, None] * dim + columns).ravel()
+            counts[x] += np.bincount(keys, weights, minlength=n_y * dim)
+    return counts.reshape(dim, dim) / den
 
 
 def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
-    """Average the post-oracle pure states over the table distribution.
+    """The post-oracle pure states averaged over the table distribution.
 
-    Matrix element <x, y| rho |x', y'> equals
-    alpha_x * conj(alpha_x') * p(f(x)=y, f(x')=y').  Raises
-    :class:`EnumerationCapError`, before allocating, when the matrix would
-    have more entries than the enumeration cap.  The states are formed and
-    summed ``_STATE_ROWS`` tables at a time, read off the distribution's
-    output store and its kept float weights.
+    Matrix element <x, y| rho |x', y'> is alpha_x * conj(alpha_x') *
+    p(f(x)=y, f(x')=y'), formed so from the correctly rounded marginals with
+    no BLAS sum: rho is Hermitian exactly.  Raises :class:`EnumerationCapError`,
+    before allocating, when the matrix would have more entries than the cap.
     """
     if alpha.n_x != pF.n_x:
         raise ValidationError(
@@ -176,18 +202,21 @@ def build_rho_xy(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
     dim = pF.n_x * pF.n_y
     shown = _describe_int(dim)
     _check_size(f"entries of a {shown} x {shown} density matrix", dim, 2)
+    a = np.repeat(alpha.alpha, pF.n_y)
+    return DensityMatrix(_conjugate_products(a[:, None], a, _pairwise_marginals(pF)))
+
+
+def _averaged_state(pF: FunctionDistribution, alpha: Amplitudes) -> DensityMatrix:
+    """rho as the weighted sum of every table's post-oracle state, in one
+    matrix product, for small models: not from the marginals, so that
+    ``reproduce model_ab``'s equal states are not its equal joints again."""
+    n_x, n_y = pF.n_x, pF.n_y
     store = pF._output_store()
-    outputs = np.frombuffer(store, dtype=store.typecode).reshape(-1, pF.n_x)
-    weights = np.frombuffer(pF._float_weights(), dtype=np.float64)
-    rho = None
-    for start in range(0, len(weights), _STATE_ROWS):
-        rows = slice(start, start + _STATE_ROWS)
-        psi = _oracle_states(outputs[rows], pF.n_y, alpha)
-        part = (psi.T * weights[rows]) @ psi.conj()
-        # the first slice as it is: 0.0 + -0.0 would read 0.0
-        rho = part if rho is None else np.add(rho, part, out=rho)
-    rho = (rho + rho.conj().T) / 2  # scrub float round-off asymmetry
-    return DensityMatrix(rho)
+    outputs = np.frombuffer(store, dtype=store.typecode).reshape(-1, n_x)
+    psi = np.zeros((len(outputs), n_x * n_y), dtype=complex)
+    psi[np.arange(len(outputs))[:, None], np.arange(n_x) * n_y + outputs] = alpha.alpha
+    rho = (psi.T * [num / pF._den for num in pF._nums]) @ psi.conj()
+    return DensityMatrix((rho + rho.conj().T) / 2)  # scrub float round-off asymmetry
 
 
 def _register_sizes(rho: DensityMatrix, alpha: Amplitudes) -> tuple[int, int]:
@@ -223,12 +252,7 @@ def _extract(
     squares = np.array([abs(a) ** 2 for a in amplitudes])
     zero = (sizes[x] < STATE_TOL) | (sizes[x_prime] < STATE_TOL)
     element = rho.entries[x * n_y + y, x_prime * n_y + y_prime]
-    # alpha_x * conj(alpha_x') from float products, each rounded once as in
-    # the scalar product: numpy's complex array product may fuse them
-    a, b = alpha.alpha[x], alpha.alpha[x_prime].conj()
-    product = np.empty(len(keys), dtype=complex)
-    product.real = a.real * b.real - a.imag * b.imag
-    product.imag = a.real * b.imag + a.imag * b.real
+    product = _conjugate_products(alpha.alpha[x], alpha.alpha[x_prime])
     # a divisor of 1 where an amplitude is zero, so that no division warns
     cross = element / np.where(zero, 1, product)
     square = np.where(zero, 1, squares[x])

@@ -272,7 +272,7 @@ def scenario_binary() -> ReproductionReport:
 def scenario_model_ab() -> ReproductionReport:
     """Two ternary models that agree on every one- and two-way marginal
     (and hence on the full coherent-probe state) yet differ three-way."""
-    from .quantum import Amplitudes, build_rho_xy
+    from .quantum import Amplitudes, _averaged_state
 
     report = ReproductionReport("model_ab")
     model_a = uniform_ternary_model()
@@ -295,8 +295,8 @@ def scenario_model_ab() -> ReproductionReport:
         joint_counterfactual(model_b, diagonal),
     )
     alpha = Amplitudes.uniform(3)
-    rho_a = build_rho_xy(model_a, alpha)
-    rho_b = build_rho_xy(model_b, alpha)
+    rho_a = _averaged_state(model_a, alpha)
+    rho_b = _averaged_state(model_b, alpha)
     gap = float(abs(rho_a.entries - rho_b.entries).max())
     report.check_close(
         "coherent-probe states coincide entry-wise", 0.0, gap, 1e-12

@@ -21,11 +21,14 @@ cuts, which the library sums as integers over the weights' one
 denominator: the same sums taken one ``Fraction`` at a time.  For the
 canonical table index, which the library converts by splitting the
 digits at a power of n_y: the loop of one operation per digit on the
-whole integer.  For tomography, which the library extracts over all keys
-in one array routine: the per-key loop of scalar extractions it
-replaced.  For the table sampler, which draws one chunk at a time and
-looks draws up through a bucket table: one serial draw of the whole
-stream and a full binary search per draw."""
+whole integer.  For the density matrix, which the library forms from
+float bincounts of the pairwise outputs: each entry from the exact joint,
+rounded once, times the amplitude product in scalar floats.  For
+tomography, which the library extracts over all keys in one array
+routine: the per-key loop of scalar extractions it replaced.  For the
+table sampler, which draws one chunk at a time and looks draws up
+through a bucket table: one serial draw of the whole stream and a full
+binary search per draw."""
 
 import operator
 import random
@@ -494,3 +497,31 @@ def loop_tomography_sweep(rho, alpha):
         for y_prime in range(n_y)
     ]
     return [(*key, loop_extract_two_way(rho, alpha, *key)) for key in keys]
+
+
+def joint_rho(pF, alpha):
+    """``build_rho_xy``'s entries one at a time: ``float`` of the exact
+    ``joint_counterfactual`` of each output pair (0.0 for two outputs of
+    one input), times alpha_x conj(alpha_x') formed from Python float
+    products, each rounded once; the entry for x > x' mirrors (x', x)."""
+    n_x, n_y = pF.n_x, pF.n_y
+    cells = list(product(range(n_x), range(n_y)))
+    p = {}
+    for i, j in combinations(range(len(cells)), 2):
+        (x, y), (x_prime, y_prime) = cells[i], cells[j]
+        if x != x_prime:
+            query = CounterfactualQuery(((x, y), (x_prime, y_prime)))
+            p[i, j] = p[j, i] = float(joint_counterfactual(pF, query))
+    for i, pair in enumerate(cells):
+        p[i, i] = float(joint_counterfactual(pF, CounterfactualQuery((pair,))))
+    a = [complex(alpha.alpha[x]) for x, _ in cells]
+    return np.array([
+        [
+            complex(
+                (a[i].real * a[j].real + a[i].imag * a[j].imag) * p.get((i, j), 0.0),
+                (a[i].imag * a[j].real - a[i].real * a[j].imag) * p.get((i, j), 0.0),
+            )
+            for j in range(len(cells))
+        ]
+        for i in range(len(cells))
+    ])

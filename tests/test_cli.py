@@ -419,9 +419,8 @@ class TestTomography:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # rho's last bits can depend on the thread count (on this model they
-        # differ between 1 and 2 under OpenBLAS 0.3.31, which splits its sum
-        # by thread count); its %.12g values must not
+        # a BLAS splits its sums by thread count; neither rho's bytes
+        # (tests/test_quantum.py) nor its %.12g values may follow them
         model = tmp_path / "uniform8x3.json"
         save_model(FunctionDistribution.uniform(8, 3), model)
         argv = [sys.executable, "-m", "cforacle.cli", "tomography", "--model", str(model)]
@@ -627,7 +626,7 @@ class TestErrorHandling:
         assert "ValidationError" in err and "'joint'" in err
 
     def test_tomography_above_the_matrix_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(quantum, "_oracle_states", None)  # never reached
+        monkeypatch.setattr(quantum, "_pairwise_marginals", None)  # never reached
         model = tmp_path / "wide.json"
         model.write_text(json.dumps({"n_x": 1001, "n_y": 1, "pF": {"0" * 1001: "1"}}))
         err = self.one_line_usage_error(capsys, "tomography", "--model", str(model))

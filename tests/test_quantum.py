@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +53,7 @@ from conftest import (
 from reference import (
     binary_matrix,
     binary_solve_by_elimination,
+    joint_rho,
     loop_extract_two_way,
     loop_tomography_sweep,
 )
@@ -57,6 +61,8 @@ from reference import (
 F = Fraction
 INV_SQRT2 = 1 / math.sqrt(2)
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "cforacle" / "data"
+SRC = str(Path(quantum.__file__).resolve().parents[1])
+RHO_8X3_DIGEST = "9b63028ef481a157253151f57692ef757ecca79a1dc759be41cc0dab65c2a2b4"
 
 
 def probe_model(spec):
@@ -167,45 +173,147 @@ class TestBuildRho:
         with pytest.raises(ValidationError, match="finite"):
             build(bad)
 
-    # sha256 of the matrix bytes under the uniform probe, recorded before
-    # the weights and outputs were converted without per-entry float() and
-    # np.array; the tomography output is printed from these bytes
+    # sha256 of the matrix bytes under the uniform probe: each marginal
+    # correctly rounded, times the amplitude products, with no BLAS sum (see
+    # TestRhoFromTheJoints); the tomography output is printed from these bytes
     @pytest.mark.parametrize("model, digest", [
-        ((6, 4), "51adcb8e37f5485881de520affd0373d594289777c093b71771c1413a0db639b"),
-        ((8, 3), "c31109809645ccb3bc333f72fe8ea514f1b65a14b8009ec661306e999bd814c5"),
+        ((6, 4), "6a197b1854189cb2a00226defb6e0f1e266fb506539b0dc410724deff088f896"),
+        ((8, 3), RHO_8X3_DIGEST),
         ("appE.json",
          "5eb227b7b3b0c7a1e47fea4338aa2afddafd8c4937c516ade780f7ef59859308"),
-        ("modelA.json",
-         "8eb296bb13d2e8cf42271b200a8d7e5a3258cbb288673f17085509368f819b95"),
-        ("modelB.json",
-         "c9aecb3645544ed6b08647f04a103a7f23d0fb6c6bcf10959a0772caf756bae6"),
+        ("modelA.json", "b18ef81dcca02372ce0ac7898c5f51b9fd92c30f5b41fd6d884afe90cb1943eb"),
+        ("modelB.json", "b18ef81dcca02372ce0ac7898c5f51b9fd92c30f5b41fd6d884afe90cb1943eb"),
     ], ids=["uniform 6x4", "uniform 8x3", "appE", "modelA", "modelB"])
     def test_matrix_bytes_match_the_recorded_digest(self, model, digest):
         model = probe_model(model)
         rho = build_rho_xy(model, Amplitudes.uniform(model.n_x))
         assert hashlib.sha256(rho.entries.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("rows", [1, 7, 80, 81])
-    def test_slices_of_tables_sum_to_the_one_slice_matrix(self, monkeypatch, rows):
-        rng = random.Random(rows)
+    def test_matrix_bytes_do_not_depend_on_the_blas_thread_count(self):
+        code = (
+            "import hashlib; from cforacle import Amplitudes, FunctionDistribution, "
+            "build_rho_xy; rho = build_rho_xy(FunctionDistribution.uniform(8, 3), "
+            "Amplitudes.uniform(8)); print(hashlib.sha256(rho.entries.tobytes())"
+            ".hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, env=env,
+                check=False, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert digests == [RHO_8X3_DIGEST] * 3
+
+    @pytest.mark.parametrize("cells", [1, 7, 80, 81, 324])
+    def test_slices_of_tables_sum_to_the_one_slice_matrix(self, monkeypatch, cells):
+        rng = random.Random(cells)
         alpha = Amplitudes(np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)]))
         models = [FunctionDistribution.uniform(4, 3), random_distribution(rng, 4, 3)]
-        whole = [build_rho_xy(model, alpha).entries for model in models]
+        whole = [build_rho_xy(model, alpha).entries.tobytes() for model in models]
         sizes = []
-        states = quantum._oracle_states
+        bincount = np.bincount
 
-        def recorded(outputs, n_y, alpha):
-            sizes.append(len(outputs))
-            return states(outputs, n_y, alpha)
+        def recorded(keys, weights, minlength):
+            sizes.append(len(keys) // 4)  # tables in the slice, 4 keys each
+            return bincount(keys, weights, minlength)
 
-        monkeypatch.setattr(quantum, "_STATE_ROWS", rows)
-        monkeypatch.setattr(quantum, "_oracle_states", recorded)
+        monkeypatch.setattr(quantum, "_SLICE_CELLS", cells)
+        monkeypatch.setattr(np, "bincount", recorded)
+        rows = max(1, cells // 4)
         for model, expected in zip(models, whole):
             sizes.clear()
-            sliced = build_rho_xy(model, alpha).entries
-            assert np.max(np.abs(sliced - expected)) <= 1e-15
+            assert build_rho_xy(model, alpha).entries.tobytes() == expected
             k = len(model.weights)
-            assert sizes == [rows] * (k // rows) + ([k % rows] if k % rows else [])
+            slices = [rows] * (k // rows) + ([k % rows] if k % rows else [])
+            assert sizes == [size for size in slices for _ in range(4)]
+
+
+def complex_amplitudes(n_x, seed):
+    """A normalized input state with random complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=n_x) + 1j * rng.normal(size=n_x)
+    return Amplitudes(raw / np.linalg.norm(raw))
+
+
+def large_denominator_model(rng, n_x, n_y):
+    """Weights below 2^62 drawn per table over their sum, so that the
+    weights' one denominator is at least 2^53."""
+    tables = [FunctionTable.from_index(n_x, n_y, i) for i in range(n_y**n_x)]
+    raw = [rng.randrange(1, 1 << 62) for _ in tables]
+    return FunctionDistribution(
+        n_x, n_y, {t: Fraction(k, sum(raw)) for t, k in zip(tables, raw)}
+    )
+
+
+class TestRhoFromTheJoints:
+    """Every entry of rho against the exact joints, rounded once."""
+
+    @pytest.mark.parametrize("amplitudes", ["uniform", "complex"])
+    @pytest.mark.parametrize(
+        "model", [(6, 4), (8, 3), "appE.json", "modelA.json", "modelB.json"],
+        ids=["uniform 6x4", "uniform 8x3", "appE", "modelA", "modelB"],
+    )
+    def test_pinned_models_bit_for_bit(self, model, amplitudes):
+        model = probe_model(model)
+        if amplitudes == "uniform":
+            alpha = Amplitudes.uniform(model.n_x)
+        else:
+            alpha = complex_amplitudes(model.n_x, model.n_x)
+        rho = build_rho_xy(model, alpha).entries
+        assert rho.tobytes() == joint_rho(model, alpha).tobytes()
+        assert np.array_equal(rho, rho.conj().T)  # Hermitian exactly, no scrub
+
+    # the float bincounts below 2^53, the Python-int counts at or above it
+    @given(
+        st.sampled_from([(1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_models_bit_for_bit(self, cards, seed, large, uniform):
+        n_x, n_y = cards
+        rng = random.Random(seed)
+        if large:
+            model = large_denominator_model(rng, n_x, n_y)
+            assert model._den >= 2**53
+        else:
+            model = random_distribution(rng, n_x, n_y)
+        alpha = Amplitudes.uniform(n_x) if uniform else complex_amplitudes(n_x, seed)
+        counted = []
+        counts = quantum._marginal_counts
+
+        def recorded(*args):
+            counted.append(args)
+            return counts(*args)
+
+        quantum._marginal_counts = recorded
+        try:
+            rho = build_rho_xy(model, alpha).entries
+        finally:
+            quantum._marginal_counts = counts
+        assert len(counted) == large
+        assert rho.tobytes() == joint_rho(model, alpha).tobytes()
+        assert np.array_equal(rho, rho.conj().T)
+
+    # The state average rounds each of the k table terms and sums them in
+    # BLAS order; the marginals round each entry about three times.
+    @given(
+        st.sampled_from([(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_the_averaged_state_agrees_within_the_rounding(self, cards, seed):
+        n_x, n_y = cards
+        model = random_distribution(random.Random(seed), n_x, n_y)
+        alpha = complex_amplitudes(n_x, seed)
+        averaged = quantum._averaged_state(model, alpha).entries
+        built = build_rho_xy(model, alpha).entries
+        tolerance = (len(model.weights) + 8) * np.finfo(float).eps
+        assert np.max(np.abs(averaged - built)) <= tolerance
 
 
 class TestExtraction:

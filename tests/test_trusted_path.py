@@ -229,19 +229,6 @@ def test_the_output_store_is_row_major_and_kept():
     assert pF == FunctionDistribution(pF.n_x, pF.n_y, pF.weights)
 
 
-def test_the_float_weights_are_each_weight_rounded_and_kept():
-    pF = FunctionDistribution(2, 2, {
-        FunctionTable(2, 2, (0, 1)): Fraction(1, 3),
-        FunctionTable(2, 2, (1, 0)): Fraction(2, 3),
-    })
-    weights = pF._float_weights()
-    assert weights.typecode == "d"
-    assert weights.tolist() == [float(w) for w in pF.weights.values()]
-    assert pF._float_weights() is weights
-    assert "_floats" not in {f.name for f in dataclasses.fields(pF)}
-    assert pF == FunctionDistribution(pF.n_x, pF.n_y, pF.weights)
-
-
 @pytest.mark.parametrize("n_y, itemsize", [
     (1, 1), (128, 1), (129, 2), (2**15, 2), (2**15 + 1, 4), (2**31, 4),
     (2**31 + 1, 8), (2**63, 8),
