@@ -26,7 +26,8 @@ Every pivot then takes the most negative reduced cost (Dantzig), with
 Bland's rule for the choice after each degenerate pivot, which keeps the
 method finite.  The bounds and the lexicographically smallest optimal
 vertex are unique, so neither step changes a result; witnesses are
-checked on the full system and certificates are extended to it.
+checked on the full system.  Only when the presolved system is
+infeasible does phase 1 run on the full one, for its certificate.
 
 All problems have the form  min/max  c.x  subject to  A x = b,  x >= 0.
 The systems built elsewhere in this package always include a simplex
@@ -322,34 +323,13 @@ def _check_presolve(
             raise InternalCheckError(f"presolve dropped the nonzero row {i}")
 
 
-def _full_certificate(
-    y_kept: Vector, a: Matrix, rows: list[int], pins: list[tuple[int, list[int]]]
-) -> Vector:
-    """Extend a Farkas certificate of the presolved system to the full one.
-
-    Pin rows have right-hand side 0, so adding multiples of them leaves
-    ``y . b`` as it is.  From the last pin back, each pin row is
-    subtracted, signed, just enough to bring ``y . A`` to at most 0 on the
-    columns it pinned.  It is zero on the kept columns and on the columns
-    pinned after it, so no column already settled moves.
-    """
-    y = [_ZERO] * len(a)
-    for i, v in zip(rows, y_kept):
-        y[i] = v
-    for i, pinned in reversed(pins):
-        row = a[i]
-        excess = max(_dot(y, [r[j] for r in a]) / abs(row[j]) for j in pinned)
-        if excess > 0:
-            y[i] = -excess if row[pinned[0]] > 0 else excess
-    return y
-
-
 def _presolved_phase1(
     c: Vector, a: Matrix, b: Vector
 ) -> tuple[IntMatrix, list[int], list[int], list[int]]:
     """:func:`_presolve`, then :func:`_phase1` on the rest.  Returns that
-    tableau and basis and the kept columns; an infeasible system raises
-    with a certificate checked on ``(A, b)``."""
+    tableau and basis and the kept columns.  An infeasible system raises
+    with the message and residual of the presolved run and the certificate
+    of :func:`_phase1` on the full ``(A, b)``, checked there."""
     _check_shape(c, a, b)
     cols, rows, pins = _presolve(a, b)
     _check_presolve(a, b, cols, rows, pins)
@@ -360,11 +340,13 @@ def _presolved_phase1(
             [b[i] for i in rows],
         )
     except InfeasibleSystemError as err:
-        y = _full_certificate(err.certificate, a, rows, pins)
-        _check_certificate(y, a, b)
-        raise InfeasibleSystemError(
-            str(err), residual=err.residual, certificate=y
-        ) from None
+        try:  # a checked presolve keeps the feasible set
+            _phase1(c, a, b)
+        except InfeasibleSystemError as full:
+            raise InfeasibleSystemError(
+                str(err), residual=err.residual, certificate=full.certificate
+            ) from None
+        raise InternalCheckError("presolve emptied a feasible system") from None
     return (*tableau, cols)
 
 

@@ -140,7 +140,9 @@ def load_model(path: str | Path) -> FunctionDistribution | ConfoundedModel:
             raise  # reported with its line and column
         except UnicodeDecodeError as exc:
             raise ValidationError(f"model file is not UTF-8 text: {exc}") from exc
-        except ValueError as exc:  # an integer beyond the int-to-str limit
+        # an integer beyond the int-to-str limit, or nesting beyond the
+        # recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"cannot read model JSON: {exc}") from exc
     return parse_model(data)
 

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +148,26 @@ def test_exit_code_contract(model, argv, extra):
     if code == 1:
         assert argv[0] in CLAIM_COMMANDS
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--level", "one-way", "--target", "0:0"],
+        ["identify", "--level", "one-way", "--target", "0:0"],
+        ["simulate", "--queries", "3", "--seed", "0"],
+        ["tomography"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("opening", ["[", '{"a":'], ids=["array", "object"])
+def test_deeply_nested_model_json_is_refused_in_one_line(tmp_path, argv, opening):
+    # 10^5 levels: past the recursion limit of the JSON decoder
+    path = tmp_path / "model.json"
+    path.write_text(opening * 10**5, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--model", str(path), *argv[1:]])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("ValidationError: cannot read model JSON: ")
+    assert err.getvalue().count("\n") == 1

@@ -821,14 +821,68 @@ def test_presolve_leaves_a_system_it_would_empty():
 )
 def test_presolved_infeasible_system_has_a_full_certificate(rows, b):
     a = frac_rows(rows)
-    b = [F(v) for v in b]
-    c = [F(1)] * len(a[0])
+    assert_raises_with_the_full_phase1_certificate(
+        [F(1)] * len(a[0]), a, [F(v) for v in b]
+    )
+
+
+def assert_raises_with_the_full_phase1_certificate(c, a, b):
+    """Every entry point raises with the certificate of ``lp._phase1`` on
+    the full system and the message and residual of ``lp._phase1`` on the
+    presolved one; returns whether the two residuals differ."""
+    cols, rows, _ = lp._presolve(a, b)
+    with pytest.raises(InfeasibleSystemError) as full:
+        lp._phase1(c, a, b)
+    with pytest.raises(InfeasibleSystemError) as kept:
+        lp._phase1(
+            [c[j] for j in cols],
+            [[a[i][j] for j in cols] for i in rows],
+            [b[i] for i in rows],
+        )
     for search in (
         objective_range, lexmin_optimal_range, lexmin_optimal_vertex, simplex_minimize
     ):
         with pytest.raises(InfeasibleSystemError) as excinfo:
             search(c, a, b)
-        assert_full_certificate(excinfo.value, a, b)
+        err = excinfo.value
+        assert err.certificate == full.value.certificate
+        assert (str(err), err.residual) == (str(kept.value), kept.value.residual)
+        assert_full_certificate(err, a, b)
+    return kept.value.residual != full.value.residual
+
+
+def test_presolved_infeasible_random_systems_take_the_full_phase1_certificate():
+    rng = random.Random(1989)
+    cases = differ = 0
+    for _ in range(200):
+        c, a, b = pinned_system(rng)
+        if not lp._presolve(a, b)[2]:
+            continue
+        try:
+            lp._phase1(c, a, b)
+        except InfeasibleSystemError:
+            cases += 1
+            differ += assert_raises_with_the_full_phase1_certificate(c, a, b)
+    # the message and residual are the presolved run's, not the full run's
+    assert cases >= 50 and differ >= 10, (cases, differ)
+
+
+def test_presolve_that_empties_a_feasible_system_is_caught(monkeypatch):
+    # x0 = 1, x0 + x1 = 1 is feasible; with x0 dropped it reads 0 = 1
+    real = lp._presolve
+
+    def drop_first_column(a, b):
+        cols, rows, pins = real(a, b)
+        return cols[1:], rows, pins
+
+    monkeypatch.setattr(lp, "_presolve", drop_first_column)
+    monkeypatch.setattr(lp, "_check_presolve", lambda *args: None)
+    a = frac_rows([[1, 0], [1, 1]])
+    for search in (
+        objective_range, lexmin_optimal_vertex, lexmin_optimal_range, simplex_minimize
+    ):
+        with pytest.raises(InternalCheckError, match="presolve emptied"):
+            search([F(1), F(0)], a, [F(1), F(1)])
 
 
 def test_presolve_that_drops_a_live_column_is_caught(monkeypatch):

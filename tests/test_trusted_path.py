@@ -5,8 +5,8 @@ unchecked constructor, ``core._built``, which skips ``__post_init__``:
 distributions through ``core._trusted``, which computes their weights
 first, and constraint systems and targets directly.  These tests show
 that each builds what the checked constructors build, and list every
-caller, so that no route from user input reaches them unnoticed.  Tables hash once, and a distribution keeps one output store
-and one store of float weights."""
+caller, so that no route from user input reaches them unnoticed.
+Tables hash once, and a distribution keeps one output store."""
 
 import ast
 import dataclasses
