@@ -399,15 +399,14 @@ def _as_table(n_x: int, n_y: int, table) -> FunctionTable:
     return table
 
 
-def _checked_weights(
-    weights: Mapping, what: str, canonical, order
-) -> tuple[dict, tuple[int, ...], int]:
-    """``{canonical(key): weight}`` from a mapping, zero weights dropped,
-    keys sorted by ``order``, plus the same weights as integers over one
-    denominator: ``(weights, nums, den)``, ``nums`` in key order and ``den``
-    the lcm of the weights' denominators.  Raises unless ``weights`` is a
-    mapping, every weight is a nonnegative rational, no key comes twice and
-    the ``what`` sum to exactly 1."""
+def _checked_weights(obj, name: str, what: str, canonical, order) -> None:
+    """Check the mapping in field ``name`` of the frozen dataclass ``obj``
+    and write it back as ``{canonical(key): weight}``, zero weights dropped
+    and keys sorted by ``order``, with the same weights as integers
+    ``_nums``, in key order, over ``_den``, the lcm of their denominators.
+    Raises unless the field is a mapping, every weight is a nonnegative
+    rational, no key comes twice and the ``what`` sum to exactly 1."""
+    weights = getattr(obj, name)
     if not isinstance(weights, Mapping):
         raise ValidationError(
             f"{what} must be a mapping, got a {type(weights).__name__}"
@@ -434,14 +433,7 @@ def _checked_weights(
             f"{what} sum to {_describe_rational(Fraction(total, den))}, "
             "expected exactly 1"
         )
-    return dict(kept), nums, den
-
-
-def _set_weights(obj, name: str, checked: tuple[dict, tuple[int, ...], int]) -> None:
-    """Write :func:`_checked_weights`' result into a frozen dataclass:
-    the mapping as ``name``, the integers as ``_nums`` over ``_den``."""
-    weights, nums, den = checked
-    object.__setattr__(obj, name, weights)
+    object.__setattr__(obj, name, dict(kept))
     object.__setattr__(obj, "_nums", nums)
     object.__setattr__(obj, "_den", den)
 
@@ -502,10 +494,10 @@ class FunctionDistribution:
 
     def __post_init__(self):
         n_x, n_y = _set_cardinalities(self)
-        _set_weights(self, "weights", _checked_weights(
-            self.weights, "weights", partial(_as_table, n_x, n_y),
+        _checked_weights(
+            self, "weights", "weights", partial(_as_table, n_x, n_y),
             operator.attrgetter("index"),
-        ))
+        )
 
     @classmethod
     def point_mass(cls, table: FunctionTable) -> "FunctionDistribution":
@@ -732,10 +724,10 @@ class ConfoundedModel:
 
     def __post_init__(self):
         _set_cardinalities(self)
-        _set_weights(self, "joint_weights", _checked_weights(
-            self.joint_weights, "joint weights", self._key,
+        _checked_weights(
+            self, "joint_weights", "joint weights", self._key,
             lambda key: (key[0], key[1].index),
-        ))
+        )
 
     def _key(self, key) -> tuple[int, FunctionTable]:
         """A joint key ``(r_x, table)``, checked and made canonical."""

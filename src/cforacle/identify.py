@@ -326,36 +326,36 @@ def scenario_coefficient(f: FunctionTable, scenario: str) -> Fraction:
     return Fraction(sum(w[x] for x, y in enumerate(f.outputs) if y == t[x])) ** 2
 
 
+# The cache holds tuples only, so concurrent callers share nothing mutable.
 @cache
-def _binary_rows() -> tuple[
-    tuple[FunctionTable, ...], tuple[tuple[int, ...], ...], int
+def _binary_system() -> tuple[
+    tuple[FunctionTable, ...], tuple[tuple[int, ...], ...], int,
+    tuple[tuple[int, ...], ...], int,
 ]:
-    """The four 2 -> 2 tables in canonical index order, and their
-    ``scenario_coefficient``: one row per scenario of ``BINARY_SCENARIOS``,
-    one column per table, as integer rows over one denominator (4):
-    ``(tables, rows, den)``."""
+    """The exact binary system, built once: the four 2 -> 2 tables in
+    canonical index order; each table's ``scenario_coefficient`` column,
+    one entry per scenario of ``BINARY_SCENARIOS``, as integers over one
+    denominator; and the exact inverse of the scenario rows plus the
+    all-ones row, as integer rows over one denominator:
+    ``(tables, columns, den, inverse, inv_den)``."""
     tables = tuple(enumerate_functions(2, 2))
-    flat, den = int_row(
-        [scenario_coefficient(t, s) for s in BINARY_SCENARIOS for t in tables]
-    )
-    return tables, tuple(tuple(flat[i : i + 4]) for i in range(0, 12, 4)), den
-
-
-# Both caches hold tuples only, so concurrent callers share nothing mutable.
-@cache
-def _binary_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The exact inverse of the scenario rows plus the all-ones row, as
-    integer rows over one common denominator: ``(rows, den)``."""
-    _, rows, den = _binary_rows()
-    matrix = [[Fraction(v, den) for v in row] for row in rows] + [[1] * 4]
-    columns = []
+    matrix = [[scenario_coefficient(t, s) for t in tables] for s in BINARY_SCENARIOS]
+    coefficients, den = int_row([v for column in zip(*matrix) for v in column])
+    matrix.append([1] * 4)
+    solved = []
     for k in range(4):
         column = solve_unique(matrix, [Fraction(int(i == k)) for i in range(4)])
         if column is None:
             raise InternalCheckError("the binary identification matrix is singular")
-        columns.append(column)
-    flat, den = int_row([v for row in zip(*columns) for v in row])
-    return tuple(tuple(flat[i : i + 4]) for i in range(0, 16, 4)), den
+        solved.append(column)
+    inverse, inv_den = int_row([v for row in zip(*solved) for v in row])
+    return (
+        tables,
+        tuple(tuple(coefficients[i : i + 3]) for i in range(0, 12, 3)),
+        den,
+        tuple(tuple(inverse[i : i + 4]) for i in range(0, 16, 4)),
+        inv_den,
+    )
 
 
 def scenario_probability_exact(
@@ -372,9 +372,8 @@ def binary_forward_measurements(
     table's coefficients times its weight, summed in one pass."""
     if pF.n_x != 2 or pF.n_y != 2:
         raise DomainError("binary scenarios require a 2 -> 2 model")
-    _, rows, den = _binary_rows()
-    columns = tuple(zip(*rows))
-    sums = [0] * len(rows)
+    _, columns, den, _, _ = _binary_system()
+    sums = [0] * len(BINARY_SCENARIOS)
     for table, num in zip(pF.weights, pF._nums):
         for s, coefficient in enumerate(columns[table.index]):
             sums[s] += coefficient * num
@@ -393,7 +392,7 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
     Otherwise components are clamped and renormalized.
     """
     statistics = [_as_fraction(v) for v in (c00, c01, bell)]
-    inverse, inv_den = _binary_inverse()
+    tables, _, _, inverse, inv_den = _binary_system()
     rhs, den = int_row(statistics + [Fraction(1)])
     # component i of the solution is nums[i] / scale
     scale = den * inv_den
@@ -408,7 +407,6 @@ def solve_binary_pF(c00, c01, bell) -> FunctionDistribution:
             residual=residual,
         )
     clamped = [min(max(v, 0), scale) for v in nums]
-    tables, _, _ = _binary_rows()
     items = zip(tables, clamped)
     return _trusted(FunctionDistribution, "weights", items, sum(clamped), n_x=2, n_y=2)
 

@@ -31,7 +31,8 @@ from .errors import ValidationError
 
 def _json_rational(value) -> Fraction:
     """A weight as model JSON gives it: a float is read from its text, so
-    ``0.1`` is the decimal 1/10, and ``true`` and ``false`` are refused."""
+    ``0.1`` is the decimal 1/10, and ``true`` and ``false`` are refused.
+    :func:`load_model` hands over a JSON number's own text, never a float."""
     if isinstance(value, bool):
         raise ValidationError(f"cannot interpret {value} as an exact rational")
     return _as_fraction(str(value) if isinstance(value, float) else value)
@@ -135,7 +136,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_model(path: str | Path) -> FunctionDistribution | ConfoundedModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            # a number with a fraction or exponent stays text, read exactly
+            data = json.load(handle, object_pairs_hook=_unique_keys, parse_float=str)
         except json.JSONDecodeError:
             raise  # reported with its line and column
         except UnicodeDecodeError as exc:

@@ -23,7 +23,6 @@ from .core import (
     FunctionTable,
     _checked_weights,
     _exact_str,
-    _set_weights,
     _trusted,
 )
 from .errors import DomainError, UnsupportedTableError, ValidationError
@@ -65,9 +64,9 @@ class ToyEpistemicState:
     _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _set_weights(self, "probs", _checked_weights(
-            self.probs, "ontic probabilities", _ontic, order=lambda state: state
-        ))
+        _checked_weights(
+            self, "probs", "ontic probabilities", _ontic, order=lambda state: state
+        )
 
     def support(self) -> tuple[OnticState, ...]:
         return tuple(self.probs.keys())

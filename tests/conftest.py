@@ -16,6 +16,25 @@ CONST1 = FunctionTable.constant(2, 2, 1)
 IDENTITY = FunctionTable.identity(2)
 FLIP = FunctionTable.flip()
 
+# model files whose number weights a binary float would misread: as text
+# they sum to 1 + 10^-20 and 1 + 10^-400, and the last exponent is beyond
+# the bound on rational text; each with the start of its one-line refusal
+NUMBER_WEIGHT_FILES = {
+    "above one by 1e-20": (
+        '{"n_x": 2, "n_y": 2, "pF": {"00": 0.5, "11": 0.50000000000000000001}}',
+        "weights sum to 100000000000000000001/100000000000000000000, "
+        "expected exactly 1",
+    ),
+    "1e-400": (
+        '{"n_x": 2, "n_y": 2, "pF": {"00": 0.5, "11": 0.5, "01": 1e-400}}',
+        "weights sum to 1",
+    ),
+    "1e-5000": (
+        '{"n_x": 2, "n_y": 2, "pF": {"00": 0.5, "11": 0.5, "01": 1e-5000}}',
+        "cannot interpret '1e-5000' as an exact rational: its exponent",
+    ),
+}
+
 
 def random_distribution(rng, n_x, n_y):
     """Weights 0-9 drawn per table, normalized (at least one nonzero)."""

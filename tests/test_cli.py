@@ -31,7 +31,7 @@ from cforacle.classical import _CHUNK_ROWS, simulate_log
 from cforacle.cli import main
 from cforacle.modelio import load_model
 from cforacle.reproduce import mix_identity_flip, run_scenario
-from conftest import assert_same_rows
+from conftest import NUMBER_WEIGHT_FILES, assert_same_rows
 
 # the package's source root, for child interpreters
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -585,6 +585,18 @@ class TestErrorHandling:
             "--target", "0:1",
         )
         assert f"repeats the key '{key}'" in err
+
+    @pytest.mark.parametrize(
+        "text, message", NUMBER_WEIGHT_FILES.values(), ids=NUMBER_WEIGHT_FILES
+    )
+    def test_number_weights_read_from_their_text(self, capsys, tmp_path, text, message):
+        model = tmp_path / "numbers.json"
+        model.write_text(text)
+        err = self.one_line_usage_error(
+            capsys, "bounds", "--model", str(model), "--level", "one-way",
+            "--target", "0:0",
+        )
+        assert err.startswith(f"ValidationError: {message}")
 
     def test_joint_key_with_a_non_integer_input(self, capsys, tmp_path):
         model = tmp_path / "joint.json"

@@ -4,7 +4,8 @@ Four threads run a fixed mix of calls for a few rounds; two of the calls
 draw several chunks from a generator of their own.  Two others share one
 distribution whose output store is not built yet, so the threads race
 its lazy build, and two share one two-way constraint system, on which
-``is_identifiable`` runs the face walk.
+``is_identifiable`` runs the face walk.  The cached exact binary system
+is cleared before the threads start, so they race its build too.
 Every result must equal its serial value bit for bit, and no thread may
 outlive the run."""
 
@@ -30,6 +31,7 @@ from cforacle import (
     verify_binary_equivalence,
 )
 from cforacle.classical import _CHUNK_ROWS
+from cforacle.identify import _binary_system
 from cforacle.reproduce import affine_ternary_model
 from cforacle.toy import equivalence_grid
 
@@ -97,6 +99,7 @@ def test_threads_get_the_serial_results():
     shared = FunctionDistribution.uniform(6, 3)
     assert "_store" not in vars(shared)
     mix = list(the_mix(shared).items())
+    _binary_system.cache_clear()
     start = threading.Barrier(THREADS)
     results, errors = {}, []
 
@@ -131,4 +134,5 @@ def test_threads_get_the_serial_results():
     for (rank, round_, name), value in results.items():
         assert value == serial[name], (rank, round_, name)
     assert "_store" in vars(shared)
+    assert _binary_system.cache_info().currsize == 1
     assert threading.active_count() == threads_before

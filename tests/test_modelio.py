@@ -31,7 +31,7 @@ from cforacle.modelio import (
 )
 from cforacle.report import ReproductionReport, render_value
 from cforacle.toy import ToyComparison, ToyEquivalenceReport
-from conftest import CONST0, CONST1, IDENTITY, binary_distribution
+from conftest import CONST0, CONST1, IDENTITY, NUMBER_WEIGHT_FILES, binary_distribution
 
 F = Fraction
 
@@ -155,6 +155,18 @@ def test_repeated_json_key_is_rejected(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(ValidationError, match=f"repeats the key '{re.escape(key)}'"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "text, message", NUMBER_WEIGHT_FILES.values(), ids=NUMBER_WEIGHT_FILES
+)
+def test_number_weights_are_read_from_their_text(tmp_path, text, message):
+    # as binary floats these read 1/2, 0 and 0, and all three files loaded
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_model(path)
+    assert str(info.value).startswith(message)
 
 
 def test_bundled_reference_models():

@@ -710,7 +710,7 @@ class TestSolveBinaryAgainstElimination:
             assert got[1] == excess
 
     def test_cached_inverse_is_exact(self):
-        rows, den = identify._binary_inverse()
+        *_, rows, den = identify._binary_system()
         columns = list(zip(*binary_matrix()))
         product = [
             [sum(F(a, den) * b for a, b in zip(row, column)) for column in columns]
@@ -733,8 +733,7 @@ class TestSolveBinaryAgainstElimination:
         counted = counting("enumerate_functions", core.enumerate_functions)
         for module in (core, identify):
             monkeypatch.setattr(module, "enumerate_functions", counted)
-        identify._binary_rows.cache_clear()
-        identify._binary_inverse.cache_clear()
+        identify._binary_system.cache_clear()
         statistics = (F(1, 2), F(1, 2), F(3, 8))
         solve_binary_pF(*statistics)
         assert "rref" in calls and "enumerate_functions" in calls
@@ -744,7 +743,7 @@ class TestSolveBinaryAgainstElimination:
         assert calls == []
 
     def test_the_result_keys_are_the_cached_tables(self):
-        tables, _, _ = identify._binary_rows()
+        tables, *_ = identify._binary_system()
         assert [t.index for t in tables] == [0, 1, 2, 3]
         for model in toy.equivalence_grid(20, 7):
             recovered = solve_binary_pF(*binary_forward_measurements(model))
